@@ -8,7 +8,6 @@
 
 open Cmdliner
 module D = Workload.Datasets
-module S = Netrel.S2bdd
 module R = Netrel.Reliability
 module P = Preprocess.Pipeline
 
@@ -157,22 +156,24 @@ let guarded f =
 
 (* ---- estimate ---- *)
 
-type method_ = Pro | Sampling_mc | Sampling_ht | Bdd | Brute
+(* The engine's methods go through its one dispatch; the two exact
+   baselines stay CLI-local. *)
+type method_ = Engine_method of Engine.method_ | Bdd | Brute
+
+let method_label = function
+  | Engine_method m -> Engine.method_name m
+  | Bdd -> "bdd"
+  | Brute -> "brute"
 
 let method_conv =
-  let parse = function
-    | "pro" -> Ok Pro
-    | "sampling-mc" | "mc" -> Ok Sampling_mc
-    | "sampling-ht" | "ht" -> Ok Sampling_ht
-    | "bdd" -> Ok Bdd
-    | "brute" -> Ok Brute
-    | s -> Error (`Msg (Printf.sprintf "unknown method %S" s))
+  let parse s =
+    match (Engine.method_of_name s, String.lowercase_ascii s) with
+    | Some m, _ -> Ok (Engine_method m)
+    | None, "bdd" -> Ok Bdd
+    | None, "brute" -> Ok Brute
+    | None, _ -> Error (`Msg (Printf.sprintf "unknown method %S" s))
   in
-  Arg.conv (parse, fun fmt m ->
-      Format.pp_print_string fmt
-        (match m with
-        | Pro -> "pro" | Sampling_mc -> "sampling-mc" | Sampling_ht -> "sampling-ht"
-        | Bdd -> "bdd" | Brute -> "brute"))
+  Arg.conv (parse, fun fmt m -> Format.pp_print_string fmt (method_label m))
 
 let kernel_arg =
   let doc = "Sampling draw kernel for $(b,sampling-mc) / $(b,sampling-ht): \
@@ -183,110 +184,74 @@ let kernel_arg =
              agree statistically — not byte-for-byte — across kernels. \
              Ignored by the other methods." in
   Arg.(value
-       & opt (enum [ ("flat", Mcsampling.Flat);
-                     ("bitsliced", Mcsampling.Bitsliced) ])
+       & opt
+           (enum
+              (List.map
+                 (fun k -> (Mcsampling.kernel_mode_name k, k))
+                 Mcsampling.kernel_modes))
            Mcsampling.Flat
        & info [ "kernel" ] ~docv:"KERNEL" ~doc)
 
-(* Shared human-readable rendering of a sequential-stopping run. *)
-let print_adaptive (r : Adaptive.result) dt =
-  Printf.printf "R = %.10g%s\nci95 = [%.10g, %.10g]  (width %.4g, target %.4g)\n"
-    r.Adaptive.value
-    (if r.Adaptive.exact then "  (exact)" else "")
-    r.Adaptive.lower r.Adaptive.upper r.Adaptive.ci_width
-    r.Adaptive.target_width;
-  Printf.printf "adaptive: %d samples in %d rounds, stop = %s\n"
-    r.Adaptive.samples_used r.Adaptive.rounds
-    (Adaptive.stop_name r.Adaptive.stop);
-  Printf.printf "time: %s\n" (Relstats.format_seconds dt)
+(* One estimate run, before rendering. *)
+type outcome =
+  | Dispatched of Engine.outcome
+  | Bdd_exact of (float, Bddbase.Exact.error) result
+  | Brute_exact of float
 
-let adaptive_result_doc (r : Adaptive.result) =
-  let module SD = Netrel.Statsdoc in
-  SD.result_of_adaptive ~value:r.Adaptive.value ~lower:r.Adaptive.lower
-    ~upper:r.Adaptive.upper ~exact:r.Adaptive.exact
-    ~ci_width:r.Adaptive.ci_width ~target_width:r.Adaptive.target_width
-    ~samples_used:r.Adaptive.samples_used
-    ~samples_planned:r.Adaptive.samples_planned ~rounds:r.Adaptive.rounds
-    ~stop:(Adaptive.stop_name r.Adaptive.stop)
+(* The [result] section of the stats document. *)
+let result_doc = function
+  | Dispatched o -> Engine.result_json o
+  | Bdd_exact (Ok r) | Brute_exact r ->
+    Netrel.Statsdoc.result_value ~value:r ~exact:true
+  | Bdd_exact (Error (`Node_budget_exceeded n)) ->
+    Obs.Json.Obj
+      [ ("error", Obs.Json.Str "node_budget_exceeded");
+        ("nodes", Obs.Json.Int n) ]
 
-(* --stats json: run the chosen method under a live observer and emit
-   one structured stats document (Statsdoc) on stdout in place of the
-   human-readable report. The observer never touches random streams,
-   so the computed result is identical to the plain run; with
-   NETREL_FAKE_CLOCK set the whole document is byte-stable in the
-   seed (the cram test exercises exactly that). *)
-let run_estimate_stats ~g ~name ~ts ~seed ~samples ~width ~ht ~no_ext ~method_
-    ~jobs ~kernel ~trace ~ci_width ~max_samples =
+(* The human-readable report. *)
+let print_report g out dt =
+  let time = Relstats.format_seconds dt in
+  match out with
+  | Dispatched (Engine.Stopped r) ->
+    Printf.printf
+      "R = %.10g%s\nci95 = [%.10g, %.10g]  (width %.4g, target %.4g)\n"
+      r.Adaptive.value
+      (if r.Adaptive.exact then "  (exact)" else "")
+      r.Adaptive.lower r.Adaptive.upper r.Adaptive.ci_width
+      r.Adaptive.target_width;
+    Printf.printf "adaptive: %d samples in %d rounds, stop = %s\n"
+      r.Adaptive.samples_used r.Adaptive.rounds
+      (Adaptive.stop_name r.Adaptive.stop);
+    Printf.printf "time: %s\n" time
+  | Dispatched (Engine.Report rep) ->
+    Printf.printf "R = %.10g%s\nbounds = [%.10g, %.10g]\n" rep.R.value
+      (if rep.R.exact then "  (exact)" else "")
+      rep.R.lower rep.R.upper;
+    Printf.printf "budget: s = %d -> s' = %d, %d descents drawn\n"
+      rep.R.s_given rep.R.s_reduced rep.R.samples_drawn;
+    Printf.printf "time: %s\n" time
+  | Dispatched (Engine.Sampled est) ->
+    Printf.printf "R = %.10g  (%d samples, %d hits)\ntime: %s\n"
+      est.Mcsampling.value est.Mcsampling.samples_used est.Mcsampling.hits time
+  | Bdd_exact (Ok r) -> Printf.printf "R = %.10g  (exact)\ntime: %s\n" r time
+  | Bdd_exact (Error (`Node_budget_exceeded n)) ->
+    Printf.printf "DNF: BDD node budget exceeded at %d nodes (%s)\n" n time
+  | Brute_exact r ->
+    Printf.printf "R = %.10g  (exhaustive over 2^%d possible graphs)\ntime: %s\n"
+      r (Ugraph.n_edges g) time
+
+(* One stats document ([--stats json], batch, serve): run metadata from
+   the query record, phase sections from [obs]. *)
+let stats_doc ~command ~graph_name ~method_name (q : Engine.query) ~obs
+    ~seconds ~result =
   let module SD = Netrel.Statsdoc in
-  let obs = Obs.create () in
-  let t0 = Obs.now obs in
-  (* Whole-run GC account (the document's top-level "gc" section, and
-     Chrome counter events when tracing); the per-phase sections keep
-     their own finer-grained deltas. *)
-  let gc_emit =
-    if Trace.enabled trace then Some (fun k v -> Trace.counter trace k v)
-    else None
-  in
-  let method_name, result =
-    Obs.gc_phase obs ?emit:gc_emit "gc" @@ fun () ->
-    match (method_, ci_width) with
-    | Pro, Some w ->
-      let estimator = if ht then S.Horvitz_thompson else S.Monte_carlo in
-      let config = { S.default_config with S.samples; S.width;
-                     S.estimator; S.seed = seed } in
-      let r = Adaptive.reliability ~obs ~trace ~config
-                ~extension:(not no_ext) ~jobs ?max_samples g ~terminals:ts
-                ~ci_width:w in
-      ((if ht then "pro-ht" else "pro"), adaptive_result_doc r)
-    | Sampling_mc, Some w ->
-      let r = Adaptive.monte_carlo ~obs ~trace ~seed ~jobs ~kernel
-                ?max_samples g ~terminals:ts ~ci_width:w in
-      ("sampling-mc", adaptive_result_doc r)
-    | Sampling_ht, Some w ->
-      let r = Adaptive.horvitz_thompson ~obs ~trace ~seed ~jobs ~kernel
-                ?max_samples g ~terminals:ts ~ci_width:w in
-      ("sampling-ht", adaptive_result_doc r)
-    | (Bdd | Brute), Some _ ->
-      (* Rejected before dispatch; keep the match total. *)
-      assert false
-    | Pro, None ->
-      let estimator = if ht then S.Horvitz_thompson else S.Monte_carlo in
-      let config = { S.default_config with S.samples; S.width;
-                     S.estimator; S.seed = seed } in
-      let rep = R.estimate ~obs ~trace ~config ~extension:(not no_ext) ~jobs g
-                  ~terminals:ts in
-      ((if ht then "pro-ht" else "pro"), SD.result_of_report rep)
-    | Sampling_mc, None ->
-      let est =
-        Mcsampling.monte_carlo ~obs ~trace ~seed ~jobs ~kernel g ~terminals:ts
-          ~samples
-      in
-      ("sampling-mc", SD.result_of_estimate est)
-    | Sampling_ht, None ->
-      let est =
-        Mcsampling.horvitz_thompson ~obs ~trace ~seed ~jobs ~kernel g
-          ~terminals:ts ~samples
-      in
-      ("sampling-ht", SD.result_of_estimate est)
-    | Bdd, None -> (
-      match R.exact ~extension:(not no_ext) g ~terminals:ts with
-      | Ok r -> ("bdd", SD.result_value ~value:r ~exact:true)
-      | Error (`Node_budget_exceeded n) ->
-        ( "bdd",
-          Obs.Json.Obj
-            [ ("error", Obs.Json.Str "node_budget_exceeded");
-              ("nodes", Obs.Json.Int n) ] ))
-    | Brute, None ->
-      let r = Bddbase.Bruteforce.reliability g ~terminals:ts in
-      ("brute", SD.result_value ~value:r ~exact:true)
-  in
-  let seconds = Obs.now obs -. t0 in
   let run_meta =
-    { SD.command = "estimate"; method_ = method_name; graph = name;
-      terminals = ts; seed; jobs = Par.effective_jobs jobs; samples; width }
+    { SD.command; method_ = method_name; graph = graph_name;
+      terminals = q.Engine.terminals; seed = q.Engine.seed;
+      jobs = Par.effective_jobs q.Engine.jobs; samples = q.Engine.samples;
+      width = q.Engine.width }
   in
-  let doc = SD.build ~obs ~run:run_meta ~seconds ~result in
-  print_endline (Obs.Json.to_string ~pretty:true doc)
+  SD.build ~obs ~run:run_meta ~seconds ~result
 
 let estimate_cmd =
   let samples =
@@ -325,7 +290,8 @@ let estimate_cmd =
     let doc = "Computation method: $(b,pro) (the paper's approach, default), \
                $(b,sampling-mc), $(b,sampling-ht), $(b,bdd) (exact baseline), \
                $(b,brute) (exhaustive, tiny graphs only)." in
-    Arg.(value & opt method_conv Pro & info [ "m"; "method" ] ~docv:"METHOD" ~doc)
+    Arg.(value & opt method_conv (Engine_method Engine.Pro)
+         & info [ "m"; "method" ] ~docv:"METHOD" ~doc)
   in
   let stats_fmt =
     let doc = "Emit machine-readable per-phase run statistics instead of the \
@@ -341,16 +307,33 @@ let estimate_cmd =
       progress =
     guarded @@ fun () ->
     check_jobs jobs;
-    (match (ci_width, max_samples, method_) with
-    | Some _, _, (Bdd | Brute) ->
-      or_die
-        (Error "--ci-width applies to pro / sampling-mc / sampling-ht only")
-    | None, Some _, _ -> or_die (Error "--max-samples requires --ci-width")
-    | _ -> ());
+    let method_ =
+      match method_ with
+      | Engine_method Engine.Pro when ht -> Engine_method Engine.Pro_ht
+      | m -> m
+    in
+    (* The shared flags as the engine's query record, validated once as
+       batch/serve validate theirs. bdd / brute never dispatch it; it
+       only carries their run metadata. *)
+    let q =
+      { Engine.default with Engine.samples; width; ci_width; max_samples; seed;
+        jobs; kernel }
+    in
+    let q =
+      match method_ with
+      | Engine_method m -> { q with Engine.method_ = m }
+      | Bdd | Brute ->
+        if ci_width <> None then
+          or_die
+            (Error "--ci-width applies to pro / sampling-mc / sampling-ht only");
+        q
+    in
+    or_die (Engine.validate q);
     let g, name = or_die (load_graph ~file ~dataset ~seed ~scale) in
     let ts = or_die (parse_terminals g ~terminals ~k ~seed:(seed + 17)) in
     (try Ugraph.validate_terminals g ts
      with Invalid_argument msg -> or_die (Error msg));
+    let q = { q with Engine.terminals = ts } in
     (* The trace sink is created only after every [or_die] above: those
        exit directly, while library failures below raise and unwind
        through [finalize], so an open --trace file is always written
@@ -382,76 +365,42 @@ let estimate_cmd =
             | `Jsonl -> Trace.write_jsonl oc trace)
     in
     Fun.protect ~finally:finalize @@ fun () ->
+    let extension = not no_ext in
+    let compute obs =
+      match method_ with
+      | Engine_method _ ->
+        Dispatched (Engine.estimate ~obs ~trace ~extension g q)
+      | Bdd -> Bdd_exact (R.exact ~extension g ~terminals:ts)
+      | Brute -> Brute_exact (Bddbase.Bruteforce.reliability g ~terminals:ts)
+    in
     match stats with
-    | `Json -> run_estimate_stats ~g ~name ~ts ~seed ~samples ~width ~ht ~no_ext
-                 ~method_ ~jobs ~kernel ~trace ~ci_width ~max_samples
+    | `Json ->
+      (* --stats json: the run under a live observer, emitted as one
+         structured stats document (Statsdoc) in place of the report.
+         The observer never touches random streams, so the result is
+         identical to the plain run; with NETREL_FAKE_CLOCK set the
+         whole document is byte-stable in the seed. The whole-run GC
+         account becomes the top-level "gc" section (and Chrome counter
+         events when tracing). *)
+      let obs = Obs.create () in
+      let t0 = Obs.now obs in
+      let emit =
+        if Trace.enabled trace then Some (fun k v -> Trace.counter trace k v)
+        else None
+      in
+      let out = Obs.gc_phase obs ?emit "gc" (fun () -> compute obs) in
+      let seconds = Obs.now obs -. t0 in
+      print_endline
+        (Obs.Json.to_string ~pretty:true
+           (stats_doc ~command:"estimate" ~graph_name:name
+              ~method_name:(method_label method_) q ~obs ~seconds
+              ~result:(result_doc out)))
     | `None ->
-    Printf.printf "graph %s: %s\nterminals: [%s]\n" name
-      (Format.asprintf "%a" Ugraph.pp_stats g)
-      (String.concat ", " (List.map string_of_int ts));
-    match (method_, ci_width) with
-    | Pro, Some w ->
-      let estimator = if ht then S.Horvitz_thompson else S.Monte_carlo in
-      let config = { S.default_config with S.samples = samples; S.width = width;
-                     S.estimator; S.seed = seed } in
-      let r, dt =
-        Relstats.time (fun () ->
-            Adaptive.reliability ~trace ~config ~extension:(not no_ext) ~jobs
-              ?max_samples g ~terminals:ts ~ci_width:w)
-      in
-      print_adaptive r dt
-    | (Sampling_mc | Sampling_ht), Some w ->
-      let f = if method_ = Sampling_mc then Adaptive.monte_carlo
-              else Adaptive.horvitz_thompson in
-      let r, dt =
-        Relstats.time (fun () ->
-            f ~trace ~seed ~jobs ~kernel ?max_samples g ~terminals:ts
-              ~ci_width:w)
-      in
-      print_adaptive r dt
-    | (Bdd | Brute), Some _ -> assert false (* rejected above *)
-    | Pro, None ->
-      let estimator = if ht then S.Horvitz_thompson else S.Monte_carlo in
-      let config = { S.default_config with S.samples = samples; S.width = width;
-                     S.estimator; S.seed = seed } in
-      let rep, dt =
-        Relstats.time (fun () ->
-            R.estimate ~trace ~config ~extension:(not no_ext) ~jobs g
-              ~terminals:ts)
-      in
-      Printf.printf "R = %.10g%s\nbounds = [%.10g, %.10g]\n" rep.R.value
-        (if rep.R.exact then "  (exact)" else "")
-        rep.R.lower rep.R.upper;
-      Printf.printf "budget: s = %d -> s' = %d, %d descents drawn\n"
-        rep.R.s_given rep.R.s_reduced rep.R.samples_drawn;
-      Printf.printf "time: %s\n" (Relstats.format_seconds dt)
-    | (Sampling_mc | Sampling_ht), None ->
-      let f = if method_ = Sampling_mc then Mcsampling.monte_carlo
-              else Mcsampling.horvitz_thompson in
-      let est, dt =
-        Relstats.time (fun () ->
-            f ~trace ~seed ~jobs ~kernel g ~terminals:ts ~samples)
-      in
-      Printf.printf "R = %.10g  (%d samples, %d hits)\ntime: %s\n"
-        est.Mcsampling.value est.Mcsampling.samples_used est.Mcsampling.hits
-        (Relstats.format_seconds dt)
-    | Bdd, None -> (
-      let res, dt =
-        Relstats.time (fun () ->
-            R.exact ~extension:(not no_ext) g ~terminals:ts)
-      in
-      match res with
-      | Ok r -> Printf.printf "R = %.10g  (exact)\ntime: %s\n" r
-                  (Relstats.format_seconds dt)
-      | Error (`Node_budget_exceeded n) ->
-        Printf.printf "DNF: BDD node budget exceeded at %d nodes (%s)\n" n
-          (Relstats.format_seconds dt))
-    | Brute, None ->
-      let r, dt =
-        Relstats.time (fun () -> Bddbase.Bruteforce.reliability g ~terminals:ts)
-      in
-      Printf.printf "R = %.10g  (exhaustive over 2^%d possible graphs)\ntime: %s\n"
-        r (Ugraph.n_edges g) (Relstats.format_seconds dt)
+      Printf.printf "graph %s: %s\nterminals: [%s]\n" name
+        (Format.asprintf "%a" Ugraph.pp_stats g)
+        (String.concat ", " (List.map string_of_int ts));
+      let out, dt = Relstats.time (fun () -> compute Obs.disabled) in
+      print_report g out dt
   in
   let doc = "Compute the network reliability of terminals in an uncertain graph" in
   Cmd.v (Cmd.info "estimate" ~doc)
@@ -805,7 +754,8 @@ let reach_cmd =
      terminals=0,5,9 [method=pro|pro-ht|sampling-mc|sampling-ht]
      [samples=N] [width=W] [ci-width=X] [max-samples=N] [seed=N]
      [kernel=flat|bitsliced]
-   Unset keys fall back to the command-line defaults. Blank lines and
+   Unset keys fall back to the command-line defaults, and the record is
+   validated as [netrel estimate] validates its flags. Blank lines and
    '#' comments are skipped by both commands. *)
 let parse_query_line g ~defaults line =
   let fields =
@@ -815,7 +765,7 @@ let parse_query_line g ~defaults line =
   in
   let rec go q ~has_terminals = function
     | [] ->
-      if has_terminals then Ok q
+      if has_terminals then Result.map (fun () -> q) (Engine.validate q)
       else Error "query line is missing terminals=IDS"
     | tok :: rest -> (
       match String.index_opt tok '=' with
@@ -853,27 +803,21 @@ let parse_query_line g ~defaults line =
           | Some w -> continue { q with Engine.ci_width = Some w }
           | None -> Error (Printf.sprintf "query key ci-width: bad float %S" v))
         | "kernel" -> (
-          match String.lowercase_ascii v with
-          | "flat" -> continue { q with Engine.kernel = Mcsampling.Flat }
-          | "bitsliced" ->
-            continue { q with Engine.kernel = Mcsampling.Bitsliced }
-          | _ ->
+          match Mcsampling.kernel_mode_of_name v with
+          | Some k -> continue { q with Engine.kernel = k }
+          | None ->
             Error
-              (Printf.sprintf "unknown kernel %S (flat, bitsliced)" v))
+              (Printf.sprintf "unknown kernel %S (%s)" v
+                 (String.concat ", "
+                    (List.map Mcsampling.kernel_mode_name
+                       Mcsampling.kernel_modes))))
         | _ -> Error (Printf.sprintf "unknown query key %S" k)))
   in
   go defaults ~has_terminals:false fields
 
-let query_doc ~command ~graph_name (q : Engine.query) (a : Engine.answer)
-    ~seconds =
-  let module SD = Netrel.Statsdoc in
-  let run_meta =
-    { SD.command; method_ = a.Engine.method_name; graph = graph_name;
-      terminals = q.Engine.terminals; seed = q.Engine.seed;
-      jobs = Par.effective_jobs q.Engine.jobs; samples = q.Engine.samples;
-      width = q.Engine.width }
-  in
-  SD.build ~obs:a.Engine.obs ~run:run_meta ~seconds ~result:a.Engine.result
+let query_doc ~command ~graph_name q (a : Engine.answer) ~seconds =
+  stats_doc ~command ~graph_name ~method_name:a.Engine.method_name q
+    ~obs:a.Engine.obs ~seconds ~result:a.Engine.result
 
 let batch_samples_arg =
   let doc = "Default plain-sampling budget for query lines without \

@@ -186,48 +186,46 @@ let sampler_loop ~ao ~trace ~ci_width ~max_samples ~draw ~samples ~hits
       estimate = Some e;
     }
 
-let monte_carlo ?(obs = Obs.disabled) ?(trace = Trace.disabled) ?seed ?jobs
-    ?kernel ?csr ?(max_samples = default_max_samples) g ~terminals ~ci_width =
+(* Shared prologue of the plain samplers: validation, the trivial k < 2
+   answer, and the snapshot the chunk stream samples. *)
+let plain ~obs ~trace ?csr ~max_samples g ~terminals ~ci_width run =
   validate ~ci_width ~max_samples;
   Ugraph.validate_terminals g terminals;
   let ao = Obs.sub obs "adaptive" in
   if List.length terminals < 2 then
     emit_result trace (finish_obs ao (trivial ~target_width:ci_width 1.))
-  else begin
-    let t = MC.mc_create ~obs ~trace ?seed ?jobs ?kernel ?csr g ~terminals in
-    emit_result trace
-      (sampler_loop ~ao ~trace ~ci_width ~max_samples
-         ~draw:(fun n -> MC.mc_draw t ~samples:n)
-         ~samples:(fun () -> MC.mc_samples t)
-         ~hits:(fun () -> MC.mc_hits t)
-         ~estimate:(fun () -> MC.mc_estimate t))
-  end
+  else
+    let csr = match csr with Some c -> c | None -> Kernel.Csr.of_graph g in
+    emit_result trace (run ~ao csr)
+
+let monte_carlo ?(obs = Obs.disabled) ?(trace = Trace.disabled) ?seed ?jobs
+    ?kernel ?csr ?(max_samples = default_max_samples) g ~terminals ~ci_width =
+  plain ~obs ~trace ?csr ~max_samples g ~terminals ~ci_width @@ fun ~ao csr ->
+  let t = MC.mc_create ~obs ~trace ?seed ?jobs ?kernel csr ~terminals in
+  sampler_loop ~ao ~trace ~ci_width ~max_samples
+    ~draw:(fun n -> MC.mc_draw t ~samples:n)
+    ~samples:(fun () -> MC.mc_samples t)
+    ~hits:(fun () -> MC.mc_hits t)
+    ~estimate:(fun () -> MC.mc_estimate t)
 
 let horvitz_thompson ?(obs = Obs.disabled) ?(trace = Trace.disabled) ?seed
     ?jobs ?kernel ?csr ?(max_samples = default_max_samples) g ~terminals
     ~ci_width =
-  validate ~ci_width ~max_samples;
-  Ugraph.validate_terminals g terminals;
-  let ao = Obs.sub obs "adaptive" in
-  if List.length terminals < 2 then
-    emit_result trace (finish_obs ao (trivial ~target_width:ci_width 1.))
-  else begin
-    let t = MC.ht_create ~obs ~trace ?seed ?jobs ?kernel ?csr g ~terminals in
-    (* The HT planner reads hits as round(value * samples): the HT value
-       is a weighted sum, not a count, but the planner only needs a
-       smoothed variance proxy. *)
-    let hits () =
-      let e = MC.ht_estimate t in
-      let v = Float.max 0. (Float.min 1. e.Mcsampling.value) in
-      int_of_float (Float.round (v *. float_of_int e.Mcsampling.samples_used))
-    in
-    emit_result trace
-      (sampler_loop ~ao ~trace ~ci_width ~max_samples
-         ~draw:(fun n -> MC.ht_draw t ~samples:n)
-         ~samples:(fun () -> MC.ht_samples t)
-         ~hits
-         ~estimate:(fun () -> MC.ht_estimate t))
-  end
+  plain ~obs ~trace ?csr ~max_samples g ~terminals ~ci_width @@ fun ~ao csr ->
+  let t = MC.ht_create ~obs ~trace ?seed ?jobs ?kernel csr ~terminals in
+  (* The HT planner reads hits as round(value * samples): the HT value
+     is a weighted sum, not a count, but the planner only needs a
+     smoothed variance proxy. *)
+  let hits () =
+    let e = MC.ht_estimate t in
+    let v = Float.max 0. (Float.min 1. e.Mcsampling.value) in
+    int_of_float (Float.round (v *. float_of_int e.Mcsampling.samples_used))
+  in
+  sampler_loop ~ao ~trace ~ci_width ~max_samples
+    ~draw:(fun n -> MC.ht_draw t ~samples:n)
+    ~samples:(fun () -> MC.ht_samples t)
+    ~hits
+    ~estimate:(fun () -> MC.ht_estimate t)
 
 (* ------------------------------------------------------------------ *)
 (* Stratified S2BDD plans (Neyman re-allocation)                       *)

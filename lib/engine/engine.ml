@@ -157,6 +157,76 @@ let prep t ctx ~terminals =
     Hashtbl.replace ctx.preps key pe;
     pe
 
+(* ---- the method dispatch ---- *)
+
+type outcome =
+  | Report of R.report
+  | Sampled of Mcsampling.estimate
+  | Stopped of Adaptive.result
+
+let validate q =
+  match (q.ci_width, q.max_samples) with
+  | None, Some _ -> Error "--max-samples requires --ci-width"
+  | _ -> Ok ()
+
+(* The one method dispatch, behind both [query] (which passes its cached
+   Csr / prep / orders) and [netrel estimate] (nothing cached). The
+   caches are thunks, so each is consulted only by the methods that
+   read it; since every cached artifact is a pure function of the graph
+   and terminals, answers are bit-identical either way. *)
+let estimate ?(obs = Obs.disabled) ?(trace = Trace.disabled)
+    ?(extension = true) ?csr ?prep g q =
+  let ts = q.terminals and jobs = q.jobs in
+  match q.method_ with
+  | Pro | Pro_ht -> (
+    let config =
+      { S.default_config with S.samples = q.samples; S.width = q.width;
+        S.estimator =
+          (if q.method_ = Pro_ht then S.Horvitz_thompson else S.Monte_carlo);
+        S.seed = q.seed }
+    in
+    let prep, orders =
+      match prep with
+      | None -> (None, None)
+      | Some f ->
+        let outcome, orders = f () in
+        (Some outcome, Some orders)
+    in
+    match q.ci_width with
+    | Some w ->
+      Stopped
+        (Adaptive.reliability ~obs ~trace ~config ~extension ~jobs ?prep ?orders
+           ?max_samples:q.max_samples g ~terminals:ts ~ci_width:w)
+    | None ->
+      Report
+        (R.estimate ~obs ~trace ~config ~extension ~jobs ?prep ?orders g
+           ~terminals:ts))
+  | Sampling_mc | Sampling_ht -> (
+    let ht = q.method_ = Sampling_ht in
+    let csr = Option.map (fun f -> f ()) csr in
+    match q.ci_width with
+    | Some w ->
+      Stopped
+        ((if ht then Adaptive.horvitz_thompson else Adaptive.monte_carlo)
+           ~obs ~trace ~seed:q.seed ~jobs ~kernel:q.kernel ?csr
+           ?max_samples:q.max_samples g ~terminals:ts ~ci_width:w)
+    | None ->
+      Sampled
+        ((if ht then Mcsampling.horvitz_thompson else Mcsampling.monte_carlo)
+           ~obs ~trace ~seed:q.seed ~jobs ~kernel:q.kernel ?csr g ~terminals:ts
+           ~samples:q.samples))
+
+let result_json = function
+  | Report rep -> SD.result_of_report rep
+  | Sampled e -> SD.result_of_estimate e
+  | Stopped r ->
+    SD.result_of_adaptive ~value:r.Adaptive.value ~lower:r.Adaptive.lower
+      ~upper:r.Adaptive.upper ~exact:r.Adaptive.exact
+      ~ci_width:r.Adaptive.ci_width ~target_width:r.Adaptive.target_width
+      ~samples_used:r.Adaptive.samples_used
+      ~samples_planned:r.Adaptive.samples_planned ~rounds:r.Adaptive.rounds
+      ~stop:(Adaptive.stop_name r.Adaptive.stop)
+
 (* ---- queries ---- *)
 
 let memo_key q =
@@ -165,76 +235,7 @@ let memo_key q =
     (match q.ci_width with None -> "-" | Some w -> Printf.sprintf "%.17g" w)
     (match q.max_samples with None -> "-" | Some n -> string_of_int n)
     q.seed q.jobs
-    (match q.kernel with Mcsampling.Flat -> "flat" | Mcsampling.Bitsliced -> "bitsliced")
-
-(* Mirror of the CLI's method dispatch ([run_estimate_stats]): same
-   estimator entry points, same configs, same Statsdoc result shapes —
-   with the cached Csr / prep / orders slotted into the pure-reuse
-   parameters, so answers stay bit-identical to the from-scratch path. *)
-let dispatch t ctx qobs q =
-  let estimator ht = if ht then S.Horvitz_thompson else S.Monte_carlo in
-  let adaptive_doc (r : Adaptive.result) =
-    SD.result_of_adaptive ~value:r.Adaptive.value ~lower:r.Adaptive.lower
-      ~upper:r.Adaptive.upper ~exact:r.Adaptive.exact
-      ~ci_width:r.Adaptive.ci_width ~target_width:r.Adaptive.target_width
-      ~samples_used:r.Adaptive.samples_used
-      ~samples_planned:r.Adaptive.samples_planned ~rounds:r.Adaptive.rounds
-      ~stop:(Adaptive.stop_name r.Adaptive.stop)
-  in
-  let g = ctx.graph in
-  let ts = q.terminals in
-  match (q.method_, q.ci_width) with
-  | (Pro | Pro_ht), Some w ->
-    let config =
-      { S.default_config with S.samples = q.samples; S.width = q.width;
-        S.estimator = estimator (q.method_ = Pro_ht); S.seed = q.seed }
-    in
-    let pe = prep t ctx ~terminals:ts in
-    Obs.merge ~into:qobs pe.pobs;
-    let r =
-      Adaptive.reliability ~obs:qobs ~config ~jobs:q.jobs ~prep:pe.outcome
-        ~orders:pe.orders ?max_samples:q.max_samples g ~terminals:ts
-        ~ci_width:w
-    in
-    (method_name q.method_, adaptive_doc r, r.Adaptive.value, r.Adaptive.exact)
-  | (Pro | Pro_ht), None ->
-    let config =
-      { S.default_config with S.samples = q.samples; S.width = q.width;
-        S.estimator = estimator (q.method_ = Pro_ht); S.seed = q.seed }
-    in
-    let pe = prep t ctx ~terminals:ts in
-    Obs.merge ~into:qobs pe.pobs;
-    let rep =
-      R.estimate ~obs:qobs ~config ~jobs:q.jobs ~prep:pe.outcome
-        ~orders:pe.orders g ~terminals:ts
-    in
-    (method_name q.method_, SD.result_of_report rep, rep.R.value, rep.R.exact)
-  | Sampling_mc, Some w ->
-    let r =
-      Adaptive.monte_carlo ~obs:qobs ~seed:q.seed ~jobs:q.jobs
-        ~kernel:q.kernel ~csr:(csr t ctx) ?max_samples:q.max_samples g
-        ~terminals:ts ~ci_width:w
-    in
-    ("sampling-mc", adaptive_doc r, r.Adaptive.value, r.Adaptive.exact)
-  | Sampling_ht, Some w ->
-    let r =
-      Adaptive.horvitz_thompson ~obs:qobs ~seed:q.seed ~jobs:q.jobs
-        ~kernel:q.kernel ~csr:(csr t ctx) ?max_samples:q.max_samples g
-        ~terminals:ts ~ci_width:w
-    in
-    ("sampling-ht", adaptive_doc r, r.Adaptive.value, r.Adaptive.exact)
-  | Sampling_mc, None ->
-    let e =
-      Mcsampling.monte_carlo ~obs:qobs ~seed:q.seed ~jobs:q.jobs
-        ~kernel:q.kernel ~csr:(csr t ctx) g ~terminals:ts ~samples:q.samples
-    in
-    ("sampling-mc", SD.result_of_estimate e, e.Mcsampling.value, false)
-  | Sampling_ht, None ->
-    let e =
-      Mcsampling.horvitz_thompson ~obs:qobs ~seed:q.seed ~jobs:q.jobs
-        ~kernel:q.kernel ~csr:(csr t ctx) g ~terminals:ts ~samples:q.samples
-    in
-    ("sampling-ht", SD.result_of_estimate e, e.Mcsampling.value, false)
+    (Mcsampling.kernel_mode_name q.kernel)
 
 let query ?digest t g q =
   let ctx = context ~digest t g in
@@ -249,10 +250,26 @@ let query ?digest t g q =
     if q.jobs < 1 then invalid_arg "Engine.query: jobs < 1";
     Ugraph.validate_terminals g q.terminals;
     let qobs = Obs.fresh_like t.obs in
-    let method_name, result, value, exact =
-      Obs.gc_phase qobs "gc" @@ fun () -> dispatch t ctx qobs q
+    let cached_prep () =
+      let pe = prep t ctx ~terminals:q.terminals in
+      Obs.merge ~into:qobs pe.pobs;
+      (pe.outcome, pe.orders)
     in
-    let a = { method_name; result; value; exact; cached = false; obs = qobs } in
+    let outcome =
+      Obs.gc_phase qobs "gc" @@ fun () ->
+      estimate ~obs:qobs ~csr:(fun () -> csr t ctx) ~prep:cached_prep ctx.graph
+        q
+    in
+    let value, exact =
+      match outcome with
+      | Report rep -> (rep.R.value, rep.R.exact)
+      | Sampled e -> (e.Mcsampling.value, false)
+      | Stopped r -> (r.Adaptive.value, r.Adaptive.exact)
+    in
+    let a =
+      { method_name = method_name q.method_; result = result_json outcome;
+        value; exact; cached = false; obs = qobs }
+    in
     Hashtbl.replace ctx.memo key a;
     a
 

@@ -70,6 +70,40 @@ val default : query
     [samples = 10_000], [width = 10_000], no stopping rule, seed 1,
     jobs 1, {!Mcsampling.Flat}. *)
 
+val validate : query -> (unit, string) result
+(** The one check a query record gets before it is answered, shared by
+    [netrel estimate] and the [batch] / [serve] query lines: [Error] with
+    the CLI's message when [max_samples] is set without [ci_width] (the
+    cap would be ignored, yet still split the result memo). *)
+
+(** What a method computed, before rendering. *)
+type outcome =
+  | Report of Netrel.Reliability.report  (** fixed-budget [pro] / [pro-ht] *)
+  | Sampled of Mcsampling.estimate       (** fixed-budget [sampling-*] *)
+  | Stopped of Adaptive.result           (** any [ci_width] run *)
+
+val estimate :
+  ?obs:Obs.t -> ?trace:Trace.t -> ?extension:bool ->
+  ?csr:(unit -> Kernel.Csr.t) ->
+  ?prep:(unit -> Preprocess.Pipeline.outcome * int array array) ->
+  Ugraph.t -> query -> outcome
+(** The one method dispatch: runs [q] on [g] through the estimator its
+    method and stopping rule select ({!Netrel.Reliability.estimate},
+    {!Adaptive.reliability}, {!Mcsampling.monte_carlo} /
+    {!Mcsampling.horvitz_thompson}, {!Adaptive.monte_carlo} /
+    {!Adaptive.horvitz_thompson}). {!query} calls it with its cached
+    artifacts; [netrel estimate] calls it with none, plus its
+    [--trace] and [--no-extension] ([extension], default [true]). [csr]
+    supplies the sampling snapshot of [g] (sampling methods only);
+    [prep] the preprocessing outcome of [(g, q.terminals)] and its
+    per-subproblem edge orderings (pro methods only). Each is forced at
+    most once, and only by a method that reads it; as pure functions of
+    the graph they never change the answer. Does not {!validate}.
+    @raise Invalid_argument as the selected estimator. *)
+
+val result_json : outcome -> Obs.Json.t
+(** The {!Netrel.Statsdoc} [result] section of an outcome. *)
+
 type answer = {
   method_name : string;
   result : Obs.Json.t;   (** the {!Statsdoc} result section *)

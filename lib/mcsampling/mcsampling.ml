@@ -45,9 +45,28 @@ type kernel_mode = Flat | Bitsliced
 
 let kernel_mode_name = function Flat -> "flat" | Bitsliced -> "bitsliced"
 
-let validate g ~terminals ~samples ~jobs =
-  Ugraph.validate_terminals g terminals;
-  if samples <= 0 then invalid_arg "Mcsampling: samples <= 0";
+let kernel_modes = [ Flat; Bitsliced ]
+
+let kernel_mode_of_name s =
+  let s = String.lowercase_ascii s in
+  List.find_opt (fun k -> kernel_mode_name k = s) kernel_modes
+
+(* The one validator: terminals against the vertex count [n], then the
+   budgets ([Chunked] streams have no sample budget up front). *)
+let validate ?samples ~n ~jobs terminals =
+  if terminals = [] then invalid_arg "Mcsampling: empty terminal set";
+  let seen = Hashtbl.create (List.length terminals) in
+  List.iter
+    (fun t ->
+      if t < 0 || t >= n then
+        invalid_arg (Printf.sprintf "Mcsampling: terminal %d out of range [0,%d)" t n);
+      if Hashtbl.mem seen t then
+        invalid_arg (Printf.sprintf "Mcsampling: duplicate terminal %d" t);
+      Hashtbl.add seen t ())
+    terminals;
+  (match samples with
+  | Some s when s <= 0 -> invalid_arg "Mcsampling: samples <= 0"
+  | _ -> ());
   if jobs <= 0 then invalid_arg "Mcsampling: jobs <= 0"
 
 (* The [k < 2] answer needs no sampling, and the estimate says so:
@@ -172,7 +191,13 @@ let chunk_obs o dt depth gd =
   | Some h -> Obs.hist_merge o "hist.early_exit_depth" h);
   Obs.record_gc o "gc" gd
 
-let mc_chunk_flat ?depth csr term_arr rng len =
+let sampling_obs obs ~estimator ~kernel =
+  let o = Obs.sub obs "sampling" in
+  Obs.text o "estimator" estimator;
+  Obs.text o "kernel.mode" (kernel_mode_name kernel);
+  o
+
+let mc_chunk_flat depth csr term_arr rng len =
   let sc = Kernel.scratch () in
   let hits = ref 0 in
   for _ = 1 to len do
@@ -182,7 +207,7 @@ let mc_chunk_flat ?depth csr term_arr rng len =
   done;
   !hits
 
-let mc_chunk_bitsliced ?depth csr term_arr rng len =
+let mc_chunk_bitsliced depth csr term_arr rng len =
   let sc = Kernel.scratch () in
   let hits = ref 0 in
   let remaining = ref len in
@@ -202,127 +227,23 @@ let mc_chunk_bitsliced ?depth csr term_arr rng len =
   done;
   !hits
 
-(* Terminal/budget validation against a Csr snapshot alone, for the
-   [_csr] entry points where no [Ugraph.t] ever exists. Mirrors
-   [Ugraph.validate_terminals] against the snapshot's vertex count. *)
-let validate_csr csr ~terminals ~samples ~jobs =
-  let n = Kernel.Csr.n_vertices csr in
-  if terminals = [] then invalid_arg "Mcsampling: empty terminal set";
-  let seen = Hashtbl.create (List.length terminals) in
-  List.iter
-    (fun t ->
-      if t < 0 || t >= n then
-        invalid_arg (Printf.sprintf "Mcsampling: terminal %d out of range [0,%d)" t n);
-      if Hashtbl.mem seen t then
-        invalid_arg (Printf.sprintf "Mcsampling: duplicate terminal %d" t);
-      Hashtbl.add seen t ())
-    terminals;
-  if samples <= 0 then invalid_arg "Mcsampling: samples <= 0";
-  if jobs <= 0 then invalid_arg "Mcsampling: jobs <= 0"
+(* HT stage 1: each chunk dedups its own draws into a table
+   hash -> (probability, connected) over the chunk's distinct masks
+   (sized by the chunk length — the only masks it can hold), plus their
+   first-occurrence order in a flat array, so the ordered merge in
+   [Chunked.ht_estimate] is deterministic by construction rather than by
+   hash-table layout. Connectivity runs once per chunk-distinct mask.
+   Both kernels produce the same shape, so the merge and the weighted
+   fold are mode-independent; the world hashes agree across modes on
+   equal masks (both replay the Hash64.mask digest), so dedup semantics
+   are identical and only the sampled worlds differ. *)
+type ht_chunk = {
+  hc_tab : (int, Xprob.t * bool) Hashtbl.t;
+  hc_order : int array;
+  hc_n_order : int;
+}
 
-(* The non-trivial MC body, shared by the graph and csr-direct entry
-   points. The caller has validated terminals and budgets. *)
-let mc_sampled ~obs ~o ~trace ~seed ~jobs ~kernel csr ~terminals ~samples =
-    Obs.time o "total" @@ fun () ->
-    let term_arr = Array.of_list terminals in
-    let chunks =
-      Par.chunks ~total:samples
-        ~target:(chunk_target_for ~edges:(Kernel.Csr.n_edges csr))
-    in
-    let rngs = chunk_streams ~seed (Array.length chunks) in
-    let lanes = Par.effective_jobs jobs in
-    let t_kernel = Obs.now obs in
-    let chunk_hits =
-      Par.run_jobs ~jobs (Array.length chunks) (fun i ->
-          let tr = Trace.task trace ~lane:(i mod lanes) in
-          let ts = Trace.now tr in
-          let t0 = Obs.now obs in
-          let depth = chunk_depth o in
-          let g0 = chunk_gc_begin o in
-          let _, len = chunks.(i) in
-          let rng = rngs.(i) in
-          let hits =
-            match kernel with
-            | Flat -> mc_chunk_flat ?depth csr term_arr rng len
-            | Bitsliced -> mc_chunk_bitsliced ?depth csr term_arr rng len
-          in
-          Trace.complete tr ~ts "mc.chunk"
-            ~args:
-              [ ("chunk", Int i); ("samples", Int len); ("hits", Int hits) ];
-          (hits, Obs.now obs -. t0, depth, chunk_gc_end g0, tr))
-    in
-    let kernel_secs = Obs.now obs -. t_kernel in
-    (* Ordered reduction: integer hits fold in chunk order (associative
-       here, but the convention keeps every reducer shape-identical);
-       per-task trace buffers fold back in the same order. *)
-    let hits =
-      Array.fold_left
-        (fun acc (h, dt, depth, gd, tr) ->
-          chunk_obs o dt depth gd;
-          Trace.merge ~into:trace tr;
-          acc + h)
-        0 chunk_hits
-    in
-    let value = float_of_int hits /. float_of_int samples in
-    Obs.add o "samples" samples;
-    Obs.add o "hits" hits;
-    Obs.add o "connectivity_checks" samples;
-    Obs.add o "kernel.samples" samples;
-    Obs.record_span o "kernel.elapsed" kernel_secs;
-    let variance_estimate = value *. (1. -. value) /. float_of_int samples in
-    Obs.gauge o "wald_variance" variance_estimate;
-    emit_estimate trace
-      {
-        value;
-        samples_used = samples;
-        hits;
-        distinct = 0;
-        variance_estimate;
-        jobs_used = Par.effective_jobs jobs;
-        chunk_samples = Array.map snd chunks;
-      }
-
-(* [?csr] lets a caller holding a prebuilt snapshot (the engine's
-   per-graph cache) skip reconstruction. The Csr is a pure function of
-   [g], so a cached snapshot cannot change any estimate. *)
-let monte_carlo ?(obs = Obs.disabled) ?(trace = Trace.disabled) ?(seed = 1)
-    ?(jobs = 1) ?(kernel = Flat) ?csr g ~terminals ~samples =
-  validate g ~terminals ~samples ~jobs;
-  let o = Obs.sub obs "sampling" in
-  Obs.text o "estimator" "mc";
-  Obs.text o "kernel.mode" (kernel_mode_name kernel);
-  if List.length terminals < 2 then begin
-    Obs.incr o "trivial";
-    emit_estimate trace (trivial_estimate ~jobs 1.)
-  end
-  else
-    let csr = match csr with Some c -> c | None -> Kernel.Csr.of_graph g in
-    mc_sampled ~obs ~o ~trace ~seed ~jobs ~kernel csr ~terminals ~samples
-
-(* Csr-direct entry point: sample a snapshot that never had a Ugraph.t
-   behind it (mmap'd binary graphs via Kernel.Csr.of_arrays). For a
-   snapshot built by Kernel.Csr.of_graph the result is bit-identical
-   to [monte_carlo] — same chunk layout, same streams. *)
-let monte_carlo_csr ?(obs = Obs.disabled) ?(trace = Trace.disabled) ?(seed = 1)
-    ?(jobs = 1) ?(kernel = Flat) csr ~terminals ~samples =
-  validate_csr csr ~terminals ~samples ~jobs;
-  let o = Obs.sub obs "sampling" in
-  Obs.text o "estimator" "mc";
-  Obs.text o "kernel.mode" (kernel_mode_name kernel);
-  if List.length terminals < 2 then begin
-    Obs.incr o "trivial";
-    emit_estimate trace (trivial_estimate ~jobs 1.)
-  end
-  else mc_sampled ~obs ~o ~trace ~seed ~jobs ~kernel csr ~terminals ~samples
-
-(* HT stage-1 bodies: dedup a chunk's draws into (hash -> entry) plus
-   the first-occurrence order. Both kernels produce the same tuple
-   shape, so stage 2 (the ordered merge) and the weighted fold are
-   mode-independent. The world hashes agree across modes on equal
-   masks (both replay the Hash64.mask digest), so dedup semantics are
-   identical; only the sampled worlds differ. *)
-
-let ht_chunk_flat ?depth csr term_arr rng len =
+let ht_chunk_flat depth csr term_arr rng len =
   let sc = Kernel.scratch () in
   let seen : (int, Xprob.t * bool) Hashtbl.t = Hashtbl.create len in
   let order = Array.make len 0 in
@@ -338,9 +259,9 @@ let ht_chunk_flat ?depth csr term_arr rng len =
       incr n_order
     end
   done;
-  (seen, order, !n_order)
+  { hc_tab = seen; hc_order = order; hc_n_order = !n_order }
 
-let ht_chunk_bitsliced ?depth csr term_arr rng len =
+let ht_chunk_bitsliced depth csr term_arr rng len =
   let sc = Kernel.scratch () in
   let seen : (int, Xprob.t * bool) Hashtbl.t = Hashtbl.create len in
   let order = Array.make len 0 in
@@ -363,93 +284,222 @@ let ht_chunk_bitsliced ?depth csr term_arr rng len =
     done;
     remaining := !remaining - batch
   done;
-  (seen, order, !n_order)
+  { hc_tab = seen; hc_order = order; hc_n_order = !n_order }
 
-(* The non-trivial HT body, shared by the graph and csr-direct entry
-   points. The caller has validated terminals and budgets. *)
-let ht_sampled ~obs ~o ~trace ~seed ~jobs ~kernel csr ~terminals ~samples =
-    Obs.time o "total" @@ fun () ->
-    let term_arr = Array.of_list terminals in
+(* ------------------------------------------------------------------ *)
+(* The chunk loop: incremental rounds                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Every sampler draws through this module. A stream retains the master
+   generator and splits one fresh stream per chunk as rounds are
+   scheduled, in global chunk order — so a single round of [n] chunks
+   uses exactly the streams [chunk_streams ~seed n] would, and a
+   fixed-budget run is a one-round stream. Sequential stopping
+   (lib/adaptive) draws rounds until a CI target is met; its chunk
+   boundaries follow the round schedule rather than one balanced
+   partition. A run is therefore replayable from [(seed, round
+   schedule)], and since the schedule is itself a deterministic function
+   of the observed hit counts, from [(seed, ci_width, max_samples)]
+   alone; [jobs] only places chunks on domains and never affects which
+   streams exist or the fold order. *)
+module Chunked = struct
+  (* ['acc] is what rounds fold into: the hit count for MC, the
+     per-chunk dedup tables (most recent first) for HT. *)
+  type 'acc t = {
+    csr : Kernel.Csr.t;
+    terms : int array;
+    kernel : kernel_mode;
+    master : Prng.t;
+    jobs : int;
+    o : Obs.t;
+    trace : Trace.t;
+    mutable samples : int;
+    mutable chunks : int;
+    mutable schedule : int list; (* chunk lengths, most recent first *)
+    mutable acc : 'acc;
+  }
+
+  type mc = int t
+  type ht = ht_chunk list t
+
+  (* Unvalidated: the creators below and the fixed-budget samplers
+     validate first. *)
+  let start ~o ~trace ~seed ~jobs ~kernel csr ~terminals acc =
+    {
+      csr;
+      terms = Array.of_list terminals;
+      kernel;
+      master = Prng.create seed;
+      jobs;
+      o;
+      trace;
+      samples = 0;
+      chunks = 0;
+      schedule = [];
+      acc;
+    }
+
+  let create ~obs ~trace ~seed ~jobs ~kernel ~estimator csr ~terminals acc =
+    validate ~n:(Kernel.Csr.n_vertices csr) ~jobs terminals;
+    if List.length terminals < 2 then
+      invalid_arg "Mcsampling.Chunked: fewer than 2 terminals (trivial case)";
+    start
+      ~o:(sampling_obs obs ~estimator ~kernel)
+      ~trace ~seed ~jobs ~kernel csr ~terminals acc
+
+  (* One round, parameterised by the chunk body: split the new chunks'
+     streams off the retained master (in chunk order, before any chunk
+     runs), dispatch on the pool, then fold results, instrumentation and
+     per-task trace buffers back in chunk order. [fold] sees chunk
+     results in sample order, so every reduction — integer hits or HT's
+     first-occurrence merge — is deterministic by construction. *)
+  let round t ~samples ~name ~body ~args ~init ~fold =
+    if samples <= 0 then invalid_arg "Mcsampling.Chunked: samples <= 0";
     let chunks =
       Par.chunks ~total:samples
-        ~target:(chunk_target_for ~edges:(Kernel.Csr.n_edges csr))
+        ~target:(chunk_target_for ~edges:(Kernel.Csr.n_edges t.csr))
     in
-    let rngs = chunk_streams ~seed (Array.length chunks) in
-    let lanes = Par.effective_jobs jobs in
-    (* Stage 1 (parallel): each chunk dedups its own draws. A chunk's
-       table records hash -> (probability, connected) for the chunk's
-       distinct masks (sized by the chunk length — the only masks it
-       can hold), plus the first-occurrence order in a flat array so
-       the merge below is deterministic by construction rather than by
-       hash-table layout. Connectivity runs once per chunk-distinct
-       mask. *)
-    let t_kernel = Obs.now obs in
-    let chunk_tables =
-      Par.run_jobs ~jobs (Array.length chunks) (fun i ->
-          let tr = Trace.task trace ~lane:(i mod lanes) in
+    let n = Array.length chunks in
+    let rngs = Array.init n (fun _ -> Prng.split t.master) in
+    let lanes = Par.effective_jobs t.jobs in
+    let base = t.chunks in
+    let t_kernel = Obs.now t.o in
+    let results =
+      Par.run_jobs ~jobs:t.jobs n (fun i ->
+          let tr = Trace.task t.trace ~lane:(i mod lanes) in
           let ts = Trace.now tr in
-          let t0 = Obs.now obs in
-          let depth = chunk_depth o in
-          let g0 = chunk_gc_begin o in
+          let t0 = Obs.now t.o in
+          let depth = chunk_depth t.o in
+          let g0 = chunk_gc_begin t.o in
           let _, len = chunks.(i) in
-          let rng = rngs.(i) in
-          let seen, order, n_order =
-            match kernel with
-            | Flat -> ht_chunk_flat ?depth csr term_arr rng len
-            | Bitsliced -> ht_chunk_bitsliced ?depth csr term_arr rng len
-          in
-          Trace.complete tr ~ts "ht.chunk"
+          let r = body depth t.csr t.terms rngs.(i) len in
+          Trace.complete tr ~ts name
             ~args:
-              [
-                ("chunk", Int i);
-                ("samples", Int len);
-                ("unique", Int (Hashtbl.length seen));
-                ("drawn", Int len);
-              ];
-          (seen, order, n_order, Obs.now obs -. t0, depth, chunk_gc_end g0, tr))
+              (("chunk", Trace.Int (base + i))
+              :: ("samples", Trace.Int len)
+              :: args r len);
+          (r, Obs.now t.o -. t0, depth, chunk_gc_end g0, tr))
     in
-    let kernel_secs = Obs.now obs -. t_kernel in
-    (* Stage 2 (ordered reduction): merge the per-chunk tables in chunk
-       order, keeping the first occurrence of every hash — exactly what
-       a sequential single pass over all samples would keep, since
-       chunk order is sample order. The surviving entries, enumerated
-       in global first-occurrence order, drive the pi-weighted sum, so
-       the float accumulation order is fixed. The sum of per-chunk
-       distinct counts bounds the merged count, so one exact-capacity
-       array (cursor-filled) replaces the old list accumulator, and the
-       dedup table is sized by that bound instead of [samples]. *)
+    Obs.record_span t.o "kernel.elapsed" (Obs.now t.o -. t_kernel);
+    let acc =
+      Array.fold_left
+        (fun acc (r, dt, depth, gd, tr) ->
+          chunk_obs t.o dt depth gd;
+          Trace.merge ~into:t.trace tr;
+          fold acc r)
+        init results
+    in
+    t.samples <- t.samples + samples;
+    t.chunks <- t.chunks + n;
+    Array.iter (fun (_, len) -> t.schedule <- len :: t.schedule) chunks;
+    Obs.add t.o "samples" samples;
+    Obs.add t.o "kernel.samples" samples;
+    acc
+
+  let estimate_of t ~value ~hits ~distinct ~variance_estimate =
+    emit_estimate t.trace
+      {
+        value;
+        samples_used = t.samples;
+        hits;
+        distinct;
+        variance_estimate;
+        jobs_used = Par.effective_jobs t.jobs;
+        chunk_samples = Array.of_list (List.rev t.schedule);
+      }
+
+  let mc_create ?(obs = Obs.disabled) ?(trace = Trace.disabled) ?(seed = 1)
+      ?(jobs = 1) ?(kernel = Flat) csr ~terminals =
+    create ~obs ~trace ~seed ~jobs ~kernel ~estimator:"mc" csr ~terminals 0
+
+  let mc_draw t ~samples =
+    let body =
+      match t.kernel with Flat -> mc_chunk_flat | Bitsliced -> mc_chunk_bitsliced
+    in
+    let hits =
+      round t ~samples ~name:"mc.chunk" ~body
+        ~args:(fun h _ -> [ ("hits", Trace.Int h) ])
+        ~init:0 ~fold:( + )
+    in
+    t.acc <- t.acc + hits;
+    Obs.add t.o "hits" hits;
+    Obs.add t.o "connectivity_checks" samples
+
+  let mc_samples t = t.samples
+  let mc_hits t = t.acc
+
+  let mc_estimate t =
+    if t.samples = 0 then
+      invalid_arg "Mcsampling.Chunked.mc_estimate: no samples drawn";
+    let value = float_of_int t.acc /. float_of_int t.samples in
+    let variance_estimate = value *. (1. -. value) /. float_of_int t.samples in
+    Obs.gauge t.o "wald_variance" variance_estimate;
+    estimate_of t ~value ~hits:t.acc ~distinct:0 ~variance_estimate
+
+  (* HT weights depend on the final total n (pi = 1 - (1-q)^n), so the
+     stream keeps every chunk's dedup table and replays the ordered
+     merge and the weighted fold at each [ht_estimate]. *)
+  let ht_create ?(obs = Obs.disabled) ?(trace = Trace.disabled) ?(seed = 1)
+      ?(jobs = 1) ?(kernel = Flat) csr ~terminals =
+    create ~obs ~trace ~seed ~jobs ~kernel ~estimator:"ht" csr ~terminals []
+
+  let ht_draw t ~samples =
+    let body =
+      match t.kernel with Flat -> ht_chunk_flat | Bitsliced -> ht_chunk_bitsliced
+    in
+    t.acc <-
+      round t ~samples ~name:"ht.chunk" ~body
+        ~args:(fun hc len ->
+          [
+            ("unique", Trace.Int (Hashtbl.length hc.hc_tab));
+            ("drawn", Trace.Int len);
+          ])
+        ~init:t.acc
+        ~fold:(fun acc hc ->
+          Obs.hist t.o "hist.dedup_occupancy" hc.hc_n_order;
+          hc :: acc)
+
+  let ht_samples t = t.samples
+
+  let ht_estimate t =
+    if t.samples = 0 then
+      invalid_arg "Mcsampling.Chunked.ht_estimate: no samples drawn";
+    let samples = t.samples in
+    let tables = List.rev t.acc in
+    (* Ordered merge: keep the first occurrence of every hash across the
+       chunk tables in chunk order — exactly what a sequential single
+       pass over all samples would keep, since chunk order is sample
+       order. The surviving entries, enumerated in global
+       first-occurrence order, drive the pi-weighted sum, so the float
+       accumulation order is fixed. The sum of per-chunk distinct counts
+       bounds the merged count, so one exact-capacity array
+       (cursor-filled) holds the entries and sizes the dedup table. *)
     let entries, n_entries =
-      Trace.span trace "ht.merge" @@ fun () ->
-      Obs.time o "merge" @@ fun () ->
+      Trace.span t.trace "ht.merge" @@ fun () ->
+      Obs.time t.o "merge" @@ fun () ->
       let bound =
-        Array.fold_left
-          (fun acc (_, _, n_order, _, _, _, _) -> acc + n_order)
-          0 chunk_tables
+        List.fold_left (fun acc hc -> acc + hc.hc_n_order) 0 tables
       in
       let merged : (int, unit) Hashtbl.t = Hashtbl.create bound in
       let entries = Array.make (max bound 1) (Xprob.one, false) in
       let cursor = ref 0 in
-      Array.iter
-        (fun (tab, order, n_order, dt, depth, gd, tr) ->
-          chunk_obs o dt depth gd;
-          Obs.hist o "hist.dedup_occupancy" n_order;
-          Trace.merge ~into:trace tr;
-          for j = 0 to n_order - 1 do
-            let h = order.(j) in
+      List.iter
+        (fun hc ->
+          for j = 0 to hc.hc_n_order - 1 do
+            let h = hc.hc_order.(j) in
             if not (Hashtbl.mem merged h) then begin
               Hashtbl.add merged h ();
-              entries.(!cursor) <- Hashtbl.find tab h;
+              entries.(!cursor) <- Hashtbl.find hc.hc_tab h;
               incr cursor
             end
           done)
-        chunk_tables;
+        tables;
       (entries, !cursor)
     in
     (* One pass over the merged entries with one accumulator per
-       quantity: each accumulator folds in entry order, so the float
-       accumulation matches the former three-fold formulation
-       bit-for-bit. The correction is the Equation-(8) term subtracting
-       the squared sample probabilities of connected samples. *)
+       quantity, each folding in entry order. The correction is the
+       Equation-(8) term subtracting the squared sample probabilities of
+       connected samples. *)
     let s_f = float_of_int samples in
     let hits = ref 0 in
     let value = ref 0. in
@@ -466,60 +516,74 @@ let ht_sampled ~obs ~o ~trace ~seed ~jobs ~kernel csr ~terminals ~samples =
     let hits = !hits and value = !value and correction = !correction in
     let v = (value *. (1. -. value) /. s_f) -. (correction /. (2. *. s_f)) in
     (* The plug-in can go negative (the correction is only an estimate
-       of the covariance term); the clamp below keeps the reported
-       variance usable, but the event itself is worth knowing about —
-       a clamped variance means the 95% CI the estimate carries has
-       degenerated to a point. *)
+       of the covariance term); the clamp keeps the reported variance
+       usable, but the event itself is worth knowing about. *)
     if v < 0. then begin
-      Obs.incr o "variance_clamped";
-      Obs.gauge o "raw_variance" v
+      Obs.incr t.o "variance_clamped";
+      Obs.gauge t.o "raw_variance" v
     end;
-    let distinct = n_entries in
-    Obs.add o "samples" samples;
-    Obs.add o "hits" hits;
-    Obs.add o "distinct" distinct;
-    Obs.add o "connectivity_checks" distinct;
-    Obs.gauge o "dedup_ratio" (float_of_int distinct /. float_of_int samples);
-    Obs.add o "kernel.samples" samples;
-    Obs.record_span o "kernel.elapsed" kernel_secs;
-    Obs.gauge o "wald_variance" (Float.max 0. v);
-    emit_estimate trace
-      {
-        value;
-        samples_used = samples;
-        hits;
-        distinct;
-        variance_estimate = Float.max 0. v;
-        jobs_used = Par.effective_jobs jobs;
-        chunk_samples = Array.map snd chunks;
-      }
+    Obs.gauge t.o "dedup_ratio" (float_of_int n_entries /. s_f);
+    Obs.gauge t.o "wald_variance" (Float.max 0. v);
+    estimate_of t ~value ~hits ~distinct:n_entries
+      ~variance_estimate:(Float.max 0. v)
+end
 
-let horvitz_thompson ?(obs = Obs.disabled) ?(trace = Trace.disabled)
-    ?(seed = 1) ?(jobs = 1) ?(kernel = Flat) ?csr g ~terminals ~samples =
-  validate g ~terminals ~samples ~jobs;
-  let o = Obs.sub obs "sampling" in
-  Obs.text o "estimator" "ht";
-  Obs.text o "kernel.mode" (kernel_mode_name kernel);
+(* ------------------------------------------------------------------ *)
+(* Fixed budget: one round                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* A fixed-budget run is one [Chunked] round followed by its estimate:
+   same chunk layout, same streams (split in chunk order from a fresh
+   master, as [chunk_streams] does), same ordered fold — so the result
+   is the incremental stream's, bit for bit. The wrapper adds what a
+   stream has no use for: the up-front budget validation, the k < 2
+   answer and the [total] timer. *)
+let fixed ~obs ~trace ~jobs ~kernel ~estimator csr ~terminals ~samples run =
+  validate ~samples ~n:(Kernel.Csr.n_vertices csr) ~jobs terminals;
+  let o = sampling_obs obs ~estimator ~kernel in
   if List.length terminals < 2 then begin
     Obs.incr o "trivial";
     emit_estimate trace (trivial_estimate ~jobs 1.)
   end
-  else
-    let csr = match csr with Some c -> c | None -> Kernel.Csr.of_graph g in
-    ht_sampled ~obs ~o ~trace ~seed ~jobs ~kernel csr ~terminals ~samples
+  else Obs.time o "total" (fun () -> run o)
 
-(* Csr-direct HT twin of [monte_carlo_csr]. *)
+let monte_carlo_csr ?(obs = Obs.disabled) ?(trace = Trace.disabled) ?(seed = 1)
+    ?(jobs = 1) ?(kernel = Flat) csr ~terminals ~samples =
+  fixed ~obs ~trace ~jobs ~kernel ~estimator:"mc" csr ~terminals ~samples
+  @@ fun o ->
+  let t = Chunked.start ~o ~trace ~seed ~jobs ~kernel csr ~terminals 0 in
+  Chunked.mc_draw t ~samples;
+  Chunked.mc_estimate t
+
 let horvitz_thompson_csr ?(obs = Obs.disabled) ?(trace = Trace.disabled)
     ?(seed = 1) ?(jobs = 1) ?(kernel = Flat) csr ~terminals ~samples =
-  validate_csr csr ~terminals ~samples ~jobs;
-  let o = Obs.sub obs "sampling" in
-  Obs.text o "estimator" "ht";
-  Obs.text o "kernel.mode" (kernel_mode_name kernel);
-  if List.length terminals < 2 then begin
-    Obs.incr o "trivial";
-    emit_estimate trace (trivial_estimate ~jobs 1.)
-  end
-  else ht_sampled ~obs ~o ~trace ~seed ~jobs ~kernel csr ~terminals ~samples
+  fixed ~obs ~trace ~jobs ~kernel ~estimator:"ht" csr ~terminals ~samples
+  @@ fun o ->
+  let t = Chunked.start ~o ~trace ~seed ~jobs ~kernel csr ~terminals [] in
+  Chunked.ht_draw t ~samples;
+  let e = Chunked.ht_estimate t in
+  (* Once per run: a stream may be estimated after every round. *)
+  Obs.add o "hits" e.hits;
+  Obs.add o "distinct" e.distinct;
+  Obs.add o "connectivity_checks" e.distinct;
+  e
+
+(* The graph entry points keep the graph's own terminal messages.
+   [?csr] lets a caller holding a prebuilt snapshot (the engine's
+   per-graph cache) skip reconstruction; the Csr is a pure function of
+   [g], so a cached snapshot cannot change any estimate. *)
+let csr_of ?csr g = match csr with Some c -> c | None -> Kernel.Csr.of_graph g
+
+let monte_carlo ?obs ?trace ?seed ?jobs ?kernel ?csr g ~terminals ~samples =
+  Ugraph.validate_terminals g terminals;
+  monte_carlo_csr ?obs ?trace ?seed ?jobs ?kernel (csr_of ?csr g) ~terminals
+    ~samples
+
+let horvitz_thompson ?obs ?trace ?seed ?jobs ?kernel ?csr g ~terminals
+    ~samples =
+  Ugraph.validate_terminals g terminals;
+  horvitz_thompson_csr ?obs ?trace ?seed ?jobs ?kernel (csr_of ?csr g)
+    ~terminals ~samples
 
 (* ------------------------------------------------------------------ *)
 (* Retained reference implementation                                   *)
@@ -538,7 +602,7 @@ let horvitz_thompson_csr ?(obs = Obs.disabled) ?(trace = Trace.disabled)
    module. *)
 module Reference = struct
   let monte_carlo ?(seed = 1) g ~terminals ~samples =
-    validate g ~terminals ~samples ~jobs:1;
+    validate ~samples ~n:(Ugraph.n_vertices g) ~jobs:1 terminals;
     if List.length terminals < 2 then trivial_estimate ~jobs:1 1.
     else begin
       let m = Ugraph.n_edges g in
@@ -575,7 +639,7 @@ module Reference = struct
     end
 
   let horvitz_thompson ?(seed = 1) g ~terminals ~samples =
-    validate g ~terminals ~samples ~jobs:1;
+    validate ~samples ~n:(Ugraph.n_vertices g) ~jobs:1 terminals;
     if List.length terminals < 2 then trivial_estimate ~jobs:1 1.
     else begin
       let m = Ugraph.n_edges g in
@@ -651,297 +715,4 @@ module Reference = struct
         chunk_samples = Array.map snd chunks;
       }
     end
-end
-
-(* ------------------------------------------------------------------ *)
-(* Incremental chunked drawing (sequential stopping)                    *)
-(* ------------------------------------------------------------------ *)
-
-(* The adaptive driver (lib/adaptive) draws rounds of samples until a
-   CI target is met, so the total budget is not known up front. The
-   chunk-stream discipline extends naturally: the sampler retains the
-   master generator and splits one fresh stream per chunk as chunks are
-   scheduled, in global chunk order — exactly the assignment
-   [chunk_streams] would have produced had the final total been known,
-   except that chunk boundaries follow the round schedule rather than
-   one balanced partition. A run is therefore replayable from
-   [(seed, round schedule)], and since the schedule is itself a
-   deterministic function of the observed hit counts, from [(seed,
-   ci_width, max_samples)] alone; [jobs] only places chunks on domains
-   and never affects which streams exist or the fold order. *)
-module Chunked = struct
-  type mc = {
-    mc_csr : Kernel.Csr.t;
-    mc_terms : int array;
-    mc_kernel : kernel_mode;
-    mc_master : Prng.t;
-    mc_jobs : int;
-    mc_obs : Obs.t;
-    mc_trace : Trace.t;
-    mutable mc_samples : int;
-    mutable mc_hits : int;
-    mutable mc_chunks : int;
-    mutable mc_schedule : int list; (* chunk lengths, most recent first *)
-  }
-
-  let create_common ~obs ~kernel ~estimator g ~terminals ~jobs =
-    Ugraph.validate_terminals g terminals;
-    if jobs <= 0 then invalid_arg "Mcsampling.Chunked: jobs <= 0";
-    if List.length terminals < 2 then
-      invalid_arg "Mcsampling.Chunked: fewer than 2 terminals (trivial case)";
-    let o = Obs.sub obs "sampling" in
-    Obs.text o "estimator" estimator;
-    Obs.text o "kernel.mode" (kernel_mode_name kernel);
-    o
-
-  let mc_create ?(obs = Obs.disabled) ?(trace = Trace.disabled) ?(seed = 1)
-      ?(jobs = 1) ?(kernel = Flat) ?csr g ~terminals =
-    let o = create_common ~obs ~kernel ~estimator:"mc" g ~terminals ~jobs in
-    {
-      mc_csr = (match csr with Some c -> c | None -> Kernel.Csr.of_graph g);
-      mc_terms = Array.of_list terminals;
-      mc_kernel = kernel;
-      mc_master = Prng.create seed;
-      mc_jobs = jobs;
-      mc_obs = o;
-      mc_trace = trace;
-      mc_samples = 0;
-      mc_hits = 0;
-      mc_chunks = 0;
-      mc_schedule = [];
-    }
-
-  (* One round: split the new chunks' streams off the retained master
-     (in chunk order, before any chunk runs), dispatch on the pool, and
-     fold hits in chunk order — the same shape as the fixed-budget
-     sampler, just resumable. *)
-  let mc_draw t ~samples =
-    if samples <= 0 then invalid_arg "Mcsampling.Chunked.mc_draw: samples <= 0";
-    let chunks =
-      Par.chunks ~total:samples
-        ~target:(chunk_target_for ~edges:(Kernel.Csr.n_edges t.mc_csr))
-    in
-    let n = Array.length chunks in
-    let rngs = Array.init n (fun _ -> Prng.split t.mc_master) in
-    let lanes = Par.effective_jobs t.mc_jobs in
-    let base = t.mc_chunks in
-    let t_kernel = Obs.now t.mc_obs in
-    let chunk_hits =
-      Par.run_jobs ~jobs:t.mc_jobs n (fun i ->
-          let tr = Trace.task t.mc_trace ~lane:(i mod lanes) in
-          let ts = Trace.now tr in
-          let t0 = Obs.now t.mc_obs in
-          let depth = chunk_depth t.mc_obs in
-          let g0 = chunk_gc_begin t.mc_obs in
-          let _, len = chunks.(i) in
-          let rng = rngs.(i) in
-          let hits =
-            match t.mc_kernel with
-            | Flat -> mc_chunk_flat ?depth t.mc_csr t.mc_terms rng len
-            | Bitsliced -> mc_chunk_bitsliced ?depth t.mc_csr t.mc_terms rng len
-          in
-          Trace.complete tr ~ts "mc.chunk"
-            ~args:
-              [
-                ("chunk", Int (base + i));
-                ("samples", Int len);
-                ("hits", Int hits);
-              ];
-          (hits, Obs.now t.mc_obs -. t0, depth, chunk_gc_end g0, tr))
-    in
-    Obs.record_span t.mc_obs "kernel.elapsed" (Obs.now t.mc_obs -. t_kernel);
-    let hits =
-      Array.fold_left
-        (fun acc (h, dt, depth, gd, tr) ->
-          chunk_obs t.mc_obs dt depth gd;
-          Trace.merge ~into:t.mc_trace tr;
-          acc + h)
-        0 chunk_hits
-    in
-    t.mc_samples <- t.mc_samples + samples;
-    t.mc_hits <- t.mc_hits + hits;
-    t.mc_chunks <- t.mc_chunks + n;
-    Array.iter (fun (_, len) -> t.mc_schedule <- len :: t.mc_schedule) chunks;
-    Obs.add t.mc_obs "samples" samples;
-    Obs.add t.mc_obs "hits" hits;
-    Obs.add t.mc_obs "connectivity_checks" samples;
-    Obs.add t.mc_obs "kernel.samples" samples
-
-  let mc_samples t = t.mc_samples
-  let mc_hits t = t.mc_hits
-
-  let mc_estimate t =
-    if t.mc_samples = 0 then
-      invalid_arg "Mcsampling.Chunked.mc_estimate: no samples drawn";
-    let value = float_of_int t.mc_hits /. float_of_int t.mc_samples in
-    let variance_estimate =
-      value *. (1. -. value) /. float_of_int t.mc_samples
-    in
-    Obs.gauge t.mc_obs "wald_variance" variance_estimate;
-    emit_estimate t.mc_trace
-      {
-        value;
-        samples_used = t.mc_samples;
-        hits = t.mc_hits;
-        distinct = 0;
-        variance_estimate;
-        jobs_used = Par.effective_jobs t.mc_jobs;
-        chunk_samples = Array.of_list (List.rev t.mc_schedule);
-      }
-
-  (* HT weights depend on the final total n (pi = 1 - (1-q)^n), so the
-     incremental sampler keeps every chunk's dedup table and replays
-     the ordered merge and the weighted fold at each [ht_estimate] —
-     the merge result for the chunks drawn so far is exactly what the
-     fixed-budget sampler would have computed for that total. *)
-  type ht_chunk = {
-    hc_tab : (int, Xprob.t * bool) Hashtbl.t;
-    hc_order : int array;
-    hc_n_order : int;
-  }
-
-  type ht = {
-    ht_csr : Kernel.Csr.t;
-    ht_terms : int array;
-    ht_kernel : kernel_mode;
-    ht_master : Prng.t;
-    ht_jobs : int;
-    ht_obs : Obs.t;
-    ht_trace : Trace.t;
-    mutable ht_samples : int;
-    mutable ht_chunks : int;
-    mutable ht_tables : ht_chunk list; (* most recent first *)
-    mutable ht_schedule : int list;
-  }
-
-  let ht_create ?(obs = Obs.disabled) ?(trace = Trace.disabled) ?(seed = 1)
-      ?(jobs = 1) ?(kernel = Flat) ?csr g ~terminals =
-    let o = create_common ~obs ~kernel ~estimator:"ht" g ~terminals ~jobs in
-    {
-      ht_csr = (match csr with Some c -> c | None -> Kernel.Csr.of_graph g);
-      ht_terms = Array.of_list terminals;
-      ht_kernel = kernel;
-      ht_master = Prng.create seed;
-      ht_jobs = jobs;
-      ht_obs = o;
-      ht_trace = trace;
-      ht_samples = 0;
-      ht_chunks = 0;
-      ht_tables = [];
-      ht_schedule = [];
-    }
-
-  let ht_draw t ~samples =
-    if samples <= 0 then invalid_arg "Mcsampling.Chunked.ht_draw: samples <= 0";
-    let chunks =
-      Par.chunks ~total:samples
-        ~target:(chunk_target_for ~edges:(Kernel.Csr.n_edges t.ht_csr))
-    in
-    let n = Array.length chunks in
-    let rngs = Array.init n (fun _ -> Prng.split t.ht_master) in
-    let lanes = Par.effective_jobs t.ht_jobs in
-    let base = t.ht_chunks in
-    let t_kernel = Obs.now t.ht_obs in
-    let chunk_tables =
-      Par.run_jobs ~jobs:t.ht_jobs n (fun i ->
-          let tr = Trace.task t.ht_trace ~lane:(i mod lanes) in
-          let ts = Trace.now tr in
-          let t0 = Obs.now t.ht_obs in
-          let depth = chunk_depth t.ht_obs in
-          let g0 = chunk_gc_begin t.ht_obs in
-          let _, len = chunks.(i) in
-          let rng = rngs.(i) in
-          let seen, order, n_order =
-            match t.ht_kernel with
-            | Flat -> ht_chunk_flat ?depth t.ht_csr t.ht_terms rng len
-            | Bitsliced -> ht_chunk_bitsliced ?depth t.ht_csr t.ht_terms rng len
-          in
-          Trace.complete tr ~ts "ht.chunk"
-            ~args:
-              [
-                ("chunk", Int (base + i));
-                ("samples", Int len);
-                ("unique", Int (Hashtbl.length seen));
-                ("drawn", Int len);
-              ];
-          ( { hc_tab = seen; hc_order = order; hc_n_order = n_order },
-            Obs.now t.ht_obs -. t0,
-            depth,
-            chunk_gc_end g0,
-            tr ))
-    in
-    Obs.record_span t.ht_obs "kernel.elapsed" (Obs.now t.ht_obs -. t_kernel);
-    Array.iter
-      (fun (hc, dt, depth, gd, tr) ->
-        chunk_obs t.ht_obs dt depth gd;
-        Obs.hist t.ht_obs "hist.dedup_occupancy" hc.hc_n_order;
-        Trace.merge ~into:t.ht_trace tr;
-        t.ht_tables <- hc :: t.ht_tables)
-      chunk_tables;
-    t.ht_samples <- t.ht_samples + samples;
-    t.ht_chunks <- t.ht_chunks + n;
-    Array.iter (fun (_, len) -> t.ht_schedule <- len :: t.ht_schedule) chunks;
-    Obs.add t.ht_obs "samples" samples;
-    Obs.add t.ht_obs "kernel.samples" samples
-
-  let ht_samples t = t.ht_samples
-
-  let ht_estimate t =
-    if t.ht_samples = 0 then
-      invalid_arg "Mcsampling.Chunked.ht_estimate: no samples drawn";
-    let samples = t.ht_samples in
-    let tables = List.rev t.ht_tables in
-    let entries, n_entries =
-      Trace.span t.ht_trace "ht.merge" @@ fun () ->
-      Obs.time t.ht_obs "merge" @@ fun () ->
-      let bound =
-        List.fold_left (fun acc hc -> acc + hc.hc_n_order) 0 tables
-      in
-      let merged : (int, unit) Hashtbl.t = Hashtbl.create bound in
-      let entries = Array.make (max bound 1) (Xprob.one, false) in
-      let cursor = ref 0 in
-      List.iter
-        (fun hc ->
-          for j = 0 to hc.hc_n_order - 1 do
-            let h = hc.hc_order.(j) in
-            if not (Hashtbl.mem merged h) then begin
-              Hashtbl.add merged h ();
-              entries.(!cursor) <- Hashtbl.find hc.hc_tab h;
-              incr cursor
-            end
-          done)
-        tables;
-      (entries, !cursor)
-    in
-    let s_f = float_of_int samples in
-    let hits = ref 0 in
-    let value = ref 0. in
-    let correction = ref 0. in
-    for j = 0 to n_entries - 1 do
-      let q, connected = entries.(j) in
-      if connected then begin
-        incr hits;
-        value := !value +. ht_weight_x q samples;
-        correction :=
-          !correction +. ((s_f -. 1.) *. Xprob.to_float_approx (Xprob.mul q q))
-      end
-    done;
-    let hits = !hits and value = !value and correction = !correction in
-    let v = (value *. (1. -. value) /. s_f) -. (correction /. (2. *. s_f)) in
-    if v < 0. then begin
-      Obs.incr t.ht_obs "variance_clamped";
-      Obs.gauge t.ht_obs "raw_variance" v
-    end;
-    Obs.gauge t.ht_obs "dedup_ratio" (float_of_int n_entries /. s_f);
-    Obs.gauge t.ht_obs "wald_variance" (Float.max 0. v);
-    emit_estimate t.ht_trace
-      {
-        value;
-        samples_used = samples;
-        hits;
-        distinct = n_entries;
-        variance_estimate = Float.max 0. v;
-        jobs_used = Par.effective_jobs t.ht_jobs;
-        chunk_samples = Array.of_list (List.rev t.ht_schedule);
-      }
 end

@@ -6,13 +6,17 @@
     and testing terminal connectivity with a reused union–find —
     [O(s * (|V| + |E|))], the complexity quoted in the paper.
 
-    {2 Parallel execution and determinism}
+    {2 One chunk loop, parallel execution and determinism}
 
-    Samples are drawn in fixed-size chunks (currently 4096 samples per
-    chunk); chunk [i] always draws from the [i]-th {!Prng.split} stream
-    of the master seed and partial results are folded in chunk order.
-    The [jobs] argument therefore only selects how many domains execute
-    the chunks: {b for a fixed [seed] and [samples] the returned
+    Every sampler draws through one chunk loop, {!Chunked}: a run is a
+    sequence of rounds, each split into chunks of
+    {!chunk_target_for}[ ~edges] samples (a pure function of the edge
+    count). Chunk [i] always draws from the [i]-th {!Prng.split} stream
+    of the master seed and partial results are folded in chunk order. A
+    fixed-budget run ({!monte_carlo}, {!horvitz_thompson}) is a
+    one-round {!Chunked} run; sequential stopping ({!Adaptive}) runs
+    several. The [jobs] argument only selects how many domains execute
+    the chunks: {b for a fixed [seed] and round schedule the returned
     estimate is bit-identical at every [jobs] value} (including the
     sequential [jobs = 1] fast path, which runs the same chunked code
     on the calling domain). Each domain draws through the flat sampling
@@ -29,7 +33,10 @@
     prefix: counters [samples], [hits], [connectivity_checks] (and, for
     HT, [distinct] plus a [dedup_ratio] gauge), per-chunk spans on the
     [chunk] timer, a [total] timer, and for HT a [merge] timer around
-    the ordered table merge. The kernel fast path additionally records a
+    the ordered table merge. [total] and HT's once-per-run [hits],
+    [distinct] and [connectivity_checks] are fixed-budget only: a
+    {!Chunked} stream counts MC [hits] per round and leaves HT's to its
+    caller. The kernel fast path additionally records a
     [kernel.samples] counter and a [kernel.elapsed] timer (the summed
     monotonic wall-clock of the parallel sampling region; [0.] under a
     fake clock) from which the report layer derives
@@ -44,9 +51,9 @@
     order, per the {!Trace} lane contract; HT chunks carry
     [unique]/[drawn] dedup args), an [ht.merge] span around the ordered
     table merge, and a final [estimate] instant with
-    [value]/[lower]/[upper]/[samples] args (95% normal CI). Timings are
-    measured but results are unchanged: instrumentation never touches
-    the sampling streams. *)
+    [value]/[lower]/[upper]/[samples] args (the 95% Wilson interval of
+    {!interval}). Timings are measured but results are unchanged:
+    instrumentation never touches the sampling streams. *)
 
 type estimate = {
   value : float;          (** estimated network reliability *)
@@ -86,14 +93,19 @@ type kernel_mode =
     and calibration sweeps), never bitwise across modes. *)
 
 val kernel_mode_name : kernel_mode -> string
-(** ["flat"] / ["bitsliced"] — the [sampling.kernel.mode] Obs text and
-    the CLI [--kernel] spelling. *)
+(** ["flat"] / ["bitsliced"] — the [sampling.kernel.mode] Obs text, the
+    CLI [--kernel] and query-line [kernel=] spelling. *)
+
+val kernel_modes : kernel_mode list
+(** Every mode, in {!kernel_mode_name} order: the spelling table. *)
+
+val kernel_mode_of_name : string -> kernel_mode option
+(** Inverse of {!kernel_mode_name}, case-insensitive. *)
 
 val chunk_target : int
-(** Samples per chunk (currently 4096) — part of the determinism
-    contract: chunk [i] of a budget always covers the same sample
-    indices and draws from the [i]-th split stream. The adaptive driver
-    sizes its rounds in these units. *)
+(** Samples per chunk (4096) on graphs of up to 32768 edges — see
+    {!chunk_target_for}. Sequential stopping sizes its first round and
+    its minimum progress per round in these units. *)
 
 val chunk_target_for : edges:int -> int
 (** The chunk size every sampler actually uses, as a pure function of
@@ -209,34 +221,36 @@ module Reference : sig
     ?seed:int -> Ugraph.t -> terminals:int list -> samples:int -> estimate
 end
 
-(** Incremental chunked drawing for the sequential-stopping driver
-    ({!Adaptive}): the same kernels, chunk streams and ordered
-    reductions as the fixed-budget samplers, but resumable — the
-    sampler retains the master generator and splits one fresh stream
-    per chunk as rounds request more samples, in global chunk order.
+(** The one chunk loop every sampler runs on. A stream retains the
+    master generator and splits one fresh stream per chunk as rounds
+    request more samples, in global chunk order; each round dispatches
+    its chunks over the domain pool and folds them back in chunk order.
     A run is replayable from [(seed, round schedule)]; [jobs] only
-    places chunks on domains. The chunk {e boundaries} follow the
-    round schedule rather than one balanced partition of the final
-    total, so an adaptive run and a fixed-budget run of the same total
+    places chunks on domains. {!monte_carlo} / {!horvitz_thompson} are
+    a single round followed by the estimate; sequential stopping
+    ({!Adaptive}) draws several. The chunk {e boundaries} follow
+    the round schedule rather than one balanced partition of the final
+    total, so a multi-round run and a fixed-budget run of the same total
     are two different (each internally deterministic) draws.
 
     Drawing functions raise [Invalid_argument] on non-positive sample
-    counts; [*_create] rejects invalid terminals, [jobs <= 0] and the
-    trivial [k < 2] case (the caller answers it without sampling).
-    [*_estimate] raises until at least one draw happened. *)
+    counts; [*_create] rejects invalid terminals (checked against the
+    snapshot's vertex count), [jobs <= 0] and the trivial [k < 2] case
+    (the caller answers it without sampling). [*_estimate] raises until
+    at least one draw happened. *)
 module Chunked : sig
   type mc
   type ht
 
   val mc_create :
     ?obs:Obs.t -> ?trace:Trace.t -> ?seed:int -> ?jobs:int ->
-    ?kernel:kernel_mode -> ?csr:Kernel.Csr.t -> Ugraph.t ->
-    terminals:int list -> mc
+    ?kernel:kernel_mode -> Kernel.Csr.t -> terminals:int list -> mc
 
   val mc_draw : mc -> samples:int -> unit
-  (** Draw one round of [samples] more samples (split into
-      {!chunk_target}-sized chunks, dispatched over the domain pool,
-      folded in chunk order). *)
+  (** Draw one round of [samples] more samples: split into
+      {!chunk_target_for}-sized chunks, each on the next stream split
+      off the master, dispatched over the domain pool and folded in
+      chunk order. *)
 
   val mc_samples : mc -> int
   val mc_hits : mc -> int
@@ -247,8 +261,7 @@ module Chunked : sig
 
   val ht_create :
     ?obs:Obs.t -> ?trace:Trace.t -> ?seed:int -> ?jobs:int ->
-    ?kernel:kernel_mode -> ?csr:Kernel.Csr.t -> Ugraph.t ->
-    terminals:int list -> ht
+    ?kernel:kernel_mode -> Kernel.Csr.t -> terminals:int list -> ht
 
   val ht_draw : ht -> samples:int -> unit
 

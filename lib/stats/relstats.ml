@@ -115,29 +115,36 @@ let default_z = 1.96
    a quadratic that always brackets phat and stays inside (0, 1) with
    nonzero width for every n >= 1. Agresti–Coull is the simple fallback:
    Wald recentred on the Wilson midpoint with z^2 pseudo-observations
-   (its bounds can poke outside [0, 1]; they are clamped here). *)
+   (its bounds can poke outside [0, 1]; they are clamped here).
+   Mathematically every method brackets phat, but Wilson's and
+   Agresti–Coull's recentred bounds are rounded results: at 0 or n hits
+   they can land one ulp on the wrong side of the estimate (31/31 hits
+   gave upper 0.9999999999999999 < 1.0), so the bounds are finally
+   clamped around [p] as well. *)
 let interval ?(z = default_z) m ~phat ~n =
   if n < 1 then invalid_arg "Relstats.interval: n < 1";
   if not (Float.is_finite z) || z <= 0. then
     invalid_arg "Relstats.interval: z must be finite and positive";
   let p = Float.max 0. (Float.min 1. phat) in
   let nf = float_of_int n in
-  let clamp01 x = Float.max 0. (Float.min 1. x) in
-  match m with
-  | Wald ->
-    let half = z *. sqrt (p *. (1. -. p) /. nf) in
-    (clamp01 (p -. half), clamp01 (p +. half))
-  | Wilson ->
-    let z2 = z *. z in
-    let denom = 1. +. (z2 /. nf) in
-    let center = (p +. (z2 /. (2. *. nf))) /. denom in
-    let half =
-      z /. denom *. sqrt ((p *. (1. -. p) /. nf) +. (z2 /. (4. *. nf *. nf)))
-    in
-    (clamp01 (center -. half), clamp01 (center +. half))
-  | Agresti_coull ->
-    let z2 = z *. z in
-    let nt = nf +. z2 in
-    let pt = ((p *. nf) +. (z2 /. 2.)) /. nt in
-    let half = z *. sqrt (pt *. (1. -. pt) /. nt) in
-    (clamp01 (pt -. half), clamp01 (pt +. half))
+  let lo, hi =
+    match m with
+    | Wald ->
+      let half = z *. sqrt (p *. (1. -. p) /. nf) in
+      (p -. half, p +. half)
+    | Wilson ->
+      let z2 = z *. z in
+      let denom = 1. +. (z2 /. nf) in
+      let center = (p +. (z2 /. (2. *. nf))) /. denom in
+      let half =
+        z /. denom *. sqrt ((p *. (1. -. p) /. nf) +. (z2 /. (4. *. nf *. nf)))
+      in
+      (center -. half, center +. half)
+    | Agresti_coull ->
+      let z2 = z *. z in
+      let nt = nf +. z2 in
+      let pt = ((p *. nf) +. (z2 /. 2.)) /. nt in
+      let half = z *. sqrt (pt *. (1. -. pt) /. nt) in
+      (pt -. half, pt +. half)
+  in
+  (Float.max 0. (Float.min p lo), Float.min 1. (Float.max p hi))

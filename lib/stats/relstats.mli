@@ -64,7 +64,9 @@ val interval :
   ?z:float -> interval_method -> phat:float -> n:int -> float * float
 (** [interval m ~phat ~n] is the [(lower, upper)] confidence interval
     for the success probability, both bounds in [[0, 1]] with
-    [lower <= upper]. [phat] is clamped into [[0, 1]] first (the HT
-    estimator can overshoot 1 under sampling noise). [z] defaults to
+    [lower <= phat <= upper] — the bounds are clamped around the
+    estimate, so float rounding at 0 or [n] hits can never exclude it.
+    [phat] is clamped into [[0, 1]] first (the HT estimator can
+    overshoot 1 under sampling noise). [z] defaults to
     {!default_z}. @raise Invalid_argument when [n < 1] or [z] is not
     finite and positive. *)
