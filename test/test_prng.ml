@@ -144,6 +144,52 @@ let t_alias () =
           (Float.abs (rate -. w) < 0.01))
     ws
 
+(* Known answers: every seeded estimate, hash and pin downstream is a
+   function of this stream, so any change to the generator's
+   representation must reproduce it exactly. One continuous stream from
+   [create 42], each value family drawn in turn. *)
+let t_known_answers () =
+  let g = Prng.create 42 in
+  let bits64s g n = List.init n (fun _ -> Prng.bits64 g) in
+  Alcotest.(check (list int64))
+    "bits64"
+    [ 0x15780B2E0C2EC716L; 0x6104D9866D113A7EL; 0xAE17533239E499A1L;
+      0xECB8AD4703B360A1L; 0xFDE6DC7FE2EC5E64L; 0xC50DA53101795238L;
+      0xB82154855A65DDB2L; 0xD99A2743EBE60087L ]
+    (bits64s g 8);
+  Alcotest.(check (list int64))
+    "split child"
+    [ 0x2022097E6E435AD7L; 0xE0FD5DC3779FA477L; 0x1627540B377866E4L;
+      0x5BB83BB090257E50L ]
+    (bits64s (Prng.split g) 4);
+  (* Exact float comparison: all four are dyadic. *)
+  Alcotest.(check (list (float 0.)))
+    "float"
+    [ 0x1.2aacc2beeebf7p-1; 0x1.5d6a766818207p-1; 0x1.29a76e61cebe2p-2;
+      0x1.9a1fdb52600d8p-1 ]
+    (List.init 4 (fun _ -> Prng.float g));
+  Alcotest.(check (list int))
+    "int 10" [ 1; 6; 5; 0; 8; 7; 9; 4 ]
+    (List.init 8 (fun _ -> Prng.int g 10));
+  Alcotest.(check (list int))
+    "Bitbatch.draw 0.3"
+    [ 0x2400C3E951068050; 0x111110A02C310901; 0x38020004AF40C07;
+      0x1AAC200314121080 ]
+    (List.init 4 (fun _ -> Prng.Bitbatch.draw g 0.3));
+  Alcotest.(check (list bool))
+    "bool" [ true; true; true; true; false; true; false; false ]
+    (List.init 8 (fun _ -> Prng.bool g));
+  Alcotest.(check (list bool))
+    "bernoulli 0.3" [ true; false; false; true; false; false; false; false ]
+    (List.init 8 (fun _ -> Prng.bernoulli g 0.3));
+  let d = Prng.copy g in
+  Alcotest.(check (list int64))
+    "original after copy" [ 0xAEDCB86BD40DE374L; 0x52D6A585752FE880L ]
+    (bits64s g 2);
+  Alcotest.(check (list int64))
+    "copy continuation" [ 0xAEDCB86BD40DE374L; 0x52D6A585752FE880L ]
+    (bits64s d 2)
+
 let prop_int_in_range =
   QCheck.Test.make ~name:"prng int stays in range" ~count:200
     QCheck.(pair small_int (int_range 1 1000))
@@ -165,6 +211,7 @@ let suite =
   ( "prng",
     [
       Alcotest.test_case "determinism" `Quick t_determinism;
+      Alcotest.test_case "known answers" `Quick t_known_answers;
       Alcotest.test_case "seed sensitivity" `Quick t_seed_sensitivity;
       Alcotest.test_case "copy" `Quick t_copy;
       Alcotest.test_case "split independence" `Quick t_split_independent;
