@@ -14,19 +14,19 @@ let create n =
 
 let size t = Array.length t.parent
 
-let find t x =
-  (* Path halving: every visited node points to its grandparent. *)
-  let parent = t.parent in
-  let rec loop x =
-    let p = parent.(x) in
-    if p = x then x
-    else begin
-      let gp = parent.(p) in
-      parent.(x) <- gp;
-      loop gp
-    end
-  in
-  loop x
+(* Path halving: every visited node points to its grandparent. A
+   top-level function of the parent array, so a [find] allocates no
+   closure. *)
+let rec find_root parent x =
+  let p = parent.(x) in
+  if p = x then x
+  else begin
+    let gp = parent.(p) in
+    parent.(x) <- gp;
+    find_root parent gp
+  end
+
+let find t x = find_root t.parent x
 
 let union t a b =
   let ra = find t a and rb = find t b in

@@ -217,19 +217,14 @@ let draw_prob t (c : Csr.t) rng =
   ensure_words t m;
   let ep = c.Csr.ep and present = t.present and words = t.words in
   let np = ref 0 and acc = ref 0 and nbits = ref 0 and w = ref 0 in
-  let prob = ref Xprob.one in
   for pos = 0 to m - 1 do
-    let p = ep.(pos) in
-    (* One Prng call per edge in position order, and the same
-       float-operation order as the reference draw: both are part of
-       the bit-identity contract. *)
-    if Prng.bernoulli rng p then begin
+    (* One Prng call per edge in position order: part of the
+       bit-identity contract. *)
+    if Prng.bernoulli rng ep.(pos) then begin
       present.(!np) <- pos;
       incr np;
-      acc := !acc lor (1 lsl !nbits);
-      prob := Xprob.scale p !prob
-    end
-    else prob := Xprob.scale (1. -. p) !prob;
+      acc := !acc lor (1 lsl !nbits)
+    end;
     incr nbits;
     if !nbits = Hash64.word_bits then begin
       words.(!w) <- !acc;
@@ -242,7 +237,11 @@ let draw_prob t (c : Csr.t) rng =
   t.n_present <- !np;
   t.mask_bits <- m;
   t.drawn_for <- c;
-  !prob
+  (* Folded off the packed mask after the draw, in the reference
+     draw's float-operation order (the probability never feeds back
+     into the stream). *)
+  Xprob.world_prob ep ~n:m ~present:(fun pos ->
+      (words.(pos / Hash64.word_bits) lsr (pos mod Hash64.word_bits)) land 1 = 1)
 
 let draw_sub t (c : Csr.t) ~pos ~detail ~bernoulli =
   let m = c.Csr.m in
@@ -322,6 +321,7 @@ let transpose_worlds t =
   t.tmask_wpr <- wpr
 
 let world_hash t ~lane =
+  if lane < 0 || lane >= Prng.Bitbatch.lanes then invalid_arg "Kernel.world_hash";
   Hash64.mask_words_sub t.tmask ~off:(lane * t.tmask_wpr) ~bits:t.slab_edges
 
 (* ---- early-exit connectivity ---- *)
@@ -357,20 +357,21 @@ let touch t x =
     t.tcnt.(x) <- 0
   end
 
+(* Path halving: every visited node points to its grandparent. A
+   top-level function of the parent array, so a [find] allocates no
+   closure. *)
+let rec find_root parent x =
+  let p = parent.(x) in
+  if p = x then x
+  else begin
+    let gp = parent.(p) in
+    parent.(x) <- gp;
+    find_root parent gp
+  end
+
 let find t x =
   touch t x;
-  let parent = t.parent in
-  let rec loop x =
-    let p = parent.(x) in
-    if p = x then x
-    else begin
-      let gp = parent.(p) in
-      (* Path halving. *)
-      parent.(x) <- gp;
-      loop gp
-    end
-  in
-  loop x
+  find_root t.parent x
 
 let mark t x =
   let r = find t x in
@@ -507,11 +508,7 @@ let connected_lanes t (c : Csr.t) terminals ~active =
 
 let world_prob t (c : Csr.t) ~lane =
   check_drawn t c;
-  let ep = c.Csr.ep and slab = t.slab in
-  let prob = ref Xprob.one in
-  for pos = 0 to t.slab_edges - 1 do
-    let p = ep.(pos) in
-    if (slab.(pos) lsr lane) land 1 = 1 then prob := Xprob.scale p !prob
-    else prob := Xprob.scale (1. -. p) !prob
-  done;
-  !prob
+  if lane < 0 || lane >= Prng.Bitbatch.lanes then invalid_arg "Kernel.world_prob";
+  let slab = t.slab in
+  Xprob.world_prob c.Csr.ep ~n:t.slab_edges ~present:(fun pos ->
+      (slab.(pos) lsr lane) land 1 = 1)

@@ -1,7 +1,10 @@
-(** Flat sampling kernels: the shared allocation-free fast path under
-    every estimator's inner loop (MC, HT, and the S2BDD stratified
-    descents), which all bottom out in "draw one possible graph, test
-    terminal connectivity".
+(** Flat sampling kernels: the shared fast path under every
+    estimator's inner loop (MC, HT, and the S2BDD stratified descents),
+    which all bottom out in "draw one possible graph, test terminal
+    connectivity". A draw allocates 2 words per edge — the boxed
+    probability handed to the cross-module {!Prng} call — and a
+    connectivity round or {!world_prob} a constant number of words per
+    call ([test/test_alloc.ml] holds these bounds).
 
     Three pieces:
 
@@ -119,8 +122,9 @@ val draw : t -> Csr.t -> Prng.t -> unit
 
 val draw_prob : t -> Csr.t -> Prng.t -> Xprob.t
 (** HT draw: additionally packs the mask words for {!mask_hash} and
-    returns the possible graph's probability, folded with
-    [Xprob.scale p] / [Xprob.scale (1 - p)] in draw order. *)
+    returns the possible graph's probability, {!Xprob.world_prob} over
+    the drawn mask — bit for bit the [Xprob.scale p] /
+    [Xprob.scale (1 - p)] fold in draw order. *)
 
 val draw_sub : t -> Csr.t -> pos:int -> detail:bool -> bernoulli:(float -> bool) -> float
 (** Descent draw: positions [pos .. m - 1] (the start-position offset of
@@ -171,12 +175,16 @@ val transpose_worlds : t -> unit
 val world_hash : t -> lane:int -> int
 (** Content hash of lane [lane]'s world after {!transpose_worlds}.
     Digest-identical to {!Hash64.mask} over that world's [bool array]
-    (and hence to the flat path's {!mask_hash} on an equal mask). *)
+    (and hence to the flat path's {!mask_hash} on an equal mask).
+    @raise Invalid_argument unless [0 <= lane < Prng.Bitbatch.lanes]. *)
 
 val world_prob : t -> Csr.t -> lane:int -> Xprob.t
-(** Lane [lane]'s possible-graph probability, folded with
-    [Xprob.scale p] / [Xprob.scale (1 - p)] in position order — the
-    reference float-operation order. *)
+(** Lane [lane]'s possible-graph probability, {!Xprob.world_prob} over
+    the lane's slab bits — bit for bit the [Xprob.scale p] /
+    [Xprob.scale (1 - p)] fold in position order, the reference
+    float-operation order.
+    @raise Invalid_argument unless [0 <= lane < Prng.Bitbatch.lanes],
+    or if the last draw ran against a different {!Csr.t}. *)
 
 val slab_word : t -> int -> int
 (** [slab_word t pos] reads slab word [pos] of the last bit-sliced

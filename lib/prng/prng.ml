@@ -1,6 +1,22 @@
-(* xoshiro256** seeded via SplitMix64, on int64. *)
+(* xoshiro256** seeded via SplitMix64. The four 64-bit state words live
+   in one private 32-byte buffer, read and written with the unboxed
+   int64 bytes primitives, so a step keeps every word in a register
+   instead of boxing it into a record field. *)
 
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+type t = Bytes.t
+
+(* Native-endian and unchecked: the buffer never leaves this module and
+   is always 32 bytes, so offsets 0, 8, 16 and 24 are in range. *)
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let state s0 s1 s2 s3 =
+  let g = Bytes.create 32 in
+  set64 g 0 s0;
+  set64 g 8 s1;
+  set64 g 16 s2;
+  set64 g 24 s3;
+  g
 
 (* SplitMix64 step: used only for seeding and for [split]. *)
 let splitmix_next state =
@@ -19,33 +35,42 @@ let of_seed64 seed64 =
   let s3 = splitmix_next st in
   (* xoshiro requires a non-zero state; SplitMix64 output of any seed is
      astronomically unlikely to be all zero, but guard anyway. *)
-  if s0 = 0L && s1 = 0L && s2 = 0L && s3 = 0L then
-    { s0 = 1L; s1 = 2L; s2 = 3L; s3 = 4L }
-  else { s0; s1; s2; s3 }
+  if s0 = 0L && s1 = 0L && s2 = 0L && s3 = 0L then state 1L 2L 3L 4L
+  else state s0 s1 s2 s3
 
 let create seed = of_seed64 (Int64.of_int seed)
-let copy g = { s0 = g.s0; s1 = g.s1; s2 = g.s2; s3 = g.s3 }
+let copy = Bytes.copy
 
-let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+let[@inline] rotl x k =
+  Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let bits64 g =
+(* The one xoshiro256** step: advance the state, return the output
+   word. Inlined into every draw, so the output stays unboxed unless
+   the draw itself returns an [int64]. *)
+let[@inline] next g =
   let open Int64 in
-  let result = mul (rotl (mul g.s1 5L) 7) 9L in
-  let t = shift_left g.s1 17 in
-  g.s2 <- logxor g.s2 g.s0;
-  g.s3 <- logxor g.s3 g.s1;
-  g.s1 <- logxor g.s1 g.s2;
-  g.s0 <- logxor g.s0 g.s3;
-  g.s2 <- logxor g.s2 t;
-  g.s3 <- rotl g.s3 45;
+  let s0 = get64 g 0 and s1 = get64 g 8 and s2 = get64 g 16 and s3 = get64 g 24 in
+  let result = mul (rotl (mul s1 5L) 7) 9L in
+  let t = shift_left s1 17 in
+  let s2 = logxor s2 s0 in
+  let s3 = logxor s3 s1 in
+  let s1 = logxor s1 s2 in
+  let s0 = logxor s0 s3 in
+  set64 g 0 s0;
+  set64 g 8 s1;
+  set64 g 16 (logxor s2 t);
+  set64 g 24 (rotl s3 45);
   result
 
-let split g = of_seed64 (bits64 g)
+(* The top [64 - shift] bits of the next output as a native int;
+   [shift >= 2] keeps the value non-negative. *)
+let[@inline] next_top g shift = Int64.to_int (Int64.shift_right_logical (next g) shift)
 
-let float g =
-  (* Top 53 bits -> [0,1). *)
-  let x = Int64.shift_right_logical (bits64 g) 11 in
-  Int64.to_float x *. 0x1.0p-53
+let bits64 g = next g
+let split g = of_seed64 (next g)
+
+(* Top 53 bits -> [0,1). *)
+let[@inline] float g = Float.of_int (next_top g 11) *. 0x1.0p-53
 
 let int g bound =
   if bound <= 0 then invalid_arg "Prng.int: bound <= 0"
@@ -53,16 +78,17 @@ let int g bound =
   else begin
     (* Rejection sampling on the top bits for an unbiased draw. *)
     let bound64 = Int64.of_int bound in
-    let rec loop () =
-      let r = Int64.shift_right_logical (bits64 g) 1 in
-      let v = Int64.rem r bound64 in
-      if Int64.sub r v > Int64.sub (Int64.sub Int64.max_int bound64) 1L then loop ()
-      else Int64.to_int v
-    in
-    loop ()
+    let limit = Int64.sub (Int64.sub Int64.max_int bound64) 1L in
+    let v = ref (-1) in
+    while !v < 0 do
+      let r = Int64.shift_right_logical (next g) 1 in
+      let x = Int64.rem r bound64 in
+      if Int64.sub r x <= limit then v := Int64.to_int x
+    done;
+    !v
   end
 
-let bool g = Int64.compare (bits64 g) 0L < 0
+let bool g = next_top g 63 = 1
 let bernoulli g p = if p >= 1. then true else if p <= 0. then false else float g < p
 let uniform g lo hi = lo +. ((hi -. lo) *. float g)
 
@@ -114,7 +140,7 @@ module Bitbatch = struct
   let all = (1 lsl lanes) - 1
 
   (* Top 62 of the 64 generator bits, as a non-negative native int. *)
-  let word g = Int64.to_int (Int64.shift_right_logical (bits64 g) 2)
+  let[@inline] word g = next_top g 2
 
   let draw g p =
     if p >= 1. then all

@@ -7,7 +7,15 @@
     The generator is xoshiro256** (Blackman & Vigna), seeded through
     SplitMix64; both implemented here from scratch on [int64].  States are
     mutable and not thread-safe; use {!split} to derive independent
-    streams for parallel or structurally separate uses. *)
+    streams for parallel or structurally separate uses.
+
+    A state is one private 32-byte buffer holding the four 64-bit
+    xoshiro words, read and written with the unboxed int64 bytes
+    primitives. Draws therefore allocate nothing on the minor heap:
+    {!bernoulli}, {!bool}, {!int} and {!Bitbatch.draw} not at all,
+    {!float} only its boxed result when called from another module,
+    {!bits64} only its boxed [int64] result. {!create}, {!split} and
+    {!copy} allocate the new buffer. *)
 
 type t
 (** A mutable generator state. *)

@@ -47,6 +47,49 @@ let scale c x =
     let frac, ex = Float.frexp c in
     norm (frac *. x.m) (x.e + ex)
 
+(* The [scale] fold over a world, with the accumulator's mantissa and
+   exponent kept in locals instead of a fresh record per edge. frexp of
+   a positive normal double keeps its fraction bits under the exponent
+   field of 0.5 and reads the exponent off the biased field; subnormals
+   (field 0) fall back to [Float.frexp]. The product of two mantissas in
+   [0.5, 1) lies in [0.25, 1), so [norm] is at most one doubling. *)
+let half_bits = Int64.bits_of_float 0.5
+let fraction_mask = 0x000F_FFFF_FFFF_FFFFL
+
+let world_prob ps ~n ~present =
+  let m = ref one.m and e = ref one.e in
+  for i = 0 to n - 1 do
+    let p = ps.(i) in
+    let c = if present i then p else 1. -. p in
+    if Float.is_nan c || c < 0. || c = Float.infinity then
+      invalid_arg (Printf.sprintf "Xprob.world_prob: %g" c);
+    if c = 0. then begin
+      m := 0.;
+      e := 0
+    end
+    else if !m <> 0. then begin
+      let bits = Int64.bits_of_float c in
+      let biased = Int64.to_int (Int64.shift_right_logical bits 52) in
+      if biased = 0 then begin
+        let frac, ex = Float.frexp c in
+        m := frac *. !m;
+        e := !e + ex
+      end
+      else begin
+        let frac =
+          Int64.float_of_bits (Int64.logor (Int64.logand bits fraction_mask) half_bits)
+        in
+        m := frac *. !m;
+        e := !e + biased - 1022
+      end;
+      if !m < 0.5 then begin
+        m := !m *. 2.;
+        e := !e - 1
+      end
+    end
+  done;
+  { m = !m; e = !e }
+
 (* Alignment beyond 54 bits makes the smaller operand vanish entirely. *)
 let add a b =
   if is_zero a then b

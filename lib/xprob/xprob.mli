@@ -56,6 +56,16 @@ val complement : t -> t
 val scale : float -> t -> t
 (** [scale c x] is [c * x] for a non-negative float [c]. *)
 
+val world_prob : float array -> n:int -> present:(int -> bool) -> t
+(** [world_prob ps ~n ~present] is the probability of one possible
+    world over positions [0 .. n - 1]: [ps.(i)] for each position where
+    [present i], [1 - ps.(i)] elsewhere. Bit for bit the left fold
+    [scale c_(n-1) (... (scale c_0 one))], with [present] called once
+    per position in increasing order, but allocation-free for normal
+    factors (the sampling kernels call it once per drawn world).
+    @raise Invalid_argument like {!scale} on a negative, infinite or
+    NaN factor. *)
+
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val ( < ) : t -> t -> bool

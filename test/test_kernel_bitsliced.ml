@@ -291,6 +291,35 @@ let t_ragged_last_word () =
       (K.world_hash sc ~lane)
   done
 
+(* Lanes outside [0, lanes) are rejected, not read off neighbouring
+   bits: a shift by 62 or 63 reads slab padding (the all-absent world)
+   and a shift by 100 wraps onto another lane. *)
+let t_lane_range () =
+  let g = graph ~n:3 [ (0, 1, 0.5); (1, 2, 0.7); (0, 2, 0.75) ] in
+  let c = K.Csr.of_graph g in
+  let sc = K.create () in
+  K.draw_bitsliced sc c (rng ());
+  K.transpose_worlds sc;
+  List.iter
+    (fun lane ->
+      Alcotest.check_raises
+        (Printf.sprintf "world_prob ~lane:%d" lane)
+        (Invalid_argument "Kernel.world_prob")
+        (fun () -> ignore (K.world_prob sc c ~lane));
+      Alcotest.check_raises
+        (Printf.sprintf "world_hash ~lane:%d" lane)
+        (Invalid_argument "Kernel.world_hash")
+        (fun () -> ignore (K.world_hash sc ~lane)))
+    [ -1; B.lanes; B.lanes + 1; 100 ];
+  List.iter
+    (fun lane ->
+      let present = Array.init 3 (fun pos -> slab_bit sc ~pos ~lane) in
+      Alcotest.(check int)
+        (Printf.sprintf "world_hash ~lane:%d" lane)
+        (Hash64.mask present 3) (K.world_hash sc ~lane);
+      ignore (K.world_prob sc c ~lane))
+    [ 0; B.lanes - 1 ]
+
 (* ---- scratch reuse across graphs: the draw/union pairing check ---- *)
 
 let t_scratch_graph_mismatch () =
@@ -337,6 +366,8 @@ let suite =
       Alcotest.test_case "ragged last word" `Quick t_ragged_last_word;
       Alcotest.test_case "scratch graph mismatch" `Quick
         t_scratch_graph_mismatch;
+      Alcotest.test_case "world_prob/world_hash lane range" `Quick
+        t_lane_range;
     ]
     @ qtests
         [

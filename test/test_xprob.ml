@@ -143,6 +143,83 @@ let prop_complement_involutive =
       let y = Xprob.complement (Xprob.complement x) in
       Float.abs (Xprob.to_float_exn y -. p) <= 1e-9)
 
+(* [world_prob] against the left fold of [scale] it replaces: equal bit
+   for bit, mantissas compared as raw float bits. The special values
+   cover zero, one, subnormals (the [Float.frexp] fallback), the
+   smallest normal and the largest double below one. *)
+let special_probs =
+  [ 0.; 1.; 4.9e-324; 1e-310; Float.min_float; 1. -. 0x1p-53; 0.5; 0.3 ]
+
+let scale_fold ps ~n present =
+  let acc = ref Xprob.one in
+  for i = 0 to n - 1 do
+    acc := Xprob.scale (if present.(i) then ps.(i) else 1. -. ps.(i)) !acc
+  done;
+  !acc
+
+let same_bits a b =
+  let ma, ea = Xprob.mantissa_exponent a and mb, eb = Xprob.mantissa_exponent b in
+  Int64.equal (Int64.bits_of_float ma) (Int64.bits_of_float mb) && ea = eb
+
+let world_prob_agrees ps present =
+  let n = Array.length ps in
+  same_bits
+    (Xprob.world_prob ps ~n ~present:(fun i -> present.(i)))
+    (scale_fold ps ~n present)
+
+let t_world_prob_specials () =
+  let specials = Array.of_list special_probs in
+  let k = Array.length specials in
+  (* Every special value present and absent, then again after a run of
+     subnormal factors deep below the double range. *)
+  let ps =
+    Array.concat [ specials; specials; Array.make 400 1e-310; specials ]
+  in
+  let present = Array.mapi (fun i _ -> i < k || (i >= 2 * k && i mod 2 = 0)) ps in
+  Alcotest.(check bool) "specials" true (world_prob_agrees ps present);
+  let no_zero = Array.map (fun p -> if p = 0. || p = 1. then 0.5 else p) ps in
+  Alcotest.(check bool) "specials without zero factors" true
+    (world_prob_agrees no_zero present);
+  let _, e =
+    Xprob.mantissa_exponent
+      (Xprob.world_prob no_zero ~n:(Array.length ps) ~present:(fun i -> present.(i)))
+  in
+  Alcotest.(check bool) "far below the double range" true (e < -100_000);
+  Alcotest.(check bool) "empty world is one" true
+    (same_bits Xprob.one (Xprob.world_prob [||] ~n:0 ~present:(fun _ -> true)));
+  Alcotest.(check bool) "only the first n positions" true
+    (same_bits (Xprob.of_float 0.25)
+       (Xprob.world_prob [| 0.5; 0.5; Float.nan |] ~n:2 ~present:(fun _ -> true)))
+
+let t_world_prob_rejects () =
+  let raises what ps present =
+    match Xprob.world_prob ps ~n:(Array.length ps) ~present with
+    | _ -> Alcotest.failf "%s: accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  raises "NaN" [| 0.5; Float.nan |] (fun _ -> true);
+  raises "infinite" [| Float.infinity |] (fun _ -> true);
+  raises "negative complement" [| 1.5 |] (fun _ -> false);
+  (* Like [scale], a zero accumulator still checks later factors. *)
+  raises "NaN after a zero factor" [| 0.; Float.nan |] (fun _ -> true)
+
+let arb_world =
+  let gen_prob =
+    QCheck.Gen.(
+      frequency [ (1, oneofl special_probs); (3, float_bound_inclusive 1.) ])
+  in
+  QCheck.make
+    ~print:(fun ps ->
+      String.concat "; "
+        (List.map (fun (p, b) -> Printf.sprintf "(%h, %b)" p b) ps))
+    QCheck.Gen.(list_size (int_bound 80) (pair gen_prob bool))
+
+let prop_world_prob_is_scale_fold =
+  QCheck.Test.make ~name:"world_prob = left fold of scale, bit for bit"
+    ~count:1000 arb_world (fun world ->
+      let ps = Array.of_list (List.map fst world) in
+      world_prob_agrees ps (Array.of_list (List.map snd world)))
+
 let suite =
   ( "xprob",
     [
@@ -162,6 +239,8 @@ let suite =
       Alcotest.test_case "log10 deep underflow" `Quick t_log10;
       Alcotest.test_case "to_string" `Quick t_to_string;
       Alcotest.test_case "mantissa_exponent" `Quick t_mantissa_exponent;
+      Alcotest.test_case "world_prob special factors" `Quick t_world_prob_specials;
+      Alcotest.test_case "world_prob rejects bad factors" `Quick t_world_prob_rejects;
     ]
     @ qtests
         [
@@ -169,4 +248,5 @@ let suite =
           prop_add_matches_float;
           prop_order_embedding;
           prop_complement_involutive;
+          prop_world_prob_is_scale_fold;
         ] )
