@@ -39,6 +39,7 @@ let metrics =
     ("sampling.hist.chunk_ns.p50", Lower_better, 1e6);
     ("sampling.hist.chunk_ns.p99", Lower_better, 1e6);
     ("gc.minor_words", Lower_better, 1e6);
+    ("sampling.gc.minor_words", Lower_better, 1e6);
     ("gc.top_heap_words", Lower_better, 1e6);
   ]
 
