@@ -10,7 +10,7 @@ type t = Bytes.t
 external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
-let state s0 s1 s2 s3 =
+let of_words s0 s1 s2 s3 =
   let g = Bytes.create 32 in
   set64 g 0 s0;
   set64 g 8 s1;
@@ -35,8 +35,8 @@ let of_seed64 seed64 =
   let s3 = splitmix_next st in
   (* xoshiro requires a non-zero state; SplitMix64 output of any seed is
      astronomically unlikely to be all zero, but guard anyway. *)
-  if s0 = 0L && s1 = 0L && s2 = 0L && s3 = 0L then state 1L 2L 3L 4L
-  else state s0 s1 s2 s3
+  if s0 = 0L && s1 = 0L && s2 = 0L && s3 = 0L then of_words 1L 2L 3L 4L
+  else of_words s0 s1 s2 s3
 
 let create seed = of_seed64 (Int64.of_int seed)
 let copy = Bytes.copy

@@ -11,11 +11,10 @@
 
     A state is one private 32-byte buffer holding the four 64-bit
     xoshiro words, read and written with the unboxed int64 bytes
-    primitives. Draws therefore allocate nothing on the minor heap:
-    {!bernoulli}, {!bool}, {!int} and {!Bitbatch.draw} not at all,
-    {!float} only its boxed result when called from another module,
-    {!bits64} only its boxed [int64] result. {!create}, {!split} and
-    {!copy} allocate the new buffer. *)
+    primitives, so a generator step allocates nothing. {!bernoulli},
+    {!bool}, {!int} and {!Bitbatch.draw} allocate nothing at all;
+    {!float}, {!uniform} and {!bits64} box only the value they return.
+    {!create}, {!split} and {!copy} allocate the new 32-byte state. *)
 
 type t
 (** A mutable generator state. *)
