@@ -868,11 +868,11 @@ let assert_kernel_mode ~method_name ~expect doc =
 
 let bitsliced cfg =
   banner "Bitsliced: 62-world bit-parallel sampling vs the flat kernel"
-    "One Bitbatch draw fills a 62-lane slab word per edge; connectivity\n\
-     peels lanes into the shared early-exit union-find after word-wide\n\
-     agreement sweeps. Estimates are statistically exchangeable with the\n\
-     flat kernel but NOT bit-identical (each mode owns its stream\n\
-     discipline; bit-identity holds across jobs within a mode only).\n\
+    "One Bitbatch draw fills a 62-lane slab word per edge; one bit-parallel\n\
+     reachability search over the adjacency answers all 62 worlds. Estimates\n\
+     are statistically exchangeable with the flat kernel but NOT\n\
+     bit-identical (each mode owns its stream discipline; bit-identity\n\
+     holds across jobs within a mode only).\n\
      Speedup = flat time / bitsliced time at jobs = 1; both modes'\n\
      sampling.kernel.{mode,samples_per_sec} land in BENCH_bitsliced.json.";
   let s = if cfg.quick then 10_000 else 40_000 in

@@ -137,11 +137,16 @@ type t = {
   mutable slab_edges : int;
   mutable tmask : int array;
   mutable tmask_wpr : int;
-  (* The snapshot the last draw ran against. Draw buffers hold
+  (* Whether [tmask] transposes the current slab: every slab write
+     clears it, [transpose_worlds] sets it. *)
+  mutable transposed : bool;
+  (* The snapshots the last draws ran against. Draw buffers hold
      *positions*, which are only meaningful against that snapshot:
      connectivity entry points reject any other Csr instead of
-     silently unioning garbage endpoints. *)
-  mutable drawn_for : Csr.t;
+     silently unioning garbage endpoints. The present buffer and the
+     slab are written by different draws, so each has its own. *)
+  mutable present_for : Csr.t;
+  mutable slab_for : Csr.t;
   (* Generation-stamped union-find: an element whose [stamp] is not the
      current [gen] is an untouched singleton. [round_begin] bumps [gen]
      instead of resetting the arrays, so starting a round costs O(1)
@@ -153,9 +158,17 @@ type t = {
   mutable stamp : int array;
   mutable gen : int;
   mutable live : int;
-  (* Edge-union attempts performed by the last connectivity entry point
-     (summed over agreement sweeps and lane peels for the bit-sliced
-     path) — the early-exit depth the observability layer histograms. *)
+  (* Bit-parallel reachability buffers of [connected_lanes], one slot
+     per vertex: [reach.(v)] holds the active lanes in which [v] is
+     reachable from the first terminal, [queue] is the circular FIFO
+     worklist (a vertex is queued at most once at a time, so n slots
+     suffice) and [flags.[v]] carries [queued] and [terminal]. *)
+  mutable reach : int array;
+  mutable queue : int array;
+  mutable flags : Bytes.t;
+  (* Work done by the last connectivity entry point — edge-union
+     attempts, or adjacency entries scanned by [connected_lanes] — the
+     early-exit depth the observability layer histograms. *)
   mutable union_steps : int;
 }
 
@@ -175,13 +188,18 @@ let create () =
     slab_edges = 0;
     tmask = [||];
     tmask_wpr = 0;
-    drawn_for = no_draw_yet;
+    transposed = false;
+    present_for = no_draw_yet;
+    slab_for = no_draw_yet;
     parent = [||];
     rank = [||];
     tcnt = [||];
     stamp = [||];
     gen = 0;
     live = 0;
+    reach = [||];
+    queue = [||];
+    flags = Bytes.empty;
     union_steps = 0;
   }
 
@@ -209,7 +227,7 @@ let draw t (c : Csr.t) rng =
     end
   done;
   t.n_present <- !np;
-  t.drawn_for <- c
+  t.present_for <- c
 
 let draw_prob t (c : Csr.t) rng =
   let m = c.Csr.m in
@@ -236,7 +254,7 @@ let draw_prob t (c : Csr.t) rng =
   if !nbits > 0 then words.(!w) <- !acc;
   t.n_present <- !np;
   t.mask_bits <- m;
-  t.drawn_for <- c;
+  t.present_for <- c;
   (* Folded off the packed mask after the draw, in the reference
      draw's float-operation order (the probability never feeds back
      into the stream). *)
@@ -283,7 +301,7 @@ let draw_sub t (c : Csr.t) ~pos ~detail ~bernoulli =
       end
     done;
   t.n_present <- !np;
-  t.drawn_for <- c;
+  t.present_for <- c;
   !logq
 
 let n_present t = t.n_present
@@ -302,7 +320,8 @@ let draw_bitsliced t (c : Csr.t) rng =
     slab.(pos) <- Prng.Bitbatch.draw rng ep.(pos)
   done;
   t.slab_edges <- m;
-  t.drawn_for <- c
+  t.slab_for <- c;
+  t.transposed <- false
 
 let slab_word t pos =
   if pos < 0 || pos >= t.slab_edges then invalid_arg "Kernel.slab_word";
@@ -310,7 +329,8 @@ let slab_word t pos =
 
 let set_slab_word t pos w =
   if pos < 0 || pos >= t.slab_edges then invalid_arg "Kernel.set_slab_word";
-  t.slab.(pos) <- w land Prng.Bitbatch.all
+  t.slab.(pos) <- w land Prng.Bitbatch.all;
+  t.transposed <- false
 
 let transpose_worlds t =
   let m = t.slab_edges in
@@ -318,10 +338,12 @@ let transpose_worlds t =
   let need = Prng.Bitbatch.lanes * wpr in
   if need > 0 && Array.length t.tmask < need then t.tmask <- Array.make need 0;
   Bitslab.transpose ~src:t.slab ~rows:m ~cols:Prng.Bitbatch.lanes ~dst:t.tmask;
-  t.tmask_wpr <- wpr
+  t.tmask_wpr <- wpr;
+  t.transposed <- true
 
 let world_hash t ~lane =
-  if lane < 0 || lane >= Prng.Bitbatch.lanes then invalid_arg "Kernel.world_hash";
+  if lane < 0 || lane >= Prng.Bitbatch.lanes || not t.transposed then
+    invalid_arg "Kernel.world_hash";
   Hash64.mask_words_sub t.tmask ~off:(lane * t.tmask_wpr) ~bits:t.slab_edges
 
 (* ---- early-exit connectivity ---- *)
@@ -393,12 +415,13 @@ let union t a b =
 
 let connected t = t.live <= 1
 
-(* Positions in the draw buffers are indices into [drawn_for]; a
-   different Csr (notably a different-sized graph reusing the same
-   domain's scratch) would read them as unrelated endpoints and return
-   a silently wrong verdict. One physical-equality test per round. *)
-let check_drawn t (c : Csr.t) =
-  if t.drawn_for != c then
+(* Positions in the draw buffers are indices into the Csr they were
+   drawn against ([present_for] or [slab_for]); a different Csr
+   (notably a different-sized graph reusing the same domain's scratch)
+   would read them as unrelated endpoints and return a silently wrong
+   verdict. One physical-equality test per round. *)
+let check_drawn (drawn_for : Csr.t) (c : Csr.t) =
+  if drawn_for != c then
     invalid_arg "Kernel: no draw against this Csr in scratch (draw first)"
 
 let mark_terminals t terminals =
@@ -407,7 +430,7 @@ let mark_terminals t terminals =
   done
 
 let union_drawn t (c : Csr.t) =
-  check_drawn t c;
+  check_drawn t.present_for c;
   let eu = c.Csr.eu and ev = c.Csr.ev and present = t.present in
   let np = t.n_present in
   let i = ref 0 in
@@ -446,7 +469,7 @@ let union_lane t (c : Csr.t) ~lane =
   t.live <= 1
 
 let connected_lane t (c : Csr.t) terminals ~lane =
-  check_drawn t c;
+  check_drawn t.slab_for c;
   if lane < 0 || lane >= Prng.Bitbatch.lanes then
     invalid_arg "Kernel.connected_lane";
   round_begin t ~elems:c.Csr.n;
@@ -454,60 +477,95 @@ let connected_lane t (c : Csr.t) terminals ~lane =
   mark_terminals t terminals;
   union_lane t c ~lane
 
+let ensure_vertices t n =
+  if Array.length t.reach < n then begin
+    t.reach <- Array.make n 0;
+    t.queue <- Array.make n 0;
+    t.flags <- Bytes.make n '\000'
+  end
+
+(* [flags] bits. *)
+let queued = 1
+let terminal = 2
+let flag flags v = Char.code (Bytes.get flags v)
+let set_flag flags v f = Bytes.set flags v (Char.unsafe_chr f)
+
+(* The lanes in which every terminal is reachable from the first. *)
+let terminals_meet reach terminals =
+  let w = ref reach.(terminals.(0)) in
+  for i = 1 to Array.length terminals - 1 do
+    w := !w land reach.(terminals.(i))
+  done;
+  !w
+
+(* One bit-parallel search answers every lane: [reach] words only grow,
+   and a vertex is re-queued whenever its word grows, so the queue
+   drains at the fixpoint where [reach.(v)] is exactly the set of
+   active lanes whose world joins [v] to the first terminal. The meet
+   over the terminals can only grow towards [active], so the search
+   stops as soon as it gets there. *)
 let connected_lanes t (c : Csr.t) terminals ~active =
-  check_drawn t c;
+  check_drawn t.slab_for c;
+  t.union_steps <- 0;
   let active = active land Prng.Bitbatch.all in
-  if active = 0 then 0
+  let k = Array.length terminals in
+  if active = 0 || k = 0 then active
   else begin
-    let slab = t.slab and m = t.slab_edges in
-    let eu = c.Csr.eu and ev = c.Csr.ev in
-    (* Word-wide agreement sweeps before any per-lane work. Subset
-       round: union only the edges every active lane drew; each lane's
-       world is a superset of that, so if it already connects the
-       terminals all lanes do. This also settles marked-component
-       counts < 2 (single or duplicated terminals) with no union at
-       all. *)
-    round_begin t ~elems:c.Csr.n;
-    t.union_steps <- 0;
-    mark_terminals t terminals;
-    let i = ref 0 in
-    while t.live > 1 && !i < m do
-      if slab.(!i) land active = active then union t eu.(!i) ev.(!i);
-      incr i
+    let n = c.Csr.n in
+    ensure_vertices t n;
+    let reach = t.reach and queue = t.queue and flags = t.flags in
+    Array.fill reach 0 n 0;
+    Bytes.fill flags 0 n '\000';
+    for i = 0 to k - 1 do
+      let v = terminals.(i) in
+      if v < 0 || v >= n then invalid_arg "Kernel.connected_lanes";
+      set_flag flags v terminal
     done;
-    t.union_steps <- t.union_steps + !i;
-    if t.live <= 1 then active
-    else begin
-      (* Superset round: union every edge any active lane drew; each
-         lane's world is a subset, so if even this union fails to
-         connect, every lane fails. *)
-      round_begin t ~elems:c.Csr.n;
-      mark_terminals t terminals;
-      let i = ref 0 in
-      while t.live > 1 && !i < m do
-        if slab.(!i) land active <> 0 then union t eu.(!i) ev.(!i);
-        incr i
-      done;
-      t.union_steps <- t.union_steps + !i;
-      if t.live > 1 then 0
-      else begin
-        (* Lanes disagree: peel each active lane into its own
-           early-exit round. *)
-        let verdict = ref 0 in
-        for lane = 0 to Prng.Bitbatch.lanes - 1 do
-          if (active lsr lane) land 1 = 1 then begin
-            round_begin t ~elems:c.Csr.n;
-            mark_terminals t terminals;
-            if union_lane t c ~lane then verdict := !verdict lor (1 lsl lane)
+    let src = terminals.(0) in
+    reach.(src) <- active;
+    set_flag flags src (terminal lor queued);
+    queue.(0) <- src;
+    let off = c.Csr.off and adj_pos = c.Csr.adj_pos
+    and adj_other = c.Csr.adj_other and slab = t.slab in
+    let verdict = ref (terminals_meet reach terminals) in
+    let head = ref 0 and len = ref 1 in
+    let steps = ref 0 in
+    while !len > 0 && !verdict <> active do
+      let v = queue.(!head) in
+      head := if !head = n - 1 then 0 else !head + 1;
+      decr len;
+      set_flag flags v (flag flags v land terminal);
+      let rv = reach.(v) in
+      let lo = off.(v) in
+      let hi = ref off.(v + 1) and i = ref lo in
+      while !i < !hi do
+        let w = adj_other.(!i) in
+        let rw = reach.(w) in
+        let grown = rw lor (rv land slab.(adj_pos.(!i))) in
+        incr i;
+        if grown <> rw then begin
+          reach.(w) <- grown;
+          let fw = flag flags w in
+          if fw land queued = 0 then begin
+            set_flag flags w (fw lor queued);
+            let slot = !head + !len in
+            queue.(if slot >= n then slot - n else slot) <- w;
+            incr len
+          end;
+          if fw land terminal <> 0 then begin
+            verdict := terminals_meet reach terminals;
+            if !verdict = active then hi := !i
           end
-        done;
-        !verdict
-      end
-    end
+        end
+      done;
+      steps := !steps + (!i - lo)
+    done;
+    t.union_steps <- !steps;
+    !verdict
   end
 
 let world_prob t (c : Csr.t) ~lane =
-  check_drawn t c;
+  check_drawn t.slab_for c;
   if lane < 0 || lane >= Prng.Bitbatch.lanes then invalid_arg "Kernel.world_prob";
   let slab = t.slab in
   Xprob.world_prob c.Csr.ep ~n:t.slab_edges ~present:(fun pos ->

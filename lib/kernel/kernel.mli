@@ -95,15 +95,17 @@ end
 
 type t
 (** Mutable per-domain scratch: the drawn-present buffer, the packed
-    mask words, the bit-sliced world slab, and the stamped union–find.
-    Grows on demand and is reused across samples; nothing leaks
-    between samples (the buffers are rewritten per draw, the
-    union–find is invalidated wholesale by bumping its generation
-    stamp). The scratch remembers which {!Csr.t} the last draw ran
-    against, and every connectivity entry point rejects any other
-    snapshot with [Invalid_argument] — positions in the draw buffers
-    are meaningless against a different graph, and the pre-check
-    failure mode was a silently wrong verdict. *)
+    mask words, the bit-sliced world slab, the stamped union–find and
+    the per-vertex buffers of the bit-parallel search. Grows on demand
+    and is reused across samples; nothing leaks between samples (the
+    buffers are rewritten per draw, the union–find is invalidated
+    wholesale by bumping its generation stamp, the search buffers are
+    cleared per call). The scratch remembers which {!Csr.t} the last
+    flat draw and the last bit-sliced draw each ran against, and every
+    connectivity entry point rejects any other snapshot with
+    [Invalid_argument] — positions in the draw buffers are meaningless
+    against a different graph, and the pre-check failure mode was a
+    silently wrong verdict. *)
 
 val create : unit -> t
 
@@ -159,14 +161,23 @@ val draw_bitsliced : t -> Csr.t -> Prng.t -> unit
 val connected_lanes : t -> Csr.t -> int array -> active:int -> int
 (** [connected_lanes t c terminals ~active] returns the verdict word
     for the last bit-sliced draw: bit [l] set iff lane [l] is in
-    [active] and its world connects [terminals]. Word-wide agreement
-    sweeps settle unanimous batches in one union–find round each
-    (subset world connected ⇒ all lanes hit; superset world
-    disconnected ⇒ all lanes miss); only disagreeing batches peel
-    per-lane early-exit rounds. *)
+    [active] and its world connects [terminals]. One bit-parallel
+    reachability search over [c]'s adjacency answers every lane: each
+    vertex carries the word of active lanes in which it is reachable
+    from the first terminal, a FIFO worklist ORs that word, masked by
+    the slab word of each incident position, into the neighbours and
+    re-queues any neighbour whose word grew, and the search stops as
+    soon as every terminal's word equals [active]. Allocates nothing;
+    the scratch keeps three per-vertex buffers.
+    @raise Invalid_argument if the last {!draw_bitsliced} ran against
+    a different {!Csr.t}, or if a terminal is outside [c]'s vertex
+    range. *)
 
 val connected_lane : t -> Csr.t -> int array -> lane:int -> bool
-(** One lane's verdict alone (the HT path, after dedup). *)
+(** One lane's verdict alone (the HT path, after dedup): an early-exit
+    union–find round over the lane's slab bits.
+    @raise Invalid_argument if the last {!draw_bitsliced} ran against
+    a different {!Csr.t}, or unless [0 <= lane < Prng.Bitbatch.lanes]. *)
 
 val transpose_worlds : t -> unit
 (** Transpose the slab into world-major packed mask rows for
@@ -176,7 +187,9 @@ val world_hash : t -> lane:int -> int
 (** Content hash of lane [lane]'s world after {!transpose_worlds}.
     Digest-identical to {!Hash64.mask} over that world's [bool array]
     (and hence to the flat path's {!mask_hash} on an equal mask).
-    @raise Invalid_argument unless [0 <= lane < Prng.Bitbatch.lanes]. *)
+    @raise Invalid_argument unless [0 <= lane < Prng.Bitbatch.lanes]
+    and {!transpose_worlds} ran since the slab last changed (the last
+    {!draw_bitsliced} or {!set_slab_word}). *)
 
 val world_prob : t -> Csr.t -> lane:int -> Xprob.t
 (** Lane [lane]'s possible-graph probability, {!Xprob.world_prob} over
@@ -184,7 +197,8 @@ val world_prob : t -> Csr.t -> lane:int -> Xprob.t
     [Xprob.scale (1 - p)] fold in position order, the reference
     float-operation order.
     @raise Invalid_argument unless [0 <= lane < Prng.Bitbatch.lanes],
-    or if the last draw ran against a different {!Csr.t}. *)
+    or if the last {!draw_bitsliced} ran against a different
+    {!Csr.t}. *)
 
 val slab_word : t -> int -> int
 (** [slab_word t pos] reads slab word [pos] of the last bit-sliced
@@ -193,7 +207,8 @@ val slab_word : t -> int -> int
 
 val set_slab_word : t -> int -> int -> unit
 (** Overwrite a slab word (lane-permutation metamorphic checks only;
-    masked to the lane width). *)
+    masked to the lane width). Invalidates the {!transpose_worlds}
+    transposition. *)
 
 (** {2 Early-exit connectivity rounds}
 
@@ -220,22 +235,24 @@ val connected : t -> bool
 val union_drawn : t -> Csr.t -> bool
 (** Union the endpoints of the drawn-present positions in draw order,
     stopping as soon as {!connected} holds; returns {!connected}.
-    @raise Invalid_argument if the last draw ran against a different
-    {!Csr.t} than [c] (the draw buffers hold positions, which another
-    snapshot would misread). *)
+    @raise Invalid_argument if the last {!draw}, {!draw_prob} or
+    {!draw_sub} ran against a different {!Csr.t} than [c] (the present
+    buffer holds positions, which another snapshot would misread; a
+    {!draw_bitsliced} in between writes the slab, not this buffer). *)
 
 val connected_terminals : t -> Csr.t -> int array -> bool
 (** One full round: [round_begin] over the graph's vertices, [mark]
     each terminal, [union_drawn]. The complete MC connectivity check
-    for the last draw. *)
+    for the last draw.
+    @raise Invalid_argument as {!union_drawn}. *)
 
 val union_steps : t -> int
-(** Edge-union attempts performed by the last full connectivity entry
-    point ({!connected_terminals}, {!connected_lane} or
-    {!connected_lanes} — for the latter summed over agreement sweeps
-    and lane peels). This is the early-exit depth: how far into the
-    drawn-present buffer the union loop ran before the terminals
-    merged (or the buffer ran out), the quantity the observability
-    layer histograms to show what early exit actually saves. Raw
-    {!union_drawn} calls accumulate onto the last entry point's
-    count. *)
+(** Work done by the last full connectivity entry point — the
+    early-exit depth the observability layer histograms to show what
+    early exit actually saves. For {!connected_terminals} and
+    {!connected_lane} it counts edge-union attempts: how far into the
+    drawn edges the union loop ran before the terminals merged (or
+    the edges ran out). Raw {!union_drawn} calls accumulate onto the
+    last entry point's count. For {!connected_lanes} it counts the
+    adjacency entries the search scanned, re-scans of re-queued
+    vertices included, for the whole 62-world batch. *)

@@ -81,6 +81,9 @@ let t_per_call_rounds () =
     (words_per_call ~reps:100 (fun () ->
          ignore (K.connected_terminals sc c terminals)));
   K.draw_bitsliced sc c g;
+  check_below "connected_lanes per call" ~limit:64.
+    (words_per_call ~reps:100 (fun () ->
+         ignore (K.connected_lanes sc c terminals ~active:Prng.Bitbatch.all)));
   let lane = ref 0 in
   check_below "world_prob per call" ~limit:64.
     (words_per_call ~reps:Prng.Bitbatch.lanes (fun () ->

@@ -8,8 +8,9 @@
      word equals [Prng.Bitbatch.bernoulli_lane ~lane:l] replayed
      against a copy of the batch stream (and the replay leaves the
      stream in the same state as the batch draw);
-   - each peeled early-exit verdict equals the full-DSU verdict over
-     that lane's replayed bool mask;
+   - each lane's verdict, from the bit-parallel search and from the
+     single-lane union-find, equals the full-DSU verdict over that
+     lane's replayed bool mask;
    - world hashes are digest-identical to [Hash64.mask] over the
      replayed mask (so HT dedup semantics match the flat path);
    - within the bitsliced mode, MC/HT estimates are bit-identical at
@@ -112,6 +113,31 @@ let t_batch_marginal () =
 
 (* ---- verdicts vs the full-DSU reference ---- *)
 
+(* After a bit-sliced draw: each lane's [connected_lanes] bit and its
+   [connected_lane] verdict equal the full-DSU verdict over that lane's
+   world, and restricting [active] to each of [actives] masks the
+   verdict and nothing else. *)
+let lanes_match_dsu sc c g dsu term_arr ~actives =
+  let ts = Array.to_list term_arr in
+  let verdict = K.connected_lanes sc c term_arr ~active:B.all in
+  let ok = ref true in
+  for lane = 0 to B.lanes - 1 do
+    let present =
+      Array.init (Ugraph.n_edges g) (fun pos -> slab_bit sc ~pos ~lane)
+    in
+    let want =
+      Graphalgo.Connectivity.terminals_connected_dsu dsu g ~present ts
+    in
+    if (verdict lsr lane) land 1 = 1 <> want then ok := false;
+    if K.connected_lane sc c term_arr ~lane <> want then ok := false
+  done;
+  List.iter
+    (fun active ->
+      if K.connected_lanes sc c term_arr ~active <> verdict land active then
+        ok := false)
+    actives;
+  !ok
+
 let prop_lane_verdicts_match_dsu =
   QCheck.Test.make ~name:"connected_lanes = per-lane full DSU" ~count:150
     (arb_graph_ts ~max_n:8 ~max_m:14 ~max_k:4)
@@ -124,28 +150,77 @@ let prop_lane_verdicts_match_dsu =
       let dsu = Dsu.create n in
       let ok = ref true in
       let batch_rng = Prng.create seed in
-      (* Several rounds on one scratch exercise the generation
-         stamping across peels. *)
+      (* Several rounds on one scratch exercise the per-call search
+         reset and the union-find's generation stamping. *)
       for _ = 1 to 5 do
         K.draw_bitsliced sc c batch_rng;
-        let verdict = K.connected_lanes sc c term_arr ~active:B.all in
-        for lane = 0 to B.lanes - 1 do
-          let present =
-            Array.init (Ugraph.n_edges g) (fun pos -> slab_bit sc ~pos ~lane)
-          in
-          let want =
-            Graphalgo.Connectivity.terminals_connected_dsu dsu g ~present ts
-          in
-          if (verdict lsr lane) land 1 = 1 <> want then ok := false;
-          (* The single-lane entry point (HT path) agrees. *)
-          if K.connected_lane sc c term_arr ~lane <> want then ok := false
-        done;
-        (* Restricting [active] masks the verdict and nothing else. *)
-        let active = 0x2AAAAAAAAAAAAAA land B.all in
-        if K.connected_lanes sc c term_arr ~active <> verdict land active
+        if not
+             (lanes_match_dsu sc c g dsu term_arr
+                ~actives:[ 0x2AAAAAAAAAAAAAA land B.all ])
         then ok := false
       done;
       !ok)
+
+(* The same agreement on seeded ~10^3-vertex graphs, large enough for
+   the search to wrap its FIFO queue, re-queue vertices whose lane word
+   grows and stop early once every lane has met every terminal — none
+   of which the 8-vertex graphs above reach. Both graphs carry
+   self-loops, parallel edges and one vertex with no incident edge;
+   terminal sets include that vertex and a duplicated terminal. *)
+let t_lane_verdicts_large () =
+  let n = 1_000 in
+  let r = Prng.create 4242 in
+  let random_edges =
+    List.init 2_500 (fun _ -> (Prng.int r (n - 1), Prng.int r (n - 1)))
+  in
+  let pa_edges =
+    let g =
+      Workload.Generators.preferential_attachment_large ~seed:7 ~n:(n - 1)
+        ~edges_per_vertex:2
+    in
+    List.init (Ugraph.n_edges g) (fun eid ->
+        let e = Ugraph.edge g eid in
+        (e.Ugraph.u, e.Ugraph.v))
+  in
+  (* Vertex n - 1 has no incident edge: every endpoint is below it. *)
+  let with_extras es =
+    es
+    @ List.init 40 (fun i -> (i * 17, i * 17))
+    @ List.filteri (fun i _ -> i mod 25 = 0) es
+  in
+  let sc = K.create () in
+  let dsu = Dsu.create n in
+  List.iter
+    (fun (label, es) ->
+      List.iter
+        (fun p ->
+          let g =
+            graph ~n (List.map (fun (u, v) -> (u, v, p)) (with_extras es))
+          in
+          let c = K.Csr.of_graph g in
+          List.iter
+            (fun k ->
+              let ts = Array.init k (fun _ -> Prng.int r (n - 1)) in
+              let variants =
+                [ ts;
+                  Array.append ts [| n - 1 |];
+                  Array.append ts [| ts.(0) |] ]
+              in
+              K.draw_bitsliced sc c r;
+              List.iter
+                (fun term_arr ->
+                  let actives =
+                    [ Prng.int r B.all; (1 lsl (1 + Prng.int r 61)) - 1 ]
+                  in
+                  if not (lanes_match_dsu sc c g dsu term_arr ~actives) then
+                    Alcotest.failf "%s, p = %g, k = %d, terminals [%s]" label
+                      p k
+                      (String.concat ";"
+                         (Array.to_list (Array.map string_of_int term_arr))))
+                variants)
+            [ 2; 5; 20 ])
+        [ 0.1; 0.5; 0.9 ])
+    [ ("random", random_edges); ("preferential attachment", pa_edges) ]
 
 (* ---- world hash and probability vs the replayed mask ---- *)
 
@@ -350,7 +425,77 @@ let t_scratch_graph_mismatch () =
   Alcotest.check_raises "bitsliced draw B, lane A"
     (Invalid_argument "Kernel: no draw against this Csr in scratch (draw first)")
     (fun () -> ignore (K.connected_lane sc csr_a [| 0; 4 |] ~lane:0));
-  ignore (K.connected_lanes sc csr_b [| 0; 2 |] ~active:B.all)
+  ignore (K.connected_lanes sc csr_b [| 0; 2 |] ~active:B.all);
+  (* The present buffer and the slab are guarded apart: a draw of one
+     kind leaves the other buffer holding positions into its own Csr.
+     Path 0-1-2-3 with every p = 1 ([c]) and its copy with every p = 0
+     ([c0]). *)
+  let path p =
+    K.Csr.of_graph (graph ~n:4 [ (0, 1, p); (1, 2, p); (2, 3, p) ])
+  in
+  let c = path 1. and c0 = path 0. in
+  let no_draw =
+    Invalid_argument "Kernel: no draw against this Csr in scratch (draw first)"
+  in
+  let sc = K.create () in
+  K.draw sc c0 r;
+  K.draw_bitsliced sc c r;
+  Alcotest.check_raises "flat draw c0, bitsliced c, flat connectivity c"
+    no_draw (fun () -> ignore (K.connected_terminals sc c [| 0; 3 |]));
+  Alcotest.check_raises "flat draw c0, bitsliced c, union_drawn c" no_draw
+    (fun () -> ignore (K.union_drawn sc c));
+  Alcotest.(check int)
+    "the slab still answers for c" B.all
+    (K.connected_lanes sc c [| 0; 3 |] ~active:B.all);
+  let sc2 = K.create () in
+  K.draw_bitsliced sc2 c0 r;
+  K.draw sc2 c r;
+  Alcotest.check_raises "bitsliced c0, flat c, lanes c" no_draw (fun () ->
+      ignore (K.connected_lanes sc2 c [| 0; 3 |] ~active:B.all));
+  Alcotest.check_raises "bitsliced c0, flat c, lane c" no_draw (fun () ->
+      ignore (K.connected_lane sc2 c [| 0; 3 |] ~lane:0));
+  Alcotest.check_raises "bitsliced c0, flat c, world_prob c" no_draw
+    (fun () -> ignore (K.world_prob sc2 c ~lane:0));
+  Alcotest.(check bool)
+    "the present buffer still answers for c" true
+    (K.connected_terminals sc2 c [| 0; 3 |])
+
+(* [world_hash] reads the transposition, which only [transpose_worlds]
+   refreshes: after any later slab write it must refuse rather than
+   hash the previous batch (or, on a larger graph, index past the old
+   rows). *)
+let t_world_hash_needs_transpose () =
+  let stale = Invalid_argument "Kernel.world_hash" in
+  let small = K.Csr.of_graph (graph ~n:3 [ (0, 1, 0.5); (1, 2, 0.5) ]) in
+  let large =
+    K.Csr.of_graph (graph ~n:71 (List.init 70 (fun i -> (i, i + 1, 0.5))))
+  in
+  let sc = K.create () and r = rng () in
+  Alcotest.check_raises "fresh scratch" stale (fun () ->
+      ignore (K.world_hash sc ~lane:0));
+  K.draw_bitsliced sc small r;
+  K.transpose_worlds sc;
+  ignore (K.world_hash sc ~lane:0);
+  K.draw_bitsliced sc small r;
+  Alcotest.check_raises "redrawn, not transposed" stale (fun () ->
+      ignore (K.world_hash sc ~lane:0));
+  K.draw_bitsliced sc large r;
+  List.iter
+    (fun lane ->
+      Alcotest.check_raises
+        (Printf.sprintf "larger Csr, not transposed, lane %d" lane)
+        stale
+        (fun () -> ignore (K.world_hash sc ~lane)))
+    [ 0; B.lanes - 1 ];
+  K.transpose_worlds sc;
+  let lane = B.lanes - 1 in
+  Alcotest.(check int)
+    "transposed again"
+    (Hash64.mask (Array.init 70 (fun pos -> slab_bit sc ~pos ~lane)) 70)
+    (K.world_hash sc ~lane);
+  K.set_slab_word sc 0 (lnot (K.slab_word sc 0));
+  Alcotest.check_raises "slab word overwritten" stale (fun () ->
+      ignore (K.world_hash sc ~lane:0))
 
 let suite =
   ( "kernel-bitsliced",
@@ -368,6 +513,10 @@ let suite =
         t_scratch_graph_mismatch;
       Alcotest.test_case "world_prob/world_hash lane range" `Quick
         t_lane_range;
+      Alcotest.test_case "world_hash needs a fresh transpose" `Quick
+        t_world_hash_needs_transpose;
+      Alcotest.test_case "connected_lanes = per-lane full DSU, 10^3 vertices"
+        `Quick t_lane_verdicts_large;
     ]
     @ qtests
         [
