@@ -76,7 +76,9 @@ bench-batch:
 # per-kernel binary-vs-text bit-identity asserted, emitting the
 # self-validated BENCH_large.json at the repo root — the tracked
 # large-graph artifact (load-mmap run.seconds = mmap open + CSR build;
-# mc-{flat,bitsliced} sampling.kernel.samples_per_sec = throughput).
+# mc-{flat,bitsliced} sampling.kernel.samples_per_sec = throughput;
+# preprocess and pro run.seconds = the extension technique alone and a
+# whole w = 1,000, s = 200 Pro(MC) estimate).
 # Also runs under `dune runtest`. Drop --quick for the 10^6-edge pass.
 bench-large:
 	dune exec bench/main.exe -- --force --only large --quick --json \

@@ -423,6 +423,15 @@ let table4 cfg =
 
 (* ---- Table 5: effect of the extension technique ---- *)
 
+(* The result object of a "preprocess" stats document. *)
+let preprocess_result = function
+  | P.Trivial r -> SD.result_value ~value:(Xprob.to_float_approx r) ~exact:true
+  | P.Reduced { stats; _ } ->
+    J.Obj
+      [ ("reduction_ratio", J.Float (P.reduction_ratio stats));
+        ("subproblems", J.Int stats.P.n_subproblems);
+        ("bridges", J.Int stats.P.n_bridges) ]
+
 let table5 cfg =
   banner "Table 5: extension technique (preprocess time, reduced size)"
     "Paper shape: preprocessing is orders of magnitude cheaper than the\n\
@@ -442,14 +451,7 @@ let table5 cfg =
            stats_runs cfg ~method_name:"preprocess" ~graph:d.D.abbr ~ts ~s:0
              ~w:0 ~trace:tr
              (fun ~obs ~trace ->
-               match P.run ~obs ~trace g ~terminals:ts with
-               | P.Trivial r ->
-                 SD.result_value ~value:(Xprob.to_float_approx r) ~exact:true
-               | P.Reduced { stats; _ } ->
-                 J.Obj
-                   [ ("reduction_ratio", J.Float (P.reduction_ratio stats));
-                     ("subproblems", J.Int stats.P.n_subproblems);
-                     ("bridges", J.Int stats.P.n_bridges) ])
+               preprocess_result (P.run ~obs ~trace g ~terminals:ts))
          in
          if cfg.json then
            List.iter (fun doc -> stats_docs := doc :: !stats_docs) docs);
@@ -1242,13 +1244,31 @@ let batch cfg =
 
 (* ---- Large: the 10^5..10^6-edge scale-out trajectory ---- *)
 
-(* Binary-container trajectory: pack a synthetic large graph into the
-   mmap-able container, reopen it with [Bingraph.load], build the CSR
-   straight from the packed arrays and sample without ever
-   materializing a [Ugraph.t] on the hot path. Each kernel row asserts
-   the CSR-direct estimate bit-identical to the text-path estimate for
-   the same kernel (the round-trip invariant lib/check sweeps at small
-   sizes, exercised here at bench scale). *)
+(* Pro on the large graphs: the perfbench sample-large settings
+   (w = 1,000, s = 200), so preprocessing and construction run at the
+   scale the serve benchmark queries. *)
+let large_pro_config cfg =
+  s2_config cfg ~s:200 ~w:1_000 ~estimator:S.Monte_carlo ~seed:cfg.seed
+
+let check_pro_bounds ~graph (rep : R.report) =
+  if not (rep.R.lower <= rep.R.value && rep.R.value <= rep.R.upper) then
+    failwith
+      (Printf.sprintf "large: %s pro estimate %g outside its bounds [%g, %g]"
+         graph rep.R.value rep.R.lower rep.R.upper)
+
+(* A pro document must account for all three phases of the run. *)
+let assert_pro_phases ~graph doc =
+  List.iter
+    (fun (phase, key) ->
+      match J.member phase doc with
+      | Some sub when J.member key sub <> None -> ()
+      | _ ->
+        failwith
+          (Printf.sprintf "large: %s pro stats doc missing %s.%s" graph phase
+             key))
+    [ ("preprocess", "prune"); ("construction", "layers");
+      ("sampling", "samples") ]
+
 let large cfg =
   banner "Large graphs: mmap-able binary container + CSR-direct sampling"
     "Synthetic 10^5-edge (quick) to 10^6-edge graphs are packed into the\n\
@@ -1257,7 +1277,10 @@ let large cfg =
      monte_carlo_csr). `= text` asserts the binary-path estimate\n\
      bit-identical to the Ugraph text path per kernel; mmap open + CSR\n\
      build time lands in run.seconds of the load-mmap rows, kernel\n\
-     throughput in sampling.kernel.samples_per_sec of the mc rows.";
+     throughput in sampling.kernel.samples_per_sec of the mc rows.\n\
+     The preprocess rows time the extension technique alone, the pro\n\
+     rows a whole Pro(MC) estimate at w = 1,000, s = 200 (its value\n\
+     asserted inside its proven bounds).";
   let graphs =
     if cfg.quick then
       [ ("pa-large",
@@ -1329,12 +1352,11 @@ let large cfg =
           in
           row "MC(flat)" Mcsampling.Flat;
           row "MC(bitsliced)" Mcsampling.Bitsliced;
-          print_newline ();
+          let add docs =
+            if cfg.json then
+              List.iter (fun doc -> stats_docs := doc :: !stats_docs) docs
+          in
           if cfg.json || cfg.trace then begin
-            let add docs =
-              if cfg.json then
-                List.iter (fun doc -> stats_docs := doc :: !stats_docs) docs
-            in
             (* run.seconds of these rows is the mmap open + CSR build
                cost; the result value records the edge count so the
                document states what was loaded. *)
@@ -1364,7 +1386,58 @@ let large cfg =
             mode_doc "mc-flat" ~kernel:Mcsampling.Flat ~expect:"flat";
             mode_doc "mc-bitsliced" ~kernel:Mcsampling.Bitsliced
               ~expect:"bitsliced"
-          end))
+          end;
+          (* The preprocess and pro rows are the section's slowest: when
+             documents are collected the printed row is the first
+             instrumented run instead of one more run of its own. *)
+          let measured ~method_name ~s ~w ~result run =
+            if cfg.json || cfg.trace then begin
+              let first = ref None in
+              let docs =
+                stats_runs cfg ~method_name ~graph:name ~ts ~s ~w ~trace:tr
+                  (fun ~obs ~trace ->
+                    let x, t = Relstats.time (fun () -> run ~obs ~trace) in
+                    if !first = None then first := Some (x, t);
+                    result x)
+              in
+              add docs;
+              (Option.get !first, docs)
+            end
+            else
+              ( Relstats.time (fun () ->
+                    run ~obs:Obs.disabled ~trace:Trace.disabled),
+                [] )
+          in
+          let (prep, prep_t), _ =
+            measured ~method_name:"preprocess" ~s:0 ~w:0
+              ~result:preprocess_result (fun ~obs ~trace ->
+                P.run ~obs ~trace g ~terminals:ts)
+          in
+          (match prep with
+           | P.Trivial r ->
+             Printf.printf "%-15s %14.8f %10s\n" "Preprocess"
+               (Xprob.to_float_approx r) (Relstats.format_seconds prep_t)
+           | P.Reduced { stats; _ } ->
+             Printf.printf
+               "%-15s %14s %10s   ratio %.3f, %d subproblem(s), %d bridge(s)\n"
+               "Preprocess" "-" (Relstats.format_seconds prep_t)
+               (P.reduction_ratio stats) stats.P.n_subproblems
+               stats.P.n_bridges);
+          let config = large_pro_config cfg in
+          let (pro, pro_t), docs =
+            measured ~method_name:"pro" ~s:config.S.samples ~w:config.S.width
+              ~result:(fun rep ->
+                check_pro_bounds ~graph:name rep;
+                SD.result_of_report rep)
+              (fun ~obs ~trace ->
+                R.estimate ~obs ~trace ~config ~jobs:1 g ~terminals:ts)
+          in
+          check_pro_bounds ~graph:name pro;
+          List.iter (assert_pro_phases ~graph:name) docs;
+          Printf.printf "%-15s %14.8f %10s   [%.8f, %.8f], %d descent(s)\n"
+            "Pro(MC)" pro.R.value (Relstats.format_seconds pro_t) pro.R.lower
+            pro.R.upper pro.R.samples_drawn;
+          print_newline ()))
     graphs;
   emit_json cfg ~section:"large" ~trace:tr (List.rev !stats_docs)
 
