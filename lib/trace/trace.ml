@@ -145,13 +145,6 @@ let counter t name v =
   if t.on then
     emit t { name; kind = Counter v; ts = now t; lane = t.lane; args = [] }
 
-let gc_counters t prefix (d : Metrics.Gcstat.delta) =
-  if t.on && Obs.gc_counters_live () then begin
-    counter t (prefix ^ ".gc.minor_words") (float_of_int d.minor_words);
-    counter t (prefix ^ ".gc.major_words") (float_of_int d.major_words);
-    counter t (prefix ^ ".gc.top_heap_words") (float_of_int d.top_heap_words)
-  end
-
 let complete t ?(args = []) ~ts name =
   if t.on then
     let dur = now t -. ts in

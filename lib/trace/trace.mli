@@ -33,6 +33,16 @@
     hook as {!Obs}) the exported trace is byte-stable for a fixed
     seed and [jobs].
 
+    Two kinds of value are measurements, not content: timestamps and
+    span durations, and the values of [*.gc.*] counter events (the
+    headline GC deltas that {!Obs.gc_phase}'s [emit] hook streams,
+    e.g. [preprocess.gc.major_words]).  A GC delta depends on when the
+    runtime collects, which other domains' allocation moves, so it may
+    differ between [jobs] values and between runs.  The contract fixes
+    such an event's presence, name and position in the stream, never
+    its value; under [NETREL_FAKE_CLOCK] GC counters are not emitted
+    at all.
+
     Lane assignment is by task index, not by executing domain: under
     work stealing a task may run on a different domain than its lane
     names.  The trade is deliberate — recording [Domain.self] would
@@ -125,13 +135,6 @@ val instant : t -> ?args:(string * arg) list -> string -> unit
 val counter : t -> string -> float -> unit
 (** One sample of a named counter-over-time (Chrome ["C"] events — the
     per-layer frontier width, for instance, plots directly). *)
-
-val gc_counters : t -> string -> Metrics.Gcstat.delta -> unit
-(** [gc_counters t prefix d] records one Chrome counter sample per
-    headline GC metric ([prefix ^ ".gc.minor_words"], [".gc.major_words"]
-    and [".gc.top_heap_words"]) from a phase delta. Suppressed entirely
-    under [NETREL_FAKE_CLOCK] (see {!Obs.gc_counters_live}) so pinned
-    trace outputs stay byte-stable. *)
 
 val complete : t -> ?args:(string * arg) list -> ts:float -> string -> unit
 (** [complete t ~ts name] records a span that began at [ts] (a value of
