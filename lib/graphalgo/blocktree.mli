@@ -6,15 +6,22 @@
     the network reliability. *)
 
 type t = {
-  comp_of_vertex : int array;  (** 2ECC id of every original vertex *)
+  comp_of_vertex : int array;
+      (** 2ECC id of every original vertex, numbered in increasing order
+          of smallest member vertex (as {!Bridges.two_edge_components}) *)
   n_comps : int;
-  adj : (int * int) list array;
-      (** per supernode: [(other_supernode, bridge_eid)] tree edges *)
+  is_bridge : bool array;  (** per edge id: the bridges of the input *)
+  tree_off : int array;
+      (** CSR offsets, length [n_comps + 1]: supernode [c]'s tree edges
+          are the slots [tree_off.(c) .. tree_off.(c+1) - 1] *)
+  tree_nbr : int array;  (** per slot: the supernode at the other end *)
+  tree_eid : int array;  (** per slot: the bridge's edge id *)
   terminal_count : int array;  (** per supernode, set by {!build} *)
 }
 
 val build : Ugraph.t -> terminals:int list -> t
-(** Contract 2ECCs and record which supernodes host terminals. *)
+(** Contract 2ECCs and record which supernodes host terminals: one
+    Tarjan pass over the graph, then flat arrays only. *)
 
 val steiner_keep : t -> bool array
 (** [steiner_keep bt] marks the supernodes of the minimal subtree

@@ -6,7 +6,9 @@ type result = {
 (* Iterative Tarjan low-link DFS. The explicit stack stores, per frame:
    the vertex, the edge id used to enter it (-1 at a root), and a cursor
    into its incidence list. Low-link propagation to the parent happens at
-   frame pop. *)
+   frame pop. The incidence is read through the allocation-free CSR
+   accessors and the stack cursors are local refs, so a whole pass
+   allocates only its result and stack arrays. *)
 let run g =
   let n = Ugraph.n_vertices g and m = Ugraph.n_edges g in
   let disc = Array.make n (-1) in
@@ -21,28 +23,31 @@ let run g =
   for root = 0 to n - 1 do
     if disc.(root) < 0 then begin
       let root_children = ref 0 in
-      let sp = ref 0 in
-      let push v eid =
-        st_v.(!sp) <- v;
-        st_eid.(!sp) <- eid;
-        st_idx.(!sp) <- 0;
-        incr sp;
-        disc.(v) <- !time;
-        low.(v) <- !time;
-        incr time
-      in
-      push root (-1);
+      disc.(root) <- !time;
+      low.(root) <- !time;
+      incr time;
+      st_v.(0) <- root;
+      st_eid.(0) <- -1;
+      st_idx.(0) <- 0;
+      let sp = ref 1 in
       while !sp > 0 do
         let fr = !sp - 1 in
         let v = st_v.(fr) in
-        if st_idx.(fr) < Ugraph.degree g v then begin
-          let i = st_idx.(fr) in
+        let i = st_idx.(fr) in
+        if i < Ugraph.degree g v then begin
           st_idx.(fr) <- i + 1;
-          let eid, w = Ugraph.incident_get g v i in
+          let eid = Ugraph.incident_eid g v i in
+          let w = Ugraph.incident_other g v i in
           if eid <> st_eid.(fr) && w <> v then begin
             if disc.(w) < 0 then begin
               if v = root then incr root_children;
-              push w eid
+              disc.(w) <- !time;
+              low.(w) <- !time;
+              incr time;
+              st_v.(!sp) <- w;
+              st_eid.(!sp) <- eid;
+              st_idx.(!sp) <- 0;
+              incr sp
             end
             else if disc.(w) < low.(v) then low.(v) <- disc.(w)
           end
@@ -74,13 +79,15 @@ let bridge_eids g =
   done;
   !acc
 
-let two_edge_components g =
-  let b = bridges g in
+let components g ~is_bridge =
   let n = Ugraph.n_vertices g in
   let dsu = Dsu.create n in
-  Ugraph.iter_edges
-    (fun eid (e : Ugraph.edge) -> if not b.(eid) then ignore (Dsu.union dsu e.u e.v))
-    g;
+  for eid = 0 to Ugraph.n_edges g - 1 do
+    if not is_bridge.(eid) then begin
+      let e = Ugraph.edge g eid in
+      ignore (Dsu.union dsu e.Ugraph.u e.Ugraph.v)
+    end
+  done;
   let comp = Array.make n (-1) in
   let count = ref 0 in
   for v = 0 to n - 1 do
@@ -92,6 +99,8 @@ let two_edge_components g =
     comp.(v) <- comp.(r)
   done;
   (comp, !count)
+
+let two_edge_components g = components g ~is_bridge:(bridges g)
 
 let naive_bridges g =
   let m = Ugraph.n_edges g in

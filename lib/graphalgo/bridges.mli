@@ -30,6 +30,10 @@ val two_edge_components : Ugraph.t -> int array * int
     are assigned in increasing order of smallest member vertex. An
     isolated vertex forms its own component. *)
 
+val components : Ugraph.t -> is_bridge:bool array -> int array * int
+(** {!two_edge_components} from an already computed bridge mask
+    ([is_bridge] as {!bridges} returns it), without another DFS. *)
+
 val naive_bridges : Ugraph.t -> bool array
 (** O(|E| * (|V| + |E|)) reference implementation (delete each edge and
     test whether its endpoints disconnect): used to cross-check {!run}

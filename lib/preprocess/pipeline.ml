@@ -29,61 +29,124 @@ let reduction_ratio st =
   if st.original_edges = 0 then 0.
   else float_of_int st.max_subproblem_edges /. float_of_int st.original_edges
 
-(* Decompose a pruned graph at its bridges. Bridge endpoints become
-   mandatory terminals of their side (Lemma 5.1). Returns the bridge
-   probability product and one subproblem per bridge-free component
-   that retains at least two terminals. *)
-let decompose pruned terminals =
-  let is_bridge = Graphalgo.Bridges.bridges pruned in
-  let n = Ugraph.n_vertices pruned in
-  let pb = ref Xprob.one in
-  let n_bridges = ref 0 in
+(* A subproblem before its transform: [n] vertices and the edges
+   [(eu.(i), ev.(i), ep.(i))] in input edge order. *)
+type raw = {
+  n : int;
+  eu : int array;
+  ev : int array;
+  ep : float array;
+  raw_terminals : int list;
+}
+
+type decomposition = {
+  pb : Xprob.t;
+  n_bridges : int;
+  pruned_vertices : int;
+  pruned_edges : int;
+  raws : raw list;
+}
+
+(* Decompose the Steiner-pruned graph at its bridges without building
+   it. The prune keeps whole 2-edge-connected components (supernodes
+   [keep]), so the pruned graph's bridges are the input's bridges
+   between kept supernodes and its bridge-free components are the kept
+   supernodes themselves. Bridge endpoints become mandatory terminals
+   of their side (Lemma 5.1); [pb] folds the kept bridges in edge-id
+   order. One subproblem per kept supernode holding at least two
+   mandatory terminals, in ascending order of its smallest vertex (the
+   order supernodes are numbered in); its vertices are numbered by rank
+   and its edges taken in input edge order, all through counting-sorted
+   int arrays. *)
+let decompose g (bt : BT.t) keep terminals =
+  let n = Ugraph.n_vertices g and m = Ugraph.n_edges g in
+  let comp = bt.BT.comp_of_vertex and nc = bt.BT.n_comps in
   let must_connect = Array.make n false in
   List.iter (fun t -> must_connect.(t) <- true) terminals;
-  Ugraph.iter_edges
-    (fun eid (e : Ugraph.edge) ->
-      if is_bridge.(eid) then begin
+  (* Bucket sizes per kept supernode (shifted by one for the prefix
+     sums), the kept bridges on the way. *)
+  let vstart = Array.make (nc + 1) 0 and estart = Array.make (nc + 1) 0 in
+  let pb = ref Xprob.one and n_bridges = ref 0 in
+  for eid = 0 to m - 1 do
+    let e = Ugraph.edge g eid in
+    let c = comp.(e.Ugraph.u) in
+    if keep.(c) then
+      if not bt.BT.is_bridge.(eid) then estart.(c + 1) <- estart.(c + 1) + 1
+      else if keep.(comp.(e.Ugraph.v)) then begin
         incr n_bridges;
-        pb := Xprob.mul !pb (Xprob.of_float e.p);
-        must_connect.(e.u) <- true;
-        must_connect.(e.v) <- true
-      end)
-    pruned;
-  (* Components of the bridge-free remainder. *)
-  let dsu = Dsu.create n in
-  Ugraph.iter_edges
-    (fun eid (e : Ugraph.edge) ->
-      if not is_bridge.(eid) then ignore (Dsu.union dsu e.u e.v))
-    pruned;
-  let members = Hashtbl.create 16 in
-  for v = n - 1 downto 0 do
-    let r = Dsu.find dsu v in
-    Hashtbl.replace members r (v :: (Option.value ~default:[] (Hashtbl.find_opt members r)))
+        pb := Xprob.mul !pb (Xprob.of_float e.Ugraph.p);
+        must_connect.(e.Ugraph.u) <- true;
+        must_connect.(e.Ugraph.v) <- true
+      end
   done;
-  (* Emit subproblems in canonical order (ascending min vertex id of the
-     component) rather than [Hashtbl.fold] bucket order: Prng stream
-     assignment, stats and trace output are then stable by construction,
-     and cached pipeline outcomes are reproducible. Each member list was
-     built by consing from [n-1] down, so its head is the component
-     minimum. *)
-  let comps =
-    Hashtbl.fold (fun _root vs acc -> vs :: acc) members []
-    |> List.sort (fun a b -> compare (List.hd a) (List.hd b))
-  in
-  let subs =
-    List.filter_map
-      (fun vs ->
-        let ts = List.filter (fun v -> must_connect.(v)) vs in
-        if List.length ts < 2 then None
-        else begin
-          let vs_arr = Array.of_list vs in
-          let sub, old_of_new = Ugraph.induced pruned vs_arr in
-          let ts = Ugraph.relabel_terminals ~old_of_new ts in
-          Some { graph = sub; terminals = ts }
-        end)
-      comps
-  in
-  (!pb, !n_bridges, subs)
+  for v = 0 to n - 1 do
+    let c = comp.(v) in
+    if keep.(c) then vstart.(c + 1) <- vstart.(c + 1) + 1
+  done;
+  for c = 1 to nc do
+    vstart.(c) <- vstart.(c) + vstart.(c - 1);
+    estart.(c) <- estart.(c) + estart.(c - 1)
+  done;
+  (* Members in increasing id, each vertex's rank within its supernode,
+     and the supernodes' edges in increasing id. *)
+  let members = Array.make vstart.(nc) 0 and rank = Array.make n 0 in
+  let cursor = Array.sub vstart 0 nc in
+  for v = 0 to n - 1 do
+    let c = comp.(v) in
+    if keep.(c) then begin
+      members.(cursor.(c)) <- v;
+      rank.(v) <- cursor.(c) - vstart.(c);
+      cursor.(c) <- cursor.(c) + 1
+    end
+  done;
+  let edges = Array.make estart.(nc) 0 in
+  Array.blit estart 0 cursor 0 nc;
+  for eid = 0 to m - 1 do
+    let c = comp.((Ugraph.edge g eid).Ugraph.u) in
+    if keep.(c) && not bt.BT.is_bridge.(eid) then begin
+      edges.(cursor.(c)) <- eid;
+      cursor.(c) <- cursor.(c) + 1
+    end
+  done;
+  let raws = ref [] in
+  for c = nc - 1 downto 0 do
+    if keep.(c) then begin
+      let ts = ref [] in
+      for j = vstart.(c + 1) - 1 downto vstart.(c) do
+        if must_connect.(members.(j)) then ts := (j - vstart.(c)) :: !ts
+      done;
+      match !ts with
+      | _ :: _ :: _ ->
+        let first = estart.(c) in
+        let mc = estart.(c + 1) - first in
+        let edge j = Ugraph.edge g edges.(first + j) in
+        raws :=
+          {
+            n = vstart.(c + 1) - vstart.(c);
+            eu = Array.init mc (fun j -> rank.((edge j).Ugraph.u));
+            ev = Array.init mc (fun j -> rank.((edge j).Ugraph.v));
+            ep = Array.init mc (fun j -> (edge j).Ugraph.p);
+            raw_terminals = !ts;
+          }
+          :: !raws
+      | _ -> ()
+    end
+  done;
+  {
+    pb = !pb;
+    n_bridges = !n_bridges;
+    pruned_vertices = vstart.(nc);
+    pruned_edges = estart.(nc) + !n_bridges;
+    raws = !raws;
+  }
+
+(* Whether the terminals of a transformed subproblem are topologically
+   connected. With at least two distinct terminals this also rules out
+   an isolated terminal. *)
+let terminals_connected sp =
+  let dsu = Dsu.create (Ugraph.n_vertices sp.graph) in
+  Ugraph.iter_edges (fun _ (e : Ugraph.edge) -> ignore (Dsu.union dsu e.u e.v)) sp.graph;
+  Dsu.all_connected dsu sp.terminals
 
 (* Record the per-phase reduction account under "preprocess.". *)
 let observe_stats o st =
@@ -130,27 +193,15 @@ let run ?(obs = Obs.disabled) ?(trace = Trace.disabled) g ~terminals =
       Trace.span trace "prune" @@ fun () ->
       Obs.time o "prune" @@ fun () ->
       let bt = BT.build g ~terminals in
-      if BT.terminals_separated bt then None
-      else begin
-        let keep_comps = BT.steiner_keep bt in
-        let keep_vertex = BT.kept_vertices bt keep_comps in
-        let kept =
-          Array.of_list
-            (List.filter (fun v -> keep_vertex.(v))
-               (List.init (Ugraph.n_vertices g) Fun.id))
-        in
-        let pruned, old_of_new = Ugraph.induced g kept in
-        let terminals' = Ugraph.relabel_terminals ~old_of_new terminals in
-        Some (pruned, terminals')
-      end
+      if BT.terminals_separated bt then None else Some (bt, BT.steiner_keep bt)
     in
     match pruned_opt with
     | None -> trivial "trivial_zero" Xprob.zero
-    | Some (pruned, terminals') ->
+    | Some (bt, keep) ->
       (* Decompose at the surviving bridges. *)
-      let pb, n_bridges, raw_subs =
+      let d =
         Trace.span trace "decompose" @@ fun () ->
-        Obs.time o "decompose" @@ fun () -> decompose pruned terminals'
+        Obs.time o "decompose" @@ fun () -> decompose g bt keep terminals
       in
       (* Transform each subproblem. *)
       let rounds = ref 0 in
@@ -158,28 +209,21 @@ let run ?(obs = Obs.disabled) ?(trace = Trace.disabled) g ~terminals =
         Trace.span trace "transform" @@ fun () ->
         Obs.time o "transform" @@ fun () ->
         List.filter_map
-          (fun sp ->
-            let tr = Transform.run sp.graph ~terminals:sp.terminals in
+          (fun r ->
+            let tr =
+              Transform.run_arrays ~n:r.n ~eu:r.eu ~ev:r.ev ~ep:r.ep
+                ~terminals:r.raw_terminals
+            in
             rounds := !rounds + tr.Transform.rounds;
             if List.length tr.Transform.terminals < 2 then None
             else
               Some { graph = tr.Transform.graph; terminals = tr.Transform.terminals })
-          raw_subs
+          d.raws
       in
-      (* A transform can only isolate a terminal if it was never
-         connectable; the Steiner prune precludes that, but check. *)
-      let zero =
-        List.exists
-          (fun sp ->
-            List.exists (fun t -> Ugraph.degree sp.graph t = 0) sp.terminals
-            ||
-            let present = Array.make (Ugraph.n_edges sp.graph) true in
-            not
-              (Graphalgo.Connectivity.terminals_connected sp.graph ~present
-                 sp.terminals))
-          subproblems
-      in
-      if zero then trivial "trivial_zero" Xprob.zero
+      (* A transform can only disconnect the terminals if they never
+         were connected; the Steiner prune precludes that, but check. *)
+      if not (List.for_all terminals_connected subproblems) then
+        trivial "trivial_zero" Xprob.zero
       else begin
         let final_edges =
           List.fold_left (fun acc sp -> acc + Ugraph.n_edges sp.graph) 0 subproblems
@@ -191,9 +235,9 @@ let run ?(obs = Obs.disabled) ?(trace = Trace.disabled) g ~terminals =
           {
             original_vertices = Ugraph.n_vertices g;
             original_edges = Ugraph.n_edges g;
-            pruned_vertices = Ugraph.n_vertices pruned;
-            pruned_edges = Ugraph.n_edges pruned;
-            n_bridges;
+            pruned_vertices = d.pruned_vertices;
+            pruned_edges = d.pruned_edges;
+            n_bridges = d.n_bridges;
             n_subproblems = List.length subproblems;
             final_edges;
             max_subproblem_edges = max_sub;
@@ -208,6 +252,6 @@ let run ?(obs = Obs.disabled) ?(trace = Trace.disabled) g ~terminals =
             ("bridges", Trace.Int stats.n_bridges);
             ("final_edges", Trace.Int stats.final_edges);
           ];
-        Reduced { pb; subproblems; stats }
+        Reduced { pb = d.pb; subproblems; stats }
       end
   end

@@ -25,4 +25,26 @@ type result = {
 val run : Ugraph.t -> terminals:int list -> result
 (** Apply all rewrites until none fires. Terminal vertices are always
     retained, even if the rewrites isolate them (which signals overall
-    reliability zero to the caller). *)
+    reliability zero to the caller).
+
+    The result is part of the determinism contract, bit for bit: each
+    round consumes the edges in a fixed sequence (initially reverse
+    edge-id order), the parallel merge emits [(min, max)] pairs in
+    first-occurrence order with [p = 1 - prod (1 - p_i)] folded left to
+    right — so even an unmerged edge's [p] becomes [1 - (1 - p)] every
+    round — chain contraction emits the new edges in reverse discovery
+    order before the survivors, with the chain product taken left to
+    right from each walk's start, and the final sequence is emitted
+    reversed. *)
+
+val run_arrays :
+  n:int ->
+  eu:int array ->
+  ev:int array ->
+  ep:float array ->
+  terminals:int list ->
+  result
+(** {!run} on the graph with [n] vertices whose edge [i] is
+    [(eu.(i), ev.(i), ep.(i))], without building it first. The inputs
+    are trusted: endpoints in range, probabilities in [[0, 1]],
+    terminals distinct and in range. The arrays are not modified. *)

@@ -74,6 +74,9 @@ let incident_get g v i =
   let j = g.offsets.(v) + i in
   (g.eid.(j), g.nbr.(j))
 
+let incident_eid g v i = g.eid.(g.offsets.(v) + i)
+let incident_other g v i = g.nbr.(g.offsets.(v) + i)
+
 let neighbours g v = Array.sub g.nbr g.offsets.(v) (degree g v)
 
 let other_endpoint e v =

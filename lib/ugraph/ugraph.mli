@@ -55,6 +55,11 @@ val incident_get : t -> int -> int -> int * int
     beyond the result pair; intended for iterative DFS/BFS that cannot
     use {!iter_incident}. *)
 
+val incident_eid : t -> int -> int -> int
+val incident_other : t -> int -> int -> int
+(** The two halves of {!incident_get}, allocating nothing: for
+    traversals that step through every incidence of a large graph. *)
+
 val neighbours : t -> int -> int array
 (** Endpoint vertices adjacent to a vertex, one entry per incident edge
     (so duplicated under parallel edges). *)

@@ -90,6 +90,24 @@ let t_per_call_rounds () =
          ignore (K.world_prob sc c ~lane:!lane);
          lane := (!lane + 1) mod Prng.Bitbatch.lanes))
 
+(* The extension technique works over flat arrays sized by the graph,
+   which the runtime places in the major heap, so its minor-heap words
+   per input edge stay a small constant: the Xprob bridge fold, the
+   subproblem and result records, the final graphs' edge records. The
+   list-based pipeline it replaced spent ~200 words per edge here on
+   boxed edge lists, adjacency lists, Hashtbl buckets and two induced
+   subgraphs. Measured on the seeded NYC road grid (~10^4 edges), ten
+   random terminals. *)
+let t_pipeline_words_per_edge () =
+  let g = (Workload.Datasets.nyc ()).Workload.Datasets.graph in
+  let ts = Workload.Generators.random_terminals ~seed:1 g ~k:10 in
+  let per_edge =
+    words_per_call ~reps:3 (fun () ->
+        ignore (Preprocess.Pipeline.run g ~terminals:ts))
+    /. float_of_int (Ugraph.n_edges g)
+  in
+  check_below "Pipeline.run minor words per input edge" ~limit:40. per_edge
+
 let suite =
   ( "alloc",
     [
@@ -98,4 +116,6 @@ let suite =
         t_per_edge_draws;
       Alcotest.test_case "connectivity and world_prob: O(1) per call"
         `Quick t_per_call_rounds;
+      Alcotest.test_case "Pipeline.run: < 40 minor words per edge" `Quick
+        t_pipeline_words_per_edge;
     ] )

@@ -311,6 +311,176 @@ let prop_pipeline_shrinks =
         && stats.P.pruned_edges <= stats.P.original_edges
         && stats.P.final_edges <= stats.P.pruned_edges)
 
+(* ---- bit identity against the list-based reference ---- *)
+
+(* Everything a result is made of, floats as their bit patterns. *)
+let graph_bits g =
+  ( Ugraph.n_vertices g,
+    List.init (Ugraph.n_edges g) (fun i ->
+        let e = Ugraph.edge g i in
+        (e.Ugraph.u, e.Ugraph.v, Int64.bits_of_float e.Ugraph.p)) )
+
+let xprob_bits x =
+  let mantissa, exponent = Xprob.mantissa_exponent x in
+  (Int64.bits_of_float mantissa, exponent)
+
+let same_transform (a : T.result) (b : T.result) =
+  graph_bits a.T.graph = graph_bits b.T.graph
+  && a.T.terminals = b.T.terminals
+  && a.T.old_of_new = b.T.old_of_new
+  && a.T.rounds = b.T.rounds
+
+let same_outcome a b =
+  match (a, b) with
+  | P.Trivial x, P.Trivial y -> xprob_bits x = xprob_bits y
+  | P.Reduced a, P.Reduced b ->
+    xprob_bits a.pb = xprob_bits b.pb
+    && a.stats = b.stats
+    && List.length a.subproblems = List.length b.subproblems
+    && List.for_all2
+         (fun (x : P.subproblem) (y : P.subproblem) ->
+           graph_bits x.P.graph = graph_bits y.P.graph
+           && x.P.terminals = y.P.terminals)
+         a.subproblems b.subproblems
+  | _ -> false
+
+let matches_reference (n, es, ts) =
+  let g = graph ~n es in
+  same_transform (T.run g ~terminals:ts) (Preprocess_ref.transform g ~terminals:ts)
+  && same_outcome (P.run g ~terminals:ts) (Preprocess_ref.run g ~terminals:ts)
+
+(* Sparse graphs with up to ~200 vertices, shaped to exercise every
+   stage at once: a random tree (bridges, hence several subproblems),
+   extra edges closing short cycles up the tree (small 2-edge-connected
+   blocks with degree-2 chains) plus one long-range edge, pendant paths
+   (pruned or dangling), parallel pairs and self-loops. Orientation and
+   edge order are shuffled, and the probabilities mix both degenerate
+   ends with arbitrary floats. *)
+let sparse_case seed =
+  let r = Prng.create seed in
+  let base = 20 + Prng.int r 150 in
+  let prob () =
+    match Prng.int r 10 with
+    | 0 -> 0.
+    | 1 -> 1.
+    | 2 -> float_of_int (Prng.int r 11) /. 10.
+    | _ -> Prng.float r
+  in
+  let es = ref [] in
+  let add u v = es := (u, v, prob ()) :: !es in
+  let parent = Array.make base 0 in
+  for v = 1 to base - 1 do
+    (* Mostly recent parents, so the tree has long paths. *)
+    parent.(v) <- max 0 (v - 1 - Prng.int r 4);
+    add parent.(v) v
+  done;
+  for _ = 1 to 2 + Prng.int r (base / 5) do
+    let v = Prng.int r base in
+    let a = ref v in
+    for _ = 1 to 2 + Prng.int r 3 do
+      a := parent.(!a)
+    done;
+    if !a <> v then add v !a
+  done;
+  add (Prng.int r base) (Prng.int r base);
+  let n = ref base in
+  for _ = 0 to Prng.int r 5 do
+    let prev = ref (Prng.int r base) in
+    for _ = 1 to 1 + Prng.int r 5 do
+      add !prev !n;
+      prev := !n;
+      incr n
+    done
+  done;
+  let arr = Array.of_list !es in
+  for _ = 0 to Prng.int r 4 do
+    let u, v, _ = arr.(Prng.int r (Array.length arr)) in
+    add v u
+  done;
+  for _ = 0 to Prng.int r 3 do
+    let v = Prng.int r !n in
+    add v v
+  done;
+  let arr = Array.of_list !es in
+  Prng.shuffle r arr;
+  let es =
+    Array.to_list
+      (Array.map (fun (u, v, p) -> if Prng.bool r then (v, u, p) else (u, v, p)) arr)
+  in
+  let perm = Array.init !n Fun.id in
+  Prng.shuffle r perm;
+  (!n, es, Array.to_list (Array.sub perm 0 (2 + Prng.int r 5)))
+
+let arb_sparse =
+  QCheck.make
+    ~print:(fun (n, es, ts) ->
+      Printf.sprintf "n=%d ts=[%s] es=[%s]" n
+        (String.concat ";" (List.map string_of_int ts))
+        (String.concat " "
+           (List.map (fun (u, v, p) -> Printf.sprintf "(%d,%d,%h)" u v p) es)))
+    QCheck.Gen.(map sparse_case int)
+
+let prop_matches_reference_random =
+  QCheck.Test.make ~name:"transform and pipeline = list reference (random)"
+    ~count:500 (arb ~max_n:12 ~max_m:30 ~max_k:5) matches_reference
+
+let prop_matches_reference_gadgets =
+  QCheck.Test.make ~name:"transform and pipeline = list reference (gadgets)"
+    ~count:500 arb_with_gadget matches_reference
+
+let prop_matches_reference_sparse =
+  QCheck.Test.make ~name:"transform and pipeline = list reference (sparse)"
+    ~count:300 arb_sparse matches_reference
+
+(* The sparse generator must actually reach the multi-subproblem,
+   multi-round regime it exists for. *)
+let t_sparse_generator_shape () =
+  let cases = List.init 200 (fun i -> sparse_case (7919 * i)) in
+  let outcomes =
+    List.map (fun (n, es, ts) -> P.run (graph ~n es) ~terminals:ts) cases
+  in
+  let count f = List.length (List.filter f outcomes) in
+  let several =
+    count (function P.Reduced r -> r.stats.P.n_subproblems >= 2 | _ -> false)
+  in
+  let multi_round =
+    count (function
+      | P.Reduced r -> r.stats.P.transform_rounds > r.stats.P.n_subproblems
+      | _ -> false)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d/200 cases with >= 2 subproblems" several)
+    true (several >= 100);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d/200 cases with more rounds than subproblems" multi_round)
+    true (multi_round >= 100)
+
+(* Seeded larger cases: the NYC road grid and a 10^4-edge
+   preferential-attachment graph, three terminal sets each. *)
+let t_matches_reference_datasets () =
+  let pa =
+    Workload.Probability.uniform ~seed:3
+      (Workload.Generators.preferential_attachment_large ~seed:2 ~n:3_400
+         ~edges_per_vertex:3)
+  in
+  List.iter
+    (fun (name, g) ->
+      List.iter
+        (fun (seed, k) ->
+          let ts = Workload.Generators.random_terminals ~seed g ~k in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s k=%d seed %d: transform" name k seed)
+            true
+            (same_transform (T.run g ~terminals:ts)
+               (Preprocess_ref.transform g ~terminals:ts));
+          Alcotest.(check bool)
+            (Printf.sprintf "%s k=%d seed %d: pipeline" name k seed)
+            true
+            (same_outcome (P.run g ~terminals:ts)
+               (Preprocess_ref.run g ~terminals:ts)))
+        [ (1, 2); (2, 5); (3, 10) ])
+    [ ("nyc", (Workload.Datasets.nyc ()).Workload.Datasets.graph); ("pa", pa) ]
+
 let suite =
   ( "preprocess",
     [
@@ -330,6 +500,10 @@ let suite =
       Alcotest.test_case "pipeline: subproblem order" `Quick t_pipeline_subproblem_order;
       Alcotest.test_case "pipeline: path decomposes fully" `Quick t_pipeline_path_fully_decomposes;
       Alcotest.test_case "pipeline preserves R (known)" `Quick t_pipeline_preserves_reliability_known;
+      Alcotest.test_case "sparse generator reaches several subproblems" `Quick
+        t_sparse_generator_shape;
+      Alcotest.test_case "list reference: nyc and pa datasets" `Quick
+        t_matches_reference_datasets;
     ]
     @ qtests
         [
@@ -338,4 +512,7 @@ let suite =
           prop_reliability_exact_extension_differential;
           prop_pipeline_preserves_reliability;
           prop_pipeline_shrinks;
+          prop_matches_reference_random;
+          prop_matches_reference_gadgets;
+          prop_matches_reference_sparse;
         ] )
