@@ -63,8 +63,14 @@ let merge_parallels st =
   let n = st.n and m = st.m in
   let start = st.start in
   Array.fill start 0 (n + 1) 0;
+  (* Orient every edge (min, max) first: the output is oriented so. *)
   for i = 0 to m - 1 do
-    let a = min st.eu.(i) st.ev.(i) + 1 in
+    let u = st.eu.(i) and v = st.ev.(i) in
+    if u > v then begin
+      st.eu.(i) <- v;
+      st.ev.(i) <- u
+    end;
+    let a = st.eu.(i) + 1 in
     start.(a) <- start.(a) + 1
   done;
   for a = 1 to n do
@@ -73,7 +79,7 @@ let merge_parallels st =
   (* [first] doubles as the placement cursor before the stamping pass. *)
   Array.blit start 0 st.first 0 n;
   for i = 0 to m - 1 do
-    let a = min st.eu.(i) st.ev.(i) in
+    let a = st.eu.(i) in
     st.bucket.(st.first.(a)) <- i;
     st.first.(a) <- st.first.(a) + 1
   done;
@@ -81,7 +87,7 @@ let merge_parallels st =
   for a = 0 to n - 1 do
     for j = start.(a) to start.(a + 1) - 1 do
       let i = st.bucket.(j) in
-      let b = max st.eu.(i) st.ev.(i) in
+      let b = st.ev.(i) in
       if st.owner.(b) = a then st.rep.(i) <- st.first.(b)
       else begin
         st.owner.(b) <- a;
@@ -102,9 +108,8 @@ let merge_parallels st =
   let k = ref 0 in
   for i = 0 to m - 1 do
     if st.rep.(i) = i then begin
-      let u = st.eu.(i) and v = st.ev.(i) in
-      st.eu.(!k) <- min u v;
-      st.ev.(!k) <- max u v;
+      st.eu.(!k) <- st.eu.(i);
+      st.ev.(!k) <- st.ev.(i);
       st.ep.(!k) <- 1. -. st.fail.(i);
       incr k
     end

@@ -34,15 +34,15 @@ let build n edge_arr =
   let m2 = offsets.(n) in
   let nbr = Array.make m2 0 and eid = Array.make m2 0 in
   let cursor = Array.copy offsets in
+  let put v other i =
+    nbr.(cursor.(v)) <- other;
+    eid.(cursor.(v)) <- i;
+    cursor.(v) <- cursor.(v) + 1
+  in
   Array.iteri
     (fun i e ->
-      let put v other =
-        nbr.(cursor.(v)) <- other;
-        eid.(cursor.(v)) <- i;
-        cursor.(v) <- cursor.(v) + 1
-      in
-      put e.u e.v;
-      if e.v <> e.u then put e.v e.u)
+      put e.u e.v i;
+      if e.v <> e.u then put e.v e.u i)
     edge_arr;
   { n; edge_arr; offsets; nbr; eid }
 
