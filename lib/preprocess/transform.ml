@@ -117,6 +117,19 @@ let merge_parallels st =
   st.m <- !k;
   !changed
 
+(* Reverses the first [len] edges of three parallel arrays in place. *)
+let reverse (eu : int array) (ev : int array) (ep : float array) len =
+  for i = 0 to (len / 2) - 1 do
+    let j = len - 1 - i in
+    let u = eu.(i) and v = ev.(i) and p = ep.(i) in
+    eu.(i) <- eu.(j);
+    ev.(i) <- ev.(j);
+    ep.(i) <- ep.(j);
+    eu.(j) <- u;
+    ev.(j) <- v;
+    ep.(j) <- p
+  done
+
 let other st e x = if st.eu.(e) = x then st.ev.(e) else st.eu.(e)
 let eligible st v = st.deg.(v) = 2 && not st.is_terminal.(v)
 
@@ -193,18 +206,8 @@ let contract_chains st =
       end
     end
   done;
-  let x = !x in
-  for j = 0 to (x / 2) - 1 do
-    let k = x - 1 - j in
-    let u = st.eu2.(j) and v = st.ev2.(j) and p = st.ep2.(j) in
-    st.eu2.(j) <- st.eu2.(k);
-    st.ev2.(j) <- st.ev2.(k);
-    st.ep2.(j) <- st.ep2.(k);
-    st.eu2.(k) <- u;
-    st.ev2.(k) <- v;
-    st.ep2.(k) <- p
-  done;
-  let k = ref x in
+  reverse st.eu2 st.ev2 st.ep2 !x;
+  let k = ref !x in
   for i = 0 to m - 1 do
     if not st.dead.(i) then begin
       st.eu2.(!k) <- st.eu.(i);
@@ -264,12 +267,10 @@ let run_arrays ~n ~eu ~ev ~ep ~terminals =
   let is_terminal = Array.make n false in
   List.iter (fun t -> is_terminal.(t) <- true) terminals;
   (* The rounds consume the edges in reverse id order. *)
-  let rev a = Array.init m (fun i -> a.(m - 1 - i)) in
+  reverse eu ev ep m;
   let st =
     {
-      n; is_terminal; m;
-      eu = rev eu; ev = rev ev;
-      ep = Array.init m (fun i -> ep.(m - 1 - i));
+      n; is_terminal; m; eu; ev; ep;
       eu2 = Array.make m 0; ev2 = Array.make m 0; ep2 = Array.make m 0.;
       bucket = Array.make m 0; rep = Array.make m 0;
       fail = Array.make m 0.; dead = Array.make m false;

@@ -47,4 +47,5 @@ val run_arrays :
 (** {!run} on the graph with [n] vertices whose edge [i] is
     [(eu.(i), ev.(i), ep.(i))], without building it first. The inputs
     are trusted: endpoints in range, probabilities in [[0, 1]],
-    terminals distinct and in range. The arrays are not modified. *)
+    terminals distinct and in range. The arrays become the rounds'
+    working buffers and are overwritten. *)

@@ -94,9 +94,9 @@ let t_per_call_rounds () =
    which the runtime places in the major heap, so its minor-heap words
    per input edge stay a small constant: the Xprob bridge fold, the
    subproblem and result records, the final graphs' edge records. The
-   list-based pipeline it replaced spent ~200 words per edge here on
-   boxed edge lists, adjacency lists, Hashtbl buckets and two induced
-   subgraphs. Measured on the seeded NYC road grid (~10^4 edges), ten
+   limit sits far below the ~200 words per edge that boxed edge lists,
+   adjacency lists, Hashtbl buckets and induced subgraphs cost on the
+   same input. Measured on the seeded NYC road grid (~10^4 edges), ten
    random terminals. *)
 let t_pipeline_words_per_edge () =
   let g = (Workload.Datasets.nyc ()).Workload.Datasets.graph in
