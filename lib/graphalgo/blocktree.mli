@@ -25,9 +25,11 @@ val build : Ugraph.t -> terminals:int list -> t
 
 val steiner_keep : t -> bool array
 (** [steiner_keep bt] marks the supernodes of the minimal subtree
-    spanning all terminal-bearing supernodes: iteratively strips
-    terminal-free leaves, then drops everything not in the terminal
-    component.
+    spanning all terminal-bearing supernodes: restricts to the tree of
+    the forest holding the terminals, then iteratively strips
+    terminal-free leaves. It keeps or drops whole supernodes, so the
+    kept subgraph's bridges are exactly the input's bridges between
+    kept supernodes.
 
     If the terminal supernodes lie in different trees of the forest, the
     terminals can never be connected; every supernode is then marked

@@ -38,12 +38,13 @@ type st = {
   acc : float array;    (* stage 3: the last walk's probability product *)
 }
 
-(* Stage 1: drop self-loops, keeping order. *)
-let drop_loops st =
+(* Keeps the edges [(u, v)] with [keep u v], in order; true if any
+   was dropped. *)
+let filter st keep =
   let k = ref 0 in
   for i = 0 to st.m - 1 do
     let u = st.eu.(i) and v = st.ev.(i) in
-    if u <> v then begin
+    if keep u v then begin
       st.eu.(!k) <- u;
       st.ev.(!k) <- v;
       st.ep.(!k) <- st.ep.(i);
@@ -53,6 +54,9 @@ let drop_loops st =
   let changed = !k < st.m in
   st.m <- !k;
   changed
+
+(* Stage 1: drop self-loops. *)
+let drop_loops st = filter st (fun u v -> u <> v)
 
 (* Stage 2: merge parallel edges. One edge survives per vertex pair, as
    [(min, max, 1 - prod (1 - p))] at the pair's first occurrence, with
@@ -227,29 +231,16 @@ let contract_chains st =
   !changed
 
 (* Stage 4: drop edges incident to dangling non-terminals (degree at
-   most one, a self-loop counting twice), keeping order. *)
+   most one, a self-loop counting twice). *)
 let drop_dangling st =
-  let m = st.m in
   Array.fill st.deg 0 st.n 0;
-  for i = 0 to m - 1 do
+  for i = 0 to st.m - 1 do
     let u = st.eu.(i) and v = st.ev.(i) in
     st.deg.(u) <- st.deg.(u) + 1;
     st.deg.(v) <- st.deg.(v) + 1
   done;
   let dangling v = (not st.is_terminal.(v)) && st.deg.(v) <= 1 in
-  let k = ref 0 in
-  for i = 0 to m - 1 do
-    let u = st.eu.(i) and v = st.ev.(i) in
-    if not (u <> v && (dangling u || dangling v)) then begin
-      st.eu.(!k) <- u;
-      st.ev.(!k) <- v;
-      st.ep.(!k) <- st.ep.(i);
-      incr k
-    end
-  done;
-  let changed = !k < m in
-  st.m <- !k;
-  changed
+  filter st (fun u v -> u = v || not (dangling u || dangling v))
 
 (* One fixpoint round. The stages are applied in order — loops,
    parallels, chains, dangling vertices — each to the previous stage's
