@@ -7,7 +7,7 @@ type result = {
    the vertex, the edge id used to enter it (-1 at a root), and a cursor
    into its incidence list. Low-link propagation to the parent happens at
    frame pop. The incidence is read through the allocation-free CSR
-   accessors and the stack cursors are local refs, so a whole pass
+   accessors and [push] is built once per pass, so a whole pass
    allocates only its result and stack arrays. *)
 let run g =
   let n = Ugraph.n_vertices g and m = Ugraph.n_edges g in
@@ -20,16 +20,20 @@ let run g =
   let st_v = Array.make (n + 1) 0 in
   let st_eid = Array.make (n + 1) (-1) in
   let st_idx = Array.make (n + 1) 0 in
+  let sp = ref 0 in
+  let push v eid =
+    st_v.(!sp) <- v;
+    st_eid.(!sp) <- eid;
+    st_idx.(!sp) <- 0;
+    incr sp;
+    disc.(v) <- !time;
+    low.(v) <- !time;
+    incr time
+  in
   for root = 0 to n - 1 do
     if disc.(root) < 0 then begin
       let root_children = ref 0 in
-      disc.(root) <- !time;
-      low.(root) <- !time;
-      incr time;
-      st_v.(0) <- root;
-      st_eid.(0) <- -1;
-      st_idx.(0) <- 0;
-      let sp = ref 1 in
+      push root (-1);
       while !sp > 0 do
         let fr = !sp - 1 in
         let v = st_v.(fr) in
@@ -41,13 +45,7 @@ let run g =
           if eid <> st_eid.(fr) && w <> v then begin
             if disc.(w) < 0 then begin
               if v = root then incr root_children;
-              disc.(w) <- !time;
-              low.(w) <- !time;
-              incr time;
-              st_v.(!sp) <- w;
-              st_eid.(!sp) <- eid;
-              st_idx.(!sp) <- 0;
-              incr sp
+              push w eid
             end
             else if disc.(w) < low.(v) then low.(v) <- disc.(w)
           end
