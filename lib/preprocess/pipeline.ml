@@ -144,9 +144,12 @@ let decompose g (bt : BT.t) keep terminals =
    connected. With at least two distinct terminals this also rules out
    an isolated terminal. *)
 let terminals_connected sp =
-  let dsu = Dsu.create (Ugraph.n_vertices sp.graph) in
-  Ugraph.iter_edges (fun _ (e : Ugraph.edge) -> ignore (Dsu.union dsu e.u e.v)) sp.graph;
-  Dsu.all_connected dsu sp.terminals
+  let g = sp.graph in
+  Graphalgo.Connectivity.terminals_connected_dsu
+    (Dsu.create (Ugraph.n_vertices g))
+    g
+    ~present:(Array.make (Ugraph.n_edges g) true)
+    sp.terminals
 
 (* Record the per-phase reduction account under "preprocess.". *)
 let observe_stats o st =
