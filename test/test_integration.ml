@@ -104,6 +104,25 @@ let t_bounds_api_on_dataset () =
   let b = B.compute ~width:300 g ~terminals:ts in
   Alcotest.(check bool) "interval sane" true (0. <= b.B.lower && b.B.lower <= b.B.upper && b.B.upper <= 1.)
 
+(* Regression: [Bounds.compute] used to run the construction with a
+   one-sample budget, which makes the Theorem-1 budget s' = 0 and stops
+   at the first saturated layer. On DBLP1 at w = 1,000 that proved only
+   R <= 0.3957597033, where the estimator's own construction at the
+   same width proves R <= 0.242405355. The two must be the same
+   construction, so the same bounds. *)
+let t_bounds_match_estimate_dblp1 () =
+  let g = (D.dblp1 ~seed:1 ()).D.graph in
+  let ts = [ 2358; 193; 2271; 2247; 133 ] in
+  let b = B.compute ~width:1000 g ~terminals:ts in
+  let rep =
+    R.estimate ~config:{ S.default_config with S.width = 1000 } g ~terminals:ts
+  in
+  let bits = Int64.bits_of_float in
+  Alcotest.(check int64) "lower" (bits rep.R.lower) (bits b.B.lower);
+  Alcotest.(check int64) "upper" (bits rep.R.upper) (bits b.B.upper);
+  Alcotest.(check string) "upper, printed" "0.242405355"
+    (Printf.sprintf "%.10g" b.B.upper)
+
 let t_pipeline_ht_statistical () =
   (* HT through the full pipeline (decomposition + S2BDD strata). *)
   let g = two_triangles 0.6 in
@@ -140,5 +159,7 @@ let suite =
       Alcotest.test_case "zero-probability bridge" `Quick t_zero_probability_bridge;
       Alcotest.test_case "certain bridge" `Quick t_certain_bridge;
       Alcotest.test_case "bounds API on dataset" `Quick t_bounds_api_on_dataset;
+      Alcotest.test_case "bounds = estimate's bounds on DBLP1 (regression)"
+        `Quick t_bounds_match_estimate_dblp1;
       Alcotest.test_case "pipeline HT unbiased" `Slow t_pipeline_ht_statistical;
     ] )
