@@ -290,6 +290,50 @@ let prop_bitsliced_jobs_identical =
              = mc_projection ht1)
         [ 2; 8 ])
 
+(* Known answers of seeded bit-sliced HT runs: value (as float bits),
+   hits and distinct for k = 2/5/20 random terminals (fig1: 2/3/5 fixed
+   ones). Karate and a
+   10^3-vertex preferential-attachment graph keep every drawn world
+   distinct; fig1's six edges make most draws duplicates, so there the
+   dedup path carries the answer. Every sample count leaves a ragged
+   last batch in some chunk. *)
+let t_ht_bitsliced_known_answers () =
+  let karate () = (Workload.Datasets.karate ~seed:1 ()).Workload.Datasets.graph in
+  let pa () =
+    Workload.Probability.uniform_range ~seed:3 ~lo:0.5 ~hi:0.95
+      (Workload.Generators.preferential_attachment_large ~seed:7 ~n:1000
+         ~edges_per_vertex:3)
+  in
+  let random k g = Workload.Generators.random_terminals ~seed:k g ~k in
+  let prefix k _ = List.filteri (fun i _ -> i < k) [ 0; 3; 4; 1; 2 ] in
+  List.iter
+    (fun (name, g, terminals, samples, cases) ->
+      let g = g () in
+      List.iter
+        (fun (k, want) ->
+          let e =
+            Mcsampling.horvitz_thompson ~seed:11 ~kernel:Mcsampling.Bitsliced g
+              ~terminals:(terminals k g) ~samples
+          in
+          Alcotest.(check (triple int64 int int))
+            (Printf.sprintf "%s, k = %d" name k)
+            want
+            (Int64.bits_of_float e.Mcsampling.value, e.Mcsampling.hits,
+             e.Mcsampling.distinct))
+        cases)
+    [ ("karate", karate, random, 3000,
+       [ (2, (4603111164736882790L, 1644, 3000));
+         (5, (4602870972756754346L, 1564, 3000));
+         (20, (4591798122472932758L, 297, 3000)) ]);
+      ("pa1000", pa, random, 1000,
+       [ (2, (4607146390002998451L, 996, 1000));
+         (5, (4606191626881995905L, 890, 1000));
+         (20, (4606272691675288574L, 899, 1000)) ]);
+      ("fig1", (fun () -> fig1 ()), prefix, 700,
+       [ (2, (4605318161365636891L, 31, 61));
+         (3, (4604629617484809907L, 23, 61));
+         (5, (4604100822236815471L, 18, 61)) ]) ]
+
 (* ---- edge cases ---- *)
 
 let t_zero_edge_graph () =
@@ -517,6 +561,8 @@ let suite =
         t_world_hash_needs_transpose;
       Alcotest.test_case "connected_lanes = per-lane full DSU, 10^3 vertices"
         `Quick t_lane_verdicts_large;
+      Alcotest.test_case "bitsliced HT known answers" `Quick
+        t_ht_bitsliced_known_answers;
     ]
     @ qtests
         [
