@@ -1,4 +1,4 @@
-module P = Preprocess.Pipeline
+module R = Netrel.Reliability
 module S2bdd = Netrel.S2bdd
 module MC = Mcsampling.Chunked
 
@@ -444,64 +444,36 @@ let reliability ?(obs = Obs.disabled) ?(trace = Trace.disabled)
   let ejobs = Par.effective_jobs jobs in
   let pool = if ejobs > 1 then Some (Par.Pool.shared ~jobs:ejobs) else None in
   let ao = Obs.sub obs "adaptive" in
-  let run_sub ~sub ~obs ~trace ~width ~cap cfg sg sterminals =
-    match S2bdd.prepare ~obs ~trace ~config:cfg sg ~terminals:sterminals with
-    | S2bdd.Exact r -> outcome_of_exact r
-    | S2bdd.Sampling plan ->
-      run_plan ?pool ~ao ~trace ~sub ~ci_width:width ~max_samples:cap plan
-  in
   let result =
-    if extension then begin
-      (* As in {!Reliability.estimate}: [prep] replays a cached pipeline
-         outcome for the same (graph, terminals); the rounds that follow
-         are a pure function of the outcome, config and seed. *)
-      let outcome =
-        match prep with
-        | Some o -> o
-        | None -> P.run ~obs ~trace g ~terminals
+    (* As in {!Reliability.estimate}: [prep] replays a cached pipeline
+       outcome for the same (graph, terminals); the rounds that follow
+       are a pure function of the outcome, config and seed. *)
+    match R.split ~obs ~trace ~config ~extension ?prep ?orders g ~terminals with
+    | R.Resolved v -> finish_obs ao (trivial ~target_width:ci_width v)
+    | R.Split { pb; subproblems; _ } ->
+      (* Constructions and rounds run sequentially per subproblem — the
+         strata within a round are the parallel surface. Product-interval
+         width is at most [pb * sum of sub widths] (all factors in
+         [[0, 1]]), so an even split of the target over the subproblems
+         is sufficient. *)
+      let k_s = Array.length subproblems in
+      let width =
+        Float.min 1. (ci_width /. (pb *. float_of_int (max 1 k_s)))
       in
-      match outcome with
-      | P.Trivial r ->
-        finish_obs ao (trivial ~target_width:ci_width (Xprob.to_float_exn r))
-      | P.Reduced { pb; subproblems; stats = _ } ->
-        (* Seeds are drawn before any subproblem runs (order
-           independence, as in {!Reliability.estimate}). Constructions
-           and rounds run sequentially per subproblem — the strata
-           within a round are the parallel surface. *)
-        let pbf = Xprob.to_float_exn pb in
-        let seed_rng = Prng.create config.S2bdd.seed in
-        let sub_arr = Array.of_list subproblems in
-        let seeds =
-          Array.map (fun _ -> Int64.to_int (Prng.bits64 seed_rng)) sub_arr
-        in
-        let k_s = Array.length sub_arr in
-        (* Product-interval width is at most [pb * sum of sub widths]
-           (all factors in [[0, 1]]), so an even split of the target
-           over the subproblems is sufficient. *)
-        let width =
-          Float.min 1. (ci_width /. (pbf *. float_of_int (max 1 k_s)))
-        in
-        let cap = max 1 (max_samples / max 1 k_s) in
-        let outcomes =
-          Array.mapi
-            (fun i (sp : P.subproblem) ->
-              let cfg = { config with S2bdd.seed = seeds.(i) } in
-              let cfg =
-                match orders with
-                | Some os -> { cfg with S2bdd.order = `Explicit os.(i) }
-                | None -> cfg
-              in
-              run_sub ~sub:i ~obs ~trace ~width ~cap cfg sp.P.graph
-                sp.P.terminals)
-            sub_arr
-        in
-        finish_obs ao (combine_outcomes ~target_width:ci_width ~pb:pbf outcomes)
-    end
-    else
-      let o =
-        run_sub ~sub:0 ~obs ~trace ~width:ci_width ~cap:max_samples config g
-          terminals
+      let cap = max 1 (max_samples / max 1 k_s) in
+      let outcomes =
+        Array.mapi
+          (fun i (sp : R.subproblem) ->
+            match
+              S2bdd.prepare ~obs ~trace ~config:sp.R.config sp.R.graph
+                ~terminals:sp.R.terminals
+            with
+            | S2bdd.Exact r -> outcome_of_exact r
+            | S2bdd.Sampling plan ->
+              run_plan ?pool ~ao ~trace ~sub:i ~ci_width:width ~max_samples:cap
+                plan)
+          subproblems
       in
-      finish_obs ao (combine_outcomes ~target_width:ci_width ~pb:1. [| o |])
+      finish_obs ao (combine_outcomes ~target_width:ci_width ~pb outcomes)
   in
   emit_result trace result

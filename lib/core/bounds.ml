@@ -12,29 +12,30 @@ let compute ?(width = 10_000) ?max_work ?(order = `Auto) ?(extension = true) g
     {
       S2bdd.default_config with
       S2bdd.width;
-      (* One nominal sample: the constructor still runs its deletion /
-         sampling plumbing, but with a single-descent budget the cost
-         is construction-only. *)
-      S2bdd.samples = 1;
       S2bdd.order;
       S2bdd.max_work =
         Option.value ~default:S2bdd.default_config.S2bdd.max_work max_work;
     }
   in
-  let report = Reliability.estimate ~config ~extension g ~terminals in
-  let layers, capped =
-    List.fold_left
-      (fun (l, c) (r : S2bdd.result) ->
-        (l + r.S2bdd.layers_built, c || r.S2bdd.stop = S2bdd.Work_capped))
-      (0, false) report.Reliability.subresults
-  in
-  {
-    lower = report.Reliability.lower;
-    upper = report.Reliability.upper;
-    exact = report.Reliability.exact;
-    layers_built = layers;
-    work_used = capped;
-  }
+  match Reliability.split ~config ~extension g ~terminals with
+  | Reliability.Resolved v ->
+    { lower = v; upper = v; exact = true; layers_built = 0; work_used = false }
+  | Reliability.Split { pb; subproblems; _ } ->
+    Array.fold_left
+      (fun t (sp : Reliability.subproblem) ->
+        let r =
+          S2bdd.bounds ~config:sp.Reliability.config sp.Reliability.graph
+            ~terminals:sp.Reliability.terminals
+        in
+        {
+          lower = t.lower *. r.S2bdd.lower;
+          upper = t.upper *. r.S2bdd.upper;
+          exact = t.exact && r.S2bdd.exact;
+          layers_built = t.layers_built + r.S2bdd.layers_built;
+          work_used = t.work_used || r.S2bdd.stop = S2bdd.Work_capped;
+        })
+      { lower = pb; upper = pb; exact = true; layers_built = 0; work_used = false }
+      subproblems
 
 let decides t ~threshold =
   if t.lower >= threshold then `Above

@@ -16,12 +16,12 @@ type report = {
    S2bdd now clamps at the source, so the report takes them as-is. *)
 
 (* Report-level convention: [s_reduced = 0] means "no sampling needed".
-   The trivial paths state it directly; [combine] and the
-   no-extension path below derive it — an exact run never consumed its
-   residual budget, so reporting the unused Theorem-1 [s'] there would
-   make a trivially-resolved run and a construction-resolved exact run
-   read differently for the same situation. The per-subproblem [s']
-   values stay available unaltered in [subresults]. *)
+   The trivial paths state it directly; [combine] derives it — an exact
+   run never consumed its residual budget, so reporting the unused
+   Theorem-1 [s'] there would make a trivially-resolved run and a
+   construction-resolved exact run read differently for the same
+   situation. The per-subproblem [s'] values stay available unaltered
+   in [subresults]. *)
 let trivial_report cfg value =
   {
     value;
@@ -86,91 +86,101 @@ let emit_report trace (rep : report) =
         ];
   rep
 
-let estimate ?(obs = Obs.disabled) ?(trace = Trace.disabled)
-    ?(config = S2bdd.default_config) ?(extension = true) ?(jobs = 1) ?prep
-    ?orders g ~terminals =
-  if jobs < 1 then invalid_arg "Reliability.estimate: jobs < 1";
-  let ejobs = Par.effective_jobs jobs in
-  let pool = if ejobs > 1 then Some (Par.Pool.shared ~jobs:ejobs) else None in
-  if extension then begin
+type subproblem = {
+  graph : Ugraph.t;
+  terminals : int list;
+  config : S2bdd.config;
+}
+
+type split =
+  | Resolved of float
+  | Split of { pb : float; stats : P.stats option; subproblems : subproblem array }
+
+let split ?(obs = Obs.disabled) ?(trace = Trace.disabled)
+    ?(config = S2bdd.default_config) ?(extension = true) ?prep ?orders g
+    ~terminals =
+  if not extension then
+    Split
+      { pb = 1.; stats = None; subproblems = [| { graph = g; terminals; config } |] }
+  else
     (* [prep] short-circuits the pipeline with a previously computed
        outcome for the same (graph, terminals): the engine caches it
        across queries. Everything downstream — seed splitting, ordering,
        sampling — is a pure function of the outcome and [config], so a
-       cached outcome yields the bit-identical report. *)
+       cached outcome yields bit-identical subproblems. *)
     let outcome =
       match prep with
       | Some o -> o
       | None -> P.run ~obs ~trace g ~terminals
     in
     match outcome with
-    | P.Trivial r ->
-      emit_report trace (trivial_report config (Xprob.to_float_exn r))
+    | P.Trivial r -> Resolved (Xprob.to_float_exn r)
     | P.Reduced { pb; subproblems; stats } ->
       (* Per-subproblem seeds are drawn sequentially from the master
-         seed BEFORE any subproblem runs, so the seed assignment — and
-         hence every subresult — is independent of execution order.
-         The subproblems then run as pool tasks (their descents nest on
-         the same pool) with results collected in subproblem order.
-         Each task records into its own observer ([Obs.fresh_like]) and
-         its own trace buffer ([Trace.task], lane [i mod lanes]); both
-         merge back in subproblem order, keeping the stats and the
-         trace stream deterministic under any domain schedule. *)
+         seed before any subproblem runs, so the seed assignment — and
+         hence every subresult — is independent of execution order. A
+         cached per-subproblem ordering (the engine computes the same
+         [`Auto] BFS order once per (graph, terminals)) slots in as
+         [`Explicit]; an equal array yields the identical construction. *)
       let seed_rng = Prng.create config.S2bdd.seed in
-      let sub_arr = Array.of_list subproblems in
-      let seeds =
-        Array.map (fun _ -> Int64.to_int (Prng.bits64 seed_rng)) sub_arr
+      let subproblems =
+        Array.of_list subproblems
+        |> Array.mapi (fun i (sp : P.subproblem) ->
+               let seed = Int64.to_int (Prng.bits64 seed_rng) in
+               let config = { config with S2bdd.seed } in
+               let config =
+                 match orders with
+                 | Some os -> { config with S2bdd.order = `Explicit os.(i) }
+                 | None -> config
+               in
+               { graph = sp.P.graph; terminals = sp.P.terminals; config })
       in
-      let sub_obs = Array.map (fun _ -> Obs.fresh_like obs) sub_arr in
-      let lanes = Par.run_lanes ?pool () in
-      let sub_trace =
-        Array.mapi (fun i _ -> Trace.task trace ~lane:(i mod lanes)) sub_arr
-      in
-      let subresults =
-        Par.run ?pool (Array.length sub_arr) (fun i ->
-            let sp = sub_arr.(i) in
-            let sub_cfg = { config with S2bdd.seed = seeds.(i) } in
-            (* A cached per-subproblem ordering (the engine computes the
-               same [`Auto] BFS order once per (graph, terminals)) slots
-               in as [`Explicit]; an equal array yields the identical
-               construction. *)
-            let sub_cfg =
-              match orders with
-              | Some os -> { sub_cfg with S2bdd.order = `Explicit os.(i) }
-              | None -> sub_cfg
-            in
-            Trace.span sub_trace.(i) "subproblem"
-              ~args:
-                [
-                  ("index", Trace.Int i);
-                  ("edges", Trace.Int (Ugraph.n_edges sp.P.graph));
-                ]
-            @@ fun () ->
-            S2bdd.estimate ?pool ~obs:sub_obs.(i) ~trace:sub_trace.(i)
-              ~config:sub_cfg sp.P.graph ~terminals:sp.P.terminals)
-        |> Array.to_list
-      in
-      Array.iter (fun so -> Obs.merge ~into:obs so) sub_obs;
-      Array.iter (fun st -> Trace.merge ~into:trace st) sub_trace;
-      emit_report trace
-        (combine config ~pb:(Xprob.to_float_exn pb) ~stats:(Some stats)
-           subresults)
-  end
-  else begin
-    let r = S2bdd.estimate ?pool ~obs ~trace ~config g ~terminals in
-    emit_report trace
-      {
-        value = r.S2bdd.value;
-        lower = r.S2bdd.lower;
-        upper = r.S2bdd.upper;
-        exact = r.S2bdd.exact;
-        s_given = r.S2bdd.s_given;
-        s_reduced = (if r.S2bdd.exact then 0 else r.S2bdd.s_reduced);
-        samples_drawn = r.S2bdd.samples_drawn;
-        subresults = [ r ];
-        preprocess = None;
-      }
-  end
+      Split { pb = Xprob.to_float_exn pb; stats = Some stats; subproblems }
+
+let estimate ?(obs = Obs.disabled) ?(trace = Trace.disabled)
+    ?(config = S2bdd.default_config) ?(extension = true) ?(jobs = 1) ?prep
+    ?orders g ~terminals =
+  if jobs < 1 then invalid_arg "Reliability.estimate: jobs < 1";
+  let ejobs = Par.effective_jobs jobs in
+  let pool = if ejobs > 1 then Some (Par.Pool.shared ~jobs:ejobs) else None in
+  let run ~obs ~trace sp =
+    S2bdd.estimate ?pool ~obs ~trace ~config:sp.config sp.graph
+      ~terminals:sp.terminals
+  in
+  emit_report trace
+  @@
+  match split ~obs ~trace ~config ~extension ?prep ?orders g ~terminals with
+  | Resolved v -> trivial_report config v
+  | Split { pb; stats; subproblems = [| sp |] } when not extension ->
+    (* The raw graph, instrumented in place. *)
+    combine config ~pb ~stats [ run ~obs ~trace sp ]
+  | Split { pb; stats; subproblems } ->
+    (* The subproblems run as pool tasks (their descents nest on the
+       same pool) with results collected in subproblem order. Each task
+       records into its own observer ([Obs.fresh_like]) and its own
+       trace buffer ([Trace.task], lane [i mod lanes]); both merge back
+       in subproblem order, keeping the stats and the trace stream
+       deterministic under any domain schedule. *)
+    let sub_obs = Array.map (fun _ -> Obs.fresh_like obs) subproblems in
+    let lanes = Par.run_lanes ?pool () in
+    let sub_trace =
+      Array.mapi (fun i _ -> Trace.task trace ~lane:(i mod lanes)) subproblems
+    in
+    let subresults =
+      Par.run ?pool (Array.length subproblems) (fun i ->
+          let sp = subproblems.(i) in
+          Trace.span sub_trace.(i) "subproblem"
+            ~args:
+              [
+                ("index", Trace.Int i);
+                ("edges", Trace.Int (Ugraph.n_edges sp.graph));
+              ]
+          @@ fun () -> run ~obs:sub_obs.(i) ~trace:sub_trace.(i) sp)
+      |> Array.to_list
+    in
+    Array.iter (fun so -> Obs.merge ~into:obs so) sub_obs;
+    Array.iter (fun st -> Trace.merge ~into:trace st) sub_trace;
+    combine config ~pb ~stats subresults
 
 let exact ?node_budget ?(extension = true) g ~terminals =
   if not extension then Bddbase.Exact.reliability_float ?node_budget g ~terminals

@@ -27,6 +27,42 @@ type report = {
           disabled *)
 }
 
+(** One S2BDD instance of a run: a subproblem graph, its terminals and
+    the config its construction uses. *)
+type subproblem = {
+  graph : Ugraph.t;
+  terminals : int list;
+  config : S2bdd.config;
+}
+
+type split =
+  | Resolved of float  (** the pipeline settled [R] without an S2BDD *)
+  | Split of {
+      pb : float;  (** bridge factor the subresults multiply into *)
+      stats : Preprocess.Pipeline.stats option;
+      subproblems : subproblem array;
+    }
+
+val split :
+  ?obs:Obs.t ->
+  ?trace:Trace.t ->
+  ?config:S2bdd.config ->
+  ?extension:bool ->
+  ?prep:Preprocess.Pipeline.outcome ->
+  ?orders:int array array ->
+  Ugraph.t ->
+  terminals:int list ->
+  split
+(** The subproblems every pro driver runs — {!estimate}, the adaptive
+    driver and {!Bounds.compute} — in subproblem order. With
+    [extension] (default true) it runs {!Preprocess.Pipeline.run}
+    (recording into [obs]/[trace]) unless [prep] is given. Subproblem
+    [i]'s config is [config] with the [i]-th seed drawn from
+    [config.seed], and with [order = `Explicit orders.(i)] when
+    [orders] is given. With [extension = false] the whole graph is the
+    one subproblem, under [config] unchanged, with [pb = 1] and no
+    stats. *)
+
 val estimate :
   ?obs:Obs.t ->
   ?trace:Trace.t ->

@@ -126,43 +126,59 @@ let descend_detailed ctx sc rng ~detail ~pos st =
    divergent copy with its own underflow threshold). *)
 let ht_weight = Mcsampling.ht_weight
 
-(* Within-node reliability estimate from [n >= 1] descents. *)
-let node_r_hat ctx cfg sc rng ~pos st ~n =
-  match cfg.estimator with
-  | Monte_carlo ->
-    let hits = ref 0 in
-    for _ = 1 to n do
-      let connected, _, _ = descend_detailed ctx sc rng ~detail:false ~pos st in
-      if connected then incr hits
-    done;
-    float_of_int !hits /. float_of_int n
-  | Horvitz_thompson ->
-    let seen : (int, float * bool) Hashtbl.t = Hashtbl.create n in
-    for _ = 1 to n do
-      let connected, h, logq = descend_detailed ctx sc rng ~detail:true ~pos st in
-      if not (Hashtbl.mem seen h) then Hashtbl.add seen h (logq, connected)
-    done;
-    Hashtbl.fold
-      (fun _ (logq, connected) acc ->
-        if connected then acc +. ht_weight ~logq ~n else acc)
-      seen 0.
-
-(* One deferred stratified-sampling task: a deleted (or leftover) node
-   whose [n] DP descents from [st] at layer [pos] contribute
-   [factor * R^_n] to the estimate. Tasks are recorded in consumption
-   order during construction and executed afterwards — possibly on a
-   domain pool, since each node's descent is independent: the frontier
-   state is a sufficient statistic and nothing in the construction
-   depends on descent outcomes. Each task owns its [Prng] stream, split
-   from the construction generator at enqueue time, so the contribution
-   vector is bit-identical however many domains execute it. *)
-type descent_task = {
-  t_pos : int;
-  t_st : F.state;
-  t_n : int;
-  t_factor : float;
-  t_rng : Prng.t;
+(* One sampling stratum: a deleted (or leftover) node, the weight its
+   within-node estimate is scaled by, and its own descent stream, split
+   from the construction generator when the node is consumed. The
+   weight is the node's mass [p_n], except in the fixed-budget path's
+   randomised-rounding tail, where it is [N_n / s']. Strata are sampled
+   after construction — possibly on a domain pool, since each node's
+   descents are independent: the frontier state is a sufficient
+   statistic and nothing in the construction depends on descent
+   outcomes. [sm_drawn]/[sm_hits] accumulate across draws; because the
+   stream is private and advanced sequentially, the counters after a
+   total of [n] draws do not depend on how the draws were partitioned,
+   nor on which domain ran them. *)
+type stratum = {
+  sm_pos : int;
+  sm_state : F.state;
+  sm_weight : float;
+  sm_rng : Prng.t;
+  mutable sm_drawn : int;
+  mutable sm_hits : int;
 }
+
+let stratum rng ~pos st weight =
+  { sm_pos = pos; sm_state = st; sm_weight = weight; sm_rng = Prng.split rng;
+    sm_drawn = 0; sm_hits = 0 }
+
+(* [n] more Monte-Carlo descents from [s], folded into its counters. *)
+let draw ctx s ~n =
+  let sc = Kernel.scratch () in
+  let hits = ref 0 in
+  for _ = 1 to n do
+    let connected, _, _ =
+      descend_detailed ctx sc s.sm_rng ~detail:false ~pos:s.sm_pos s.sm_state
+    in
+    if connected then incr hits
+  done;
+  s.sm_drawn <- s.sm_drawn + n;
+  s.sm_hits <- s.sm_hits + !hits
+
+(* Horvitz–Thompson within-node estimate from [n >= 1] descents of [s]:
+   the weighted sum over its distinct connected completions. *)
+let ht_r_hat ctx s ~n =
+  let sc = Kernel.scratch () in
+  let seen : (int, float * bool) Hashtbl.t = Hashtbl.create n in
+  for _ = 1 to n do
+    let connected, h, logq =
+      descend_detailed ctx sc s.sm_rng ~detail:true ~pos:s.sm_pos s.sm_state
+    in
+    if not (Hashtbl.mem seen h) then Hashtbl.add seen h (logq, connected)
+  done;
+  Hashtbl.fold
+    (fun _ (logq, connected) acc ->
+      if connected then acc +. ht_weight ~logq ~n else acc)
+    seen 0.
 
 (* [`Auto] orders edges by multi-source BFS from the terminals: each
    terminal's incident edges are decided as early as possible, which is
@@ -212,14 +228,12 @@ type construction = {
 
 (* The layer-by-layer S2BDD construction (Section 4.3), parameterised
    over [consume]: what happens to a node deleted at a saturated layer
-   or left over after an early abort. The fixed-budget estimator
-   enqueues descent tasks with randomised-rounding allocations; the
-   adaptive planner records each node as a sampling stratum. [consume]
-   receives the Theorem-1 budget [s_cur] current at consumption time,
-   the descent layer [pos], the node's frontier state and its mass —
-   and is responsible for any draws it makes on [rng] (the fixed
-   estimator's allocation draws stay on the construction stream, so its
-   stream consumption is bit-identical to the pre-refactor code). *)
+   or left over after an early abort (see [build] for the three
+   consumers). [consume] receives the Theorem-1 budget [s_cur] current
+   at consumption time, the descent layer [pos], the node's frontier
+   state and its mass — and is responsible for any draws it makes on
+   [rng]. Nothing it does feeds back into the construction, so every
+   consumer sees the same layers, bounds and stop. *)
 let construct ~obs ~co ~trace ~cfg ~ctx ~rng g ~consume =
   let m = F.n_positions ctx in
   let key_fn = if cfg.merge_flags then F.key_flags else F.key_exact in
@@ -414,175 +428,22 @@ let construct ~obs ~co ~trace ~cfg ~ctx ~rng g ~consume =
     c_s_reduced = !s_cur;
   }
 
-let estimate ?pool ?(obs = Obs.disabled) ?(trace = Trace.disabled)
-    ?(config = default_config) g ~terminals =
-  Ugraph.validate_terminals g terminals;
-  let cfg = config in
-  if cfg.samples <= 0 then invalid_arg "S2bdd.estimate: samples <= 0";
-  if cfg.width <= 0 then invalid_arg "S2bdd.estimate: width <= 0";
-  let co = Obs.sub obs "construction" in
-  match trivial_of cfg co g ~terminals with
-  | Some r -> r
-  | None ->
-    let order = resolve_order cfg g ~terminals in
-    let ctx = F.make g ~order ~terminals in
-    let rng = Prng.create cfg.seed in
-    let tasks = ref [] in
-    let samples_drawn = ref 0 in
-    let sampled_nodes = ref 0 in
-    (* Consuming a node enqueues its descent task. Nodes with a
-       meaningful share of the budget use the textbook stratified
-       estimator (deterministic allocation, contribution [p_n * R^_n]);
-       the long tail of tiny nodes uses randomised rounding with
-       contribution [(N_n / s') * R^_n], whose expectation telescopes
-       to [p_n * R_n] even when [N_n = 0]. Both branches are exactly
-       unbiased; the first avoids the allocation (rounding) variance
-       where it would matter. Allocation draws stay on the
-       construction stream; descent draws move to the task's split
-       stream. *)
-    let consume ~s_cur ~pos st pn =
-      let s_eff = max 1 s_cur in
-      let x = float_of_int s_eff *. Xprob.to_float_approx pn in
-      let enqueue n factor =
-        tasks :=
-          { t_pos = pos; t_st = st; t_n = n; t_factor = factor;
-            t_rng = Prng.split rng }
-          :: !tasks;
-        samples_drawn := !samples_drawn + n;
-        incr sampled_nodes
-      in
-      if x >= 0.5 then
-        enqueue (max 1 (int_of_float (Float.round x))) (Xprob.to_float_approx pn)
-      else begin
-        let n = alloc rng x in
-        if n > 0 then enqueue n (float_of_int n /. float_of_int s_eff)
-      end
-    in
-    let gc0 = gc_begin co in
-    let c = construct ~obs ~co ~trace ~cfg ~ctx ~rng g ~consume in
-    Obs.record_gc co "gc" (gc_end gc0);
-    Obs.add co "sampled_nodes" !sampled_nodes;
-    (* Stratified descents: every consumed node is an independent task;
-       run them on the pool (or inline) and fold the per-task
-       contributions in consumption order. *)
-    let task_arr = Array.of_list (List.rev !tasks) in
-    let so = Obs.sub obs "sampling" in
-    Obs.text so "estimator"
-      (match cfg.estimator with Monte_carlo -> "mc" | Horvitz_thompson -> "ht");
-    Obs.add so "descent_tasks" (Array.length task_arr);
-    Obs.add so "samples" !samples_drawn;
-    let lanes = Par.run_lanes ?pool () in
-    let contribs =
-      Par.run ?pool (Array.length task_arr) (fun i ->
-          let tr = Trace.task trace ~lane:(i mod lanes) in
-          let ts = Trace.now tr in
-          let t0 = Obs.now obs in
-          let g0 = gc_begin so in
-          let t = task_arr.(i) in
-          let sc = Kernel.scratch () in
-          let c =
-            t.t_factor
-            *. node_r_hat ctx cfg sc t.t_rng ~pos:t.t_pos t.t_st ~n:t.t_n
-          in
-          Trace.complete tr ~ts "descent"
-            ~args:[ ("task", Int i); ("n", Int t.t_n) ];
-          (c, Obs.now obs -. t0, gc_end g0, tr))
-    in
-    let descent_secs = ref 0. in
-    let contribution =
-      Array.fold_left
-        (fun acc (c, dt, gd, tr) ->
-          Obs.record_span so "descent" dt;
-          Obs.hist_seconds so "hist.descent_ns" dt;
-          Obs.record_gc so "gc" gd;
-          descent_secs := !descent_secs +. dt;
-          Trace.merge ~into:trace tr;
-          acc +. c)
-        0. contribs
-    in
-    (* Kernel time over the descent tasks: summed per-task wall time
-       (so the derived samples/sec reads as per-domain throughput),
-       recorded as a monotonic-timer span; the samples_per_sec figure
-       itself is derived at report time (Statsdoc), never stored. *)
-    Obs.add so "kernel.samples" !samples_drawn;
-    Obs.record_span so "kernel.elapsed" !descent_secs;
-    let lower = Xprob.to_float_approx c.c_pc in
-    (* [pc] and [pd] are each correct to an ulp, but the float rounding
-       of [1 - pd] is independent of [pc]'s, so on a fully resolved run
-       (pc + pd = 1) the two float bounds can cross by an ulp. Keep the
-       interval well-formed: [lower <= upper] is part of the result's
-       contract. *)
-    let upper = Float.max lower (1. -. Xprob.to_float_approx c.c_pd) in
-    let exact = c.c_deleted_nodes = 0 && c.c_stop = Completed in
-    (* The stratified contribution is an unbiased estimate of the mass
-       between the proven bounds, but a realisation can overshoot them
-       (even past 1) under sampling noise. Clamp at the source so every
-       caller — Reliability, bench sections, report.subresults — sees a
-       value inside [lower, upper]; the raw contribution stays readable
-       through Obs. *)
-    let raw = lower +. contribution in
-    let value =
-      if exact then lower
-      else begin
-        Obs.gauge so "contribution" contribution;
-        if raw < lower || raw > upper then begin
-          Obs.incr so "value_clamped";
-          Obs.gauge so "raw_value" raw;
-          Float.max lower (Float.min upper raw)
-        end
-        else raw
-      end
-    in
-    {
-      value;
-      lower;
-      upper;
-      pc = c.c_pc;
-      pd = c.c_pd;
-      exact;
-      s_given = cfg.samples;
-      s_reduced = c.c_s_reduced;
-      samples_drawn = !samples_drawn;
-      sampled_nodes = !sampled_nodes;
-      deleted_nodes = c.c_deleted_nodes;
-      layers_built = c.c_layers;
-      max_width = c.c_max_width;
-      peak_state_words = c.c_peak_state_words;
-      aborted = c.c_stop <> Completed;
-      stop = c.c_stop;
-    }
-
-(* ------------------------------------------------------------------ *)
-(* Adaptive sampling plans                                             *)
-(* ------------------------------------------------------------------ *)
-
-(* One sampling stratum of an adaptive plan: a deleted (or leftover)
-   node, its mass, and its own descent stream. [sm_drawn]/[sm_hits]
-   accumulate across rounds; because the stream is private and advanced
-   sequentially, the counters after a total of [n] draws do not depend
-   on how the rounds partitioned [n] — nor on which domain ran them. *)
-type stratum = {
-  sm_pos : int;
-  sm_state : F.state;
-  sm_mass : float;
-  sm_rng : Prng.t;
-  mutable sm_drawn : int;
-  mutable sm_hits : int;
-}
-
-type plan = {
-  p_ctx : F.ctx;
-  p_construction : construction;
-  p_strata : stratum array;
-}
-
-type prepared =
-  | Exact of result  (* trivial, or construction resolved every node *)
-  | Sampling of plan
-
-let construction_result cfg c ~value ~samples_drawn ~sampled_nodes =
+(* [pc] and [pd] are each correct to an ulp, but the float rounding of
+   [1 - pd] is independent of [pc]'s, so on a fully resolved run
+   (pc + pd = 1) the two float bounds can cross by an ulp. Keep the
+   interval well-formed: [lower <= upper] is part of the result's
+   contract. *)
+let proven c =
   let lower = Xprob.to_float_approx c.c_pc in
-  let upper = Float.max lower (1. -. Xprob.to_float_approx c.c_pd) in
+  (lower, Float.max lower (1. -. Xprob.to_float_approx c.c_pd))
+
+(* The stratified contribution is an unbiased estimate of the mass
+   between the proven bounds, but a realisation can overshoot them
+   (even past 1) under sampling noise. [value] is clamped at the source
+   so every caller — Reliability, bench sections, report.subresults —
+   sees a value inside [lower, upper]. *)
+let construction_result cfg c ~value ~samples_drawn ~sampled_nodes =
+  let lower, upper = proven c in
   {
     value = Float.max lower (Float.min upper value);
     lower;
@@ -602,96 +463,182 @@ let construction_result cfg c ~value ~samples_drawn ~sampled_nodes =
     stop = c.c_stop;
   }
 
-let prepare ?(obs = Obs.disabled) ?(trace = Trace.disabled)
-    ?(config = default_config) g ~terminals =
+type 'u built =
+  | Trivial of result
+  | Built of F.ctx * construction * 'u array
+
+(* The one construction entry behind [estimate], [prepare] and
+   [bounds]: validation, the trivial answers, edge order, frontier
+   context and construction stream, then the GC-accounted construction.
+   The three differ only in [unit_of], which turns each deleted or
+   leftover node into the sampling unit its caller keeps, in
+   consumption order, or drops. [unit_of] gets the construction stream,
+   so any draws it makes stay on it. *)
+let build ~name ~obs ~trace cfg g ~terminals ~unit_of =
   Ugraph.validate_terminals g terminals;
-  let cfg = config in
-  if cfg.samples <= 0 then invalid_arg "S2bdd.prepare: samples <= 0";
-  if cfg.width <= 0 then invalid_arg "S2bdd.prepare: width <= 0";
+  if cfg.samples <= 0 then invalid_arg (name ^ ": samples <= 0");
+  if cfg.width <= 0 then invalid_arg (name ^ ": width <= 0");
   let co = Obs.sub obs "construction" in
   match trivial_of cfg co g ~terminals with
-  | Some r -> Exact r
+  | Some r -> Trivial r
   | None ->
     let order = resolve_order cfg g ~terminals in
     let ctx = F.make g ~order ~terminals in
     let rng = Prng.create cfg.seed in
-    let strata = ref [] in
-    (* Every consumed node becomes a stratum with its own split stream;
-       no allocation draws happen here — the adaptive driver decides
-       budgets between rounds (Neyman allocation), so the plan only has
-       to remember mass and position. *)
-    let consume ~s_cur:_ ~pos st pn =
-      strata :=
-        {
-          sm_pos = pos;
-          sm_state = st;
-          sm_mass = Xprob.to_float_approx pn;
-          sm_rng = Prng.split rng;
-          sm_drawn = 0;
-          sm_hits = 0;
-        }
-        :: !strata
+    let units = ref [] in
+    let consume ~s_cur ~pos st pn =
+      match unit_of rng ~s_cur ~pos st pn with
+      | Some u -> units := u :: !units
+      | None -> ()
     in
     let gc0 = gc_begin co in
     let c = construct ~obs ~co ~trace ~cfg ~ctx ~rng g ~consume in
     Obs.record_gc co "gc" (gc_end gc0);
-    let strata = Array.of_list (List.rev !strata) in
-    Obs.add co "sampled_nodes" (Array.length strata);
-    if Array.length strata = 0 then
-      Exact (construction_result cfg c ~value:(Xprob.to_float_approx c.c_pc)
-               ~samples_drawn:0 ~sampled_nodes:0)
-    else Sampling { p_ctx = ctx; p_construction = c; p_strata = strata }
+    let units = Array.of_list (List.rev !units) in
+    Obs.add co "sampled_nodes" (Array.length units);
+    Built (ctx, c, units)
 
-let plan_bounds p =
-  let lower = Xprob.to_float_approx p.p_construction.c_pc in
-  (lower, Float.max lower (1. -. Xprob.to_float_approx p.p_construction.c_pd))
+let estimate ?pool ?(obs = Obs.disabled) ?(trace = Trace.disabled)
+    ?(config = default_config) g ~terminals =
+  let cfg = config in
+  (* Each consumed node becomes a stratum with its descent count. Nodes
+     with a meaningful share of the budget use the textbook stratified
+     estimator (deterministic allocation, weight [p_n]); the long tail
+     of tiny nodes uses randomised rounding with weight [N_n / s'],
+     whose expectation telescopes to [p_n * R_n] even when [N_n = 0].
+     Both branches are exactly unbiased; the first avoids the
+     allocation (rounding) variance where it would matter. Allocation
+     draws stay on the construction stream; descent draws use the
+     stratum's split stream. *)
+  let unit_of rng ~s_cur ~pos st pn =
+    let s_eff = max 1 s_cur in
+    let mass = Xprob.to_float_approx pn in
+    let x = float_of_int s_eff *. mass in
+    if x >= 0.5 then
+      Some (max 1 (int_of_float (Float.round x)), stratum rng ~pos st mass)
+    else
+      let n = alloc rng x in
+      if n > 0 then
+        Some (n, stratum rng ~pos st (float_of_int n /. float_of_int s_eff))
+      else None
+  in
+  match build ~name:"S2bdd.estimate" ~obs ~trace cfg g ~terminals ~unit_of with
+  | Trivial r -> r
+  | Built (ctx, c, strata) ->
+    let samples_drawn = Array.fold_left (fun acc (n, _) -> acc + n) 0 strata in
+    (* Stratified descents: every stratum is an independent task; run
+       them on the pool (or inline) and fold the per-task contributions
+       [weight * R^_n] in consumption order. *)
+    let so = Obs.sub obs "sampling" in
+    Obs.text so "estimator"
+      (match cfg.estimator with Monte_carlo -> "mc" | Horvitz_thompson -> "ht");
+    Obs.add so "descent_tasks" (Array.length strata);
+    Obs.add so "samples" samples_drawn;
+    let lanes = Par.run_lanes ?pool () in
+    let contribs =
+      Par.run ?pool (Array.length strata) (fun i ->
+          let tr = Trace.task trace ~lane:(i mod lanes) in
+          let ts = Trace.now tr in
+          let t0 = Obs.now obs in
+          let g0 = gc_begin so in
+          let n, s = strata.(i) in
+          let r_hat =
+            match cfg.estimator with
+            | Monte_carlo ->
+              draw ctx s ~n;
+              float_of_int s.sm_hits /. float_of_int n
+            | Horvitz_thompson -> ht_r_hat ctx s ~n
+          in
+          Trace.complete tr ~ts "descent"
+            ~args:[ ("task", Int i); ("n", Int n) ];
+          (s.sm_weight *. r_hat, Obs.now obs -. t0, gc_end g0, tr))
+    in
+    let descent_secs = ref 0. in
+    let contribution =
+      Array.fold_left
+        (fun acc (c, dt, gd, tr) ->
+          Obs.record_span so "descent" dt;
+          Obs.hist_seconds so "hist.descent_ns" dt;
+          Obs.record_gc so "gc" gd;
+          descent_secs := !descent_secs +. dt;
+          Trace.merge ~into:trace tr;
+          acc +. c)
+        0. contribs
+    in
+    (* Kernel time over the descent tasks: summed per-task wall time
+       (so the derived samples/sec reads as per-domain throughput),
+       recorded as a monotonic-timer span; the samples_per_sec figure
+       itself is derived at report time (Statsdoc), never stored. *)
+    Obs.add so "kernel.samples" samples_drawn;
+    Obs.record_span so "kernel.elapsed" !descent_secs;
+    let lower = Xprob.to_float_approx c.c_pc in
+    let raw = lower +. contribution in
+    let r =
+      construction_result cfg c ~value:raw ~samples_drawn
+        ~sampled_nodes:(Array.length strata)
+    in
+    (* The raw contribution stays readable through Obs. *)
+    if not r.exact then begin
+      Obs.gauge so "contribution" contribution;
+      if raw < r.lower || raw > r.upper then begin
+        Obs.incr so "value_clamped";
+        Obs.gauge so "raw_value" raw
+      end
+    end;
+    r
 
+let bounds ?(config = default_config) g ~terminals =
+  match
+    build ~name:"S2bdd.bounds" ~obs:Obs.disabled ~trace:Trace.disabled config g
+      ~terminals ~unit_of:(fun _ ~s_cur:_ ~pos:_ _ _ -> None)
+  with
+  | Trivial r -> r
+  | Built (_, c, _) ->
+    construction_result config c ~value:(Xprob.to_float_approx c.c_pc)
+      ~samples_drawn:0 ~sampled_nodes:0
+
+(* ------------------------------------------------------------------ *)
+(* Adaptive sampling plans                                             *)
+(* ------------------------------------------------------------------ *)
+
+type plan = {
+  p_ctx : F.ctx;
+  p_construction : construction;
+  p_strata : stratum array;
+}
+
+type prepared =
+  | Exact of result  (* trivial, or construction resolved every node *)
+  | Sampling of plan
+
+let prepare ?(obs = Obs.disabled) ?(trace = Trace.disabled)
+    ?(config = default_config) g ~terminals =
+  (* Every consumed node becomes a stratum weighted by its mass; no
+     allocation draws happen here — the adaptive driver decides budgets
+     between rounds (Neyman allocation). *)
+  let unit_of rng ~s_cur:_ ~pos st pn =
+    Some (stratum rng ~pos st (Xprob.to_float_approx pn))
+  in
+  match build ~name:"S2bdd.prepare" ~obs ~trace config g ~terminals ~unit_of with
+  | Trivial r -> Exact r
+  | Built (_, c, [||]) ->
+    Exact
+      (construction_result config c ~value:(Xprob.to_float_approx c.c_pc)
+         ~samples_drawn:0 ~sampled_nodes:0)
+  | Built (ctx, c, strata) ->
+    Sampling { p_ctx = ctx; p_construction = c; p_strata = strata }
+
+let plan_bounds p = proven p.p_construction
 let n_strata p = Array.length p.p_strata
-let stratum_mass p i = p.p_strata.(i).sm_mass
+let stratum_mass p i = p.p_strata.(i).sm_weight
 let stratum_drawn p i = p.p_strata.(i).sm_drawn
 let stratum_hits p i = p.p_strata.(i).sm_hits
 
-(* Draw [n] more Monte-Carlo descents for stratum [i]. Strata are
-   independent (private stream, private counters, per-call scratch), so
-   distinct strata may be drawn concurrently; the {e same} stratum must
-   not. Adaptive sampling always descends with the plain MC indicator —
-   the HT within-node dedup needs the final per-node total up front,
-   which an adaptive budget does not know. *)
+(* Distinct strata may be drawn concurrently (private stream, private
+   counters, per-domain scratch); the {e same} stratum must not.
+   Adaptive sampling always descends with the plain MC indicator — the
+   HT within-node dedup needs the final per-node total up front, which
+   an adaptive budget does not know. *)
 let draw_stratum p i ~n =
   if n <= 0 then invalid_arg "S2bdd.draw_stratum: n <= 0";
-  let s = p.p_strata.(i) in
-  let sc = Kernel.scratch () in
-  let hits = ref 0 in
-  for _ = 1 to n do
-    let connected, _, _ =
-      descend_detailed p.p_ctx sc s.sm_rng ~detail:false ~pos:s.sm_pos
-        s.sm_state
-    in
-    if connected then incr hits
-  done;
-  s.sm_drawn <- s.sm_drawn + n;
-  s.sm_hits <- s.sm_hits + !hits
-
-(* The plan's current stratified point estimate packaged as a [result]
-   (same clamping contract as [estimate]); the adaptive driver owns the
-   confidence interval, this owns the bookkeeping fields. *)
-let plan_result cfg p =
-  let c = p.p_construction in
-  let lower = Xprob.to_float_approx c.c_pc in
-  let contribution =
-    Array.fold_left
-      (fun acc s ->
-        if s.sm_drawn > 0 then
-          acc
-          +. s.sm_mass *. float_of_int s.sm_hits /. float_of_int s.sm_drawn
-        else acc)
-      0. p.p_strata
-  in
-  let drawn = Array.fold_left (fun acc s -> acc + s.sm_drawn) 0 p.p_strata in
-  let sampled =
-    Array.fold_left
-      (fun acc s -> if s.sm_drawn > 0 then acc + 1 else acc)
-      0 p.p_strata
-  in
-  construction_result cfg p.p_construction ~value:(lower +. contribution)
-    ~samples_drawn:drawn ~sampled_nodes:sampled
+  draw p.p_ctx p.p_strata.(i) ~n

@@ -144,6 +144,15 @@ val estimate :
     consumption order, so the result is {b bit-identical} with and
     without a pool, at any pool size. *)
 
+val bounds : ?config:config -> Ugraph.t -> terminals:int list -> result
+(** The construction of {!estimate} alone, under the same [config]:
+    the same layers, deletions and stop, hence the same proven
+    [lower]/[upper] and construction fields, with no descents drawn
+    ([samples_drawn = sampled_nodes = 0]; [value = lower]). Deleted
+    nodes are dropped instead of kept. [config.samples] still sets the
+    Theorem-1 budget behind the convergence stop.
+    @raise Invalid_argument as {!estimate}. *)
+
 (** {2 Adaptive sampling plans}
 
     The sequential-stopping driver ({!Adaptive}) cannot use {!estimate}
@@ -199,10 +208,3 @@ val draw_stratum : plan -> int -> n:int -> unit
     within-node deduplication needs the node's final sample total up
     front, which sequential stopping cannot know.
     @raise Invalid_argument when [n <= 0]. *)
-
-val plan_result : config -> plan -> result
-(** Package the plan's current stratified point estimate
-    [lower + sum_i mass_i * hits_i / drawn_i] (strata still at zero
-    draws contribute zero) as a {!result} — same clamping contract as
-    {!estimate}; [samples_drawn]/[sampled_nodes] reflect the draws so
-    far. The confidence interval around it is the driver's job. *)

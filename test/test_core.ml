@@ -401,6 +401,45 @@ let prop_reliability_bounds_valid_under_pressure =
       let rep = R.estimate ~config:cfg g ~terminals:ts in
       rep.R.lower <= expect +. 1e-9 && expect <= rep.R.upper +. 1e-9)
 
+(* The three pro drivers build the same S2BDDs: [Bounds.compute] proves
+   exactly the bounds of the fixed-budget estimate at the same width,
+   and the adaptive plan of every [Reliability.split] subproblem has
+   the bounds of the matching fixed subresult. Compared as float
+   bits. *)
+let prop_drivers_share_construction =
+  QCheck.Test.make ~name:"bounds/prepare = fixed pro's construction bounds"
+    ~count:100
+    (Test_bddbase.arb_graph_ts ~max_n:8 ~max_m:12 ~max_k:4)
+    (fun (n, es, ts) ->
+      let g = graph ~n es in
+      let bits (lo, hi) = (Int64.bits_of_float lo, Int64.bits_of_float hi) in
+      List.for_all
+        (fun (width, extension) ->
+          let config = { S.default_config with S.width } in
+          let rep = R.estimate ~config ~extension g ~terminals:ts in
+          let b = Netrel.Bounds.compute ~width ~extension g ~terminals:ts in
+          let planned =
+            match R.split ~config ~extension g ~terminals:ts with
+            | R.Resolved _ -> []
+            | R.Split { subproblems; _ } ->
+              Array.to_list subproblems
+              |> List.map (fun (sp : R.subproblem) ->
+                     match
+                       S.prepare ~config:sp.R.config sp.R.graph
+                         ~terminals:sp.R.terminals
+                     with
+                     | S.Exact r -> (r.S.lower, r.S.upper)
+                     | S.Sampling plan -> S.plan_bounds plan)
+          in
+          bits (b.Netrel.Bounds.lower, b.Netrel.Bounds.upper)
+          = bits (rep.R.lower, rep.R.upper)
+          && List.map bits planned
+             = List.map (fun (r : S.result) -> bits (r.S.lower, r.S.upper))
+                 rep.R.subresults)
+        (List.concat_map
+           (fun w -> [ (w, true); (w, false) ])
+           [ 1; 2; 4; 16 ]))
+
 (* ---- baseline samplers ---- *)
 
 let t_mc_sampler_statistics () =
@@ -474,4 +513,5 @@ let suite =
           prop_s2bdd_exact_with_huge_width;
           prop_reliability_matches_bruteforce_exact;
           prop_reliability_bounds_valid_under_pressure;
+          prop_drivers_share_construction;
         ] )
