@@ -455,28 +455,6 @@ let connected_terminals t (c : Csr.t) terminals =
 
 (* ---- bit-sliced connectivity ---- *)
 
-(* Union the slab edges present in lane [lane], early-exiting like
-   [union_drawn]. The round must already be begun and marked. *)
-let union_lane t (c : Csr.t) ~lane =
-  let eu = c.Csr.eu and ev = c.Csr.ev and slab = t.slab in
-  let m = t.slab_edges in
-  let i = ref 0 in
-  while t.live > 1 && !i < m do
-    if (slab.(!i) lsr lane) land 1 = 1 then union t eu.(!i) ev.(!i);
-    incr i
-  done;
-  t.union_steps <- t.union_steps + !i;
-  t.live <= 1
-
-let connected_lane t (c : Csr.t) terminals ~lane =
-  check_drawn t.slab_for c;
-  if lane < 0 || lane >= Prng.Bitbatch.lanes then
-    invalid_arg "Kernel.connected_lane";
-  round_begin t ~elems:c.Csr.n;
-  t.union_steps <- 0;
-  mark_terminals t terminals;
-  union_lane t c ~lane
-
 let ensure_vertices t n =
   if Array.length t.reach < n then begin
     t.reach <- Array.make n 0;

@@ -173,12 +173,6 @@ val connected_lanes : t -> Csr.t -> int array -> active:int -> int
     a different {!Csr.t}, or if a terminal is outside [c]'s vertex
     range. *)
 
-val connected_lane : t -> Csr.t -> int array -> lane:int -> bool
-(** One lane's verdict alone (the HT path, after dedup): an early-exit
-    union–find round over the lane's slab bits.
-    @raise Invalid_argument if the last {!draw_bitsliced} ran against
-    a different {!Csr.t}, or unless [0 <= lane < Prng.Bitbatch.lanes]. *)
-
 val transpose_worlds : t -> unit
 (** Transpose the slab into world-major packed mask rows for
     {!world_hash}. *)
@@ -249,10 +243,11 @@ val connected_terminals : t -> Csr.t -> int array -> bool
 val union_steps : t -> int
 (** Work done by the last full connectivity entry point — the
     early-exit depth the observability layer histograms to show what
-    early exit actually saves. For {!connected_terminals} and
-    {!connected_lane} it counts edge-union attempts: how far into the
-    drawn edges the union loop ran before the terminals merged (or
-    the edges ran out). Raw {!union_drawn} calls accumulate onto the
-    last entry point's count. For {!connected_lanes} it counts the
-    adjacency entries the search scanned, re-scans of re-queued
-    vertices included, for the whole 62-world batch. *)
+    early exit actually saves. For {!connected_terminals} it counts
+    edge-union attempts: how far into the drawn edges the union loop
+    ran before the terminals merged (or the edges ran out). Raw
+    {!union_drawn} calls accumulate onto the last entry point's count.
+    For {!connected_lanes} it counts the adjacency entries the search
+    scanned, re-scans of re-queued vertices included, for the whole
+    62-world batch — one count per batch, which both bit-sliced
+    samplers (MC and HT) record. *)

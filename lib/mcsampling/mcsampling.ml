@@ -207,22 +207,26 @@ let mc_chunk_flat depth csr term_arr rng len =
   done;
   !hits
 
+(* Draw the next batch of [batch <= lanes] worlds and return the
+   verdict word over its live lanes. *)
+let draw_batch depth sc csr term_arr rng ~batch =
+  Kernel.draw_bitsliced sc csr rng;
+  let active =
+    if batch = Prng.Bitbatch.lanes then Prng.Bitbatch.all
+    else (1 lsl batch) - 1
+  in
+  let verdict = Kernel.connected_lanes sc csr term_arr ~active in
+  depth_record depth sc;
+  verdict
+
 let mc_chunk_bitsliced depth csr term_arr rng len =
   let sc = Kernel.scratch () in
   let hits = ref 0 in
   let remaining = ref len in
   while !remaining > 0 do
     let batch = min !remaining Prng.Bitbatch.lanes in
-    Kernel.draw_bitsliced sc csr rng;
-    let active =
-      if batch = Prng.Bitbatch.lanes then Prng.Bitbatch.all
-      else (1 lsl batch) - 1
-    in
     hits :=
-      !hits
-      + Prng.Bitbatch.popcount
-          (Kernel.connected_lanes sc csr term_arr ~active);
-    depth_record depth sc;
+      !hits + Prng.Bitbatch.popcount (draw_batch depth sc csr term_arr rng ~batch);
     remaining := !remaining - batch
   done;
   !hits
@@ -232,8 +236,10 @@ let mc_chunk_bitsliced depth csr term_arr rng len =
    (sized by the chunk length — the only masks it can hold), plus their
    first-occurrence order in a flat array, so the ordered merge in
    [Chunked.ht_estimate] is deterministic by construction rather than by
-   hash-table layout. Connectivity runs once per chunk-distinct mask.
-   Both kernels produce the same shape, so the merge and the weighted
+   hash-table layout. The flat kernel checks connectivity once per
+   chunk-distinct mask; the bit-sliced one reads each lane's bit of the
+   batch verdict word, and prices only distinct connected worlds. Both
+   kernels produce the same shape, so the merge and the weighted
    fold are mode-independent; the world hashes agree across modes on
    equal masks (both replay the Hash64.mask digest), so dedup semantics
    are identical and only the sampled worlds differ. *)
@@ -269,14 +275,17 @@ let ht_chunk_bitsliced depth csr term_arr rng len =
   let remaining = ref len in
   while !remaining > 0 do
     let batch = min !remaining Prng.Bitbatch.lanes in
-    Kernel.draw_bitsliced sc csr rng;
+    let verdict = draw_batch depth sc csr term_arr rng ~batch in
     Kernel.transpose_worlds sc;
     for lane = 0 to batch - 1 do
       let h = Kernel.world_hash sc ~lane in
       if not (Hashtbl.mem seen h) then begin
-        let prob = Kernel.world_prob sc csr ~lane in
-        let connected = Kernel.connected_lane sc csr term_arr ~lane in
-        depth_record depth sc;
+        (* [Chunked.ht_estimate] reads a world's probability only when
+           the world connects the terminals. *)
+        let connected = (verdict lsr lane) land 1 = 1 in
+        let prob =
+          if connected then Kernel.world_prob sc csr ~lane else Xprob.zero
+        in
         Hashtbl.add seen h (prob, connected);
         order.(!n_order) <- h;
         incr n_order

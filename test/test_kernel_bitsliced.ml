@@ -8,9 +8,8 @@
      word equals [Prng.Bitbatch.bernoulli_lane ~lane:l] replayed
      against a copy of the batch stream (and the replay leaves the
      stream in the same state as the batch draw);
-   - each lane's verdict, from the bit-parallel search and from the
-     single-lane union-find, equals the full-DSU verdict over that
-     lane's replayed bool mask;
+   - each lane's verdict from the bit-parallel search equals the
+     full-DSU verdict over that lane's replayed bool mask;
    - world hashes are digest-identical to [Hash64.mask] over the
      replayed mask (so HT dedup semantics match the flat path);
    - within the bitsliced mode, MC/HT estimates are bit-identical at
@@ -113,10 +112,9 @@ let t_batch_marginal () =
 
 (* ---- verdicts vs the full-DSU reference ---- *)
 
-(* After a bit-sliced draw: each lane's [connected_lanes] bit and its
-   [connected_lane] verdict equal the full-DSU verdict over that lane's
-   world, and restricting [active] to each of [actives] masks the
-   verdict and nothing else. *)
+(* After a bit-sliced draw: each lane's [connected_lanes] bit equals the
+   full-DSU verdict over that lane's world, and restricting [active] to
+   each of [actives] masks the verdict and nothing else. *)
 let lanes_match_dsu sc c g dsu term_arr ~actives =
   let ts = Array.to_list term_arr in
   let verdict = K.connected_lanes sc c term_arr ~active:B.all in
@@ -128,8 +126,7 @@ let lanes_match_dsu sc c g dsu term_arr ~actives =
     let want =
       Graphalgo.Connectivity.terminals_connected_dsu dsu g ~present ts
     in
-    if (verdict lsr lane) land 1 = 1 <> want then ok := false;
-    if K.connected_lane sc c term_arr ~lane <> want then ok := false
+    if (verdict lsr lane) land 1 = 1 <> want then ok := false
   done;
   List.iter
     (fun active ->
@@ -386,10 +383,7 @@ let t_terminals_already_connected () =
     (K.connected_lanes sc c [| 1; 1 |] ~active:B.all);
   Alcotest.(check int)
     "single terminal" 0x7
-    (K.connected_lanes sc c [| 2 |] ~active:0x7);
-  Alcotest.(check bool)
-    "single-lane entry point" true
-    (K.connected_lane sc c [| 1; 1 |] ~lane:0)
+    (K.connected_lanes sc c [| 2 |] ~active:0x7)
 
 let t_ragged_last_word () =
   (* 70 edges: the world-major rows span two packed words, the second
@@ -466,9 +460,6 @@ let t_scratch_graph_mismatch () =
   Alcotest.check_raises "bitsliced draw B, peel A"
     (Invalid_argument "Kernel: no draw against this Csr in scratch (draw first)")
     (fun () -> ignore (K.connected_lanes sc csr_a [| 0; 4 |] ~active:B.all));
-  Alcotest.check_raises "bitsliced draw B, lane A"
-    (Invalid_argument "Kernel: no draw against this Csr in scratch (draw first)")
-    (fun () -> ignore (K.connected_lane sc csr_a [| 0; 4 |] ~lane:0));
   ignore (K.connected_lanes sc csr_b [| 0; 2 |] ~active:B.all);
   (* The present buffer and the slab are guarded apart: a draw of one
      kind leaves the other buffer holding positions into its own Csr.
@@ -496,8 +487,6 @@ let t_scratch_graph_mismatch () =
   K.draw sc2 c r;
   Alcotest.check_raises "bitsliced c0, flat c, lanes c" no_draw (fun () ->
       ignore (K.connected_lanes sc2 c [| 0; 3 |] ~active:B.all));
-  Alcotest.check_raises "bitsliced c0, flat c, lane c" no_draw (fun () ->
-      ignore (K.connected_lane sc2 c [| 0; 3 |] ~lane:0));
   Alcotest.check_raises "bitsliced c0, flat c, world_prob c" no_draw
     (fun () -> ignore (K.world_prob sc2 c ~lane:0));
   Alcotest.(check bool)
