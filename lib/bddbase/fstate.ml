@@ -23,7 +23,6 @@ type ctx = {
   order : int array;
   first_pos : int array;
   last_pos : int array;
-  width_after : int array;
   terminal_arr : int array;
   is_terminal : bool array;
   incident_positions : int array array; (* per vertex, sorted *)
@@ -45,9 +44,7 @@ type outcome =
   | Live of state
 
 let n_positions ctx = Array.length ctx.order
-let n_terminals ctx = ctx.k
 let edge_at ctx pos = Ugraph.edge ctx.g ctx.order.(pos)
-let frontier_size_after ctx pos = ctx.width_after.(pos)
 
 let make g ~order ~terminals =
   Ugraph.validate_terminals g terminals;
@@ -78,7 +75,6 @@ let make g ~order ~terminals =
     order = Array.copy order;
     first_pos = plan.Graphalgo.Ordering.Frontier.first_pos;
     last_pos = plan.Graphalgo.Ordering.Frontier.last_pos;
-    width_after = plan.Graphalgo.Ordering.Frontier.width;
     terminal_arr = Array.of_list terminals;
     is_terminal;
     incident_positions;
@@ -264,13 +260,6 @@ let component_terminals st = Array.copy st.tc
 
 let remaining_degrees ctx ~pos =
   Array.init (Ugraph.n_vertices ctx.g) (fun v -> rem_deg ctx v ~pos)
-
-let component_uncertain_degrees ctx ~pos st =
-  let d = Array.make (Array.length st.tc) 0 in
-  Array.iteri
-    (fun i v -> d.(st.comp_of.(i)) <- d.(st.comp_of.(i)) + rem_deg ctx v ~pos)
-    st.verts;
-  d
 
 let heuristic_log2 ctx ~rem st ~log2_pn =
   let k = float_of_int ctx.k in

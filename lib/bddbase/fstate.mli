@@ -8,8 +8,8 @@
     current frontier vertices into connected components plus, per
     component, the number of terminals attached to it
     (the [c]/[t] attributes of Definition 2; the [d] attribute is
-    derivable from the layer context and exposed by
-    {!component_uncertain_degrees}).
+    derivable from the layer context: {!remaining_degrees} per vertex,
+    summed per component by {!heuristic_log2}).
 
     Because the state is sufficient for the future, it also drives the
     paper's dynamic-programming sampling: {!descend} completes an
@@ -34,12 +34,8 @@ val make :
     @raise Invalid_argument on an invalid order or terminal set. *)
 
 val n_positions : ctx -> int
-val n_terminals : ctx -> int
 val edge_at : ctx -> int -> Ugraph.edge
 (** The edge processed at a position (layer). *)
-
-val frontier_size_after : ctx -> int -> int
-(** Number of frontier vertices after processing a position. *)
 
 val initial : state
 (** The empty state before processing position 0 (the BDD root). *)
@@ -73,11 +69,6 @@ val component_count : state -> int
 
 val component_terminals : state -> int array
 (** Terminal count per component id. *)
-
-val component_uncertain_degrees : ctx -> pos:int -> state -> int array
-(** Per component id: total number of uncertain (position [> pos])
-    edge endpoints over the component's frontier vertices — the
-    [d_{n,f}] attribute, for a state at layer [pos + 1]. *)
 
 val remaining_degrees : ctx -> pos:int -> int array
 (** Per vertex: number of incident edges at positions strictly after

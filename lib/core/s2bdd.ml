@@ -1,20 +1,6 @@
 module F = Bddbase.Fstate
 module O = Graphalgo.Ordering
 
-(* GC accounting around a phase or a parallel task: measure only when
-   the observer is live and the fake clock has not pinned metrics off
-   (byte-stability contract); record the zero delta otherwise so the
-   stats document keeps its shape. *)
-let gc_begin o =
-  if Obs.enabled o && Obs.gc_counters_live () then
-    Some (Metrics.Gcstat.snapshot ())
-  else None
-
-let gc_end = function
-  | None -> Metrics.Gcstat.zero
-  | Some before ->
-      Metrics.Gcstat.delta ~before ~after:(Metrics.Gcstat.snapshot ())
-
 type estimator =
   | Monte_carlo
   | Horvitz_thompson
@@ -491,9 +477,10 @@ let build ~name ~obs ~trace cfg g ~terminals ~unit_of =
       | Some u -> units := u :: !units
       | None -> ()
     in
-    let gc0 = gc_begin co in
-    let c = construct ~obs ~co ~trace ~cfg ~ctx ~rng g ~consume in
-    Obs.record_gc co "gc" (gc_end gc0);
+    let c =
+      Obs.gc_phase co "gc" (fun () ->
+          construct ~obs ~co ~trace ~cfg ~ctx ~rng g ~consume)
+    in
     let units = Array.of_list (List.rev !units) in
     Obs.add co "sampled_nodes" (Array.length units);
     Built (ctx, c, units)
@@ -540,7 +527,7 @@ let estimate ?pool ?(obs = Obs.disabled) ?(trace = Trace.disabled)
           let tr = Trace.task trace ~lane:(i mod lanes) in
           let ts = Trace.now tr in
           let t0 = Obs.now obs in
-          let g0 = gc_begin so in
+          let g0 = Obs.gc_begin so in
           let n, s = strata.(i) in
           let r_hat =
             match cfg.estimator with
@@ -551,7 +538,7 @@ let estimate ?pool ?(obs = Obs.disabled) ?(trace = Trace.disabled)
           in
           Trace.complete tr ~ts "descent"
             ~args:[ ("task", Int i); ("n", Int n) ];
-          (s.sm_weight *. r_hat, Obs.now obs -. t0, gc_end g0, tr))
+          (s.sm_weight *. r_hat, Obs.now obs -. t0, Obs.gc_end g0, tr))
     in
     let descent_secs = ref 0. in
     let contribution =

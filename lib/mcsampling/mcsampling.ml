@@ -171,16 +171,6 @@ let depth_record depth sc =
   | None -> ()
   | Some h -> Metrics.Histogram.record h (Kernel.union_steps sc)
 
-let chunk_gc_begin o =
-  if Obs.enabled o && Obs.gc_counters_live () then
-    Some (Metrics.Gcstat.snapshot ())
-  else None
-
-let chunk_gc_end = function
-  | None -> Metrics.Gcstat.zero
-  | Some before ->
-      Metrics.Gcstat.delta ~before ~after:(Metrics.Gcstat.snapshot ())
-
 (* Fold one chunk's instrumentation into the sampling observer (main
    thread, chunk order). *)
 let chunk_obs o dt depth gd =
@@ -379,7 +369,7 @@ module Chunked = struct
           let ts = Trace.now tr in
           let t0 = Obs.now t.o in
           let depth = chunk_depth t.o in
-          let g0 = chunk_gc_begin t.o in
+          let g0 = Obs.gc_begin t.o in
           let _, len = chunks.(i) in
           let r = body depth t.csr t.terms rngs.(i) len in
           Trace.complete tr ~ts name
@@ -387,7 +377,7 @@ module Chunked = struct
               (("chunk", Trace.Int (base + i))
               :: ("samples", Trace.Int len)
               :: args r len);
-          (r, Obs.now t.o -. t0, depth, chunk_gc_end g0, tr))
+          (r, Obs.now t.o -. t0, depth, Obs.gc_end g0, tr))
     in
     Obs.record_span t.o "kernel.elapsed" (Obs.now t.o -. t_kernel);
     let acc =

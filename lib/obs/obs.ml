@@ -460,11 +460,6 @@ let hist_count t name =
   | Some (Hist h) -> Metrics.Histogram.count h
   | _ -> 0
 
-let hist_max t name =
-  match Hashtbl.find_opt t.cells (key t name) with
-  | Some (Hist h) -> Metrics.Histogram.max_value h
-  | _ -> 0
-
 let hist_quantile t name q =
   match Hashtbl.find_opt t.cells (key t name) with
   | Some (Hist h) -> Metrics.Histogram.quantile h q
@@ -516,6 +511,15 @@ let record_gc t name (d : Metrics.Gcstat.delta) =
     add t (name ^ ".compactions") d.compactions;
     gauge_max t (name ^ ".top_heap_words") (float_of_int d.top_heap_words)
   end
+
+let gc_begin t =
+  if t.on && gc_counters_live () then Some (Metrics.Gcstat.snapshot ())
+  else None
+
+let gc_end = function
+  | None -> Metrics.Gcstat.zero
+  | Some before ->
+      Metrics.Gcstat.delta ~before ~after:(Metrics.Gcstat.snapshot ())
 
 let gc_phase t ?emit name f =
   let live = (t.on || emit <> None) && gc_counters_live () in

@@ -140,6 +140,15 @@ val record_gc : t -> string -> Metrics.Gcstat.delta -> unit
     counters add (per-task deltas accumulate under ordered reduction),
     [name.top_heap_words] is a max-gauge. *)
 
+val gc_begin : t -> Metrics.Gcstat.snapshot option
+val gc_end : Metrics.Gcstat.snapshot option -> Metrics.Gcstat.delta
+(** The split form of {!gc_phase}, for a parallel task whose delta the
+    calling thread records later ({!record_gc}, in task order):
+    [gc_begin t] snapshots under the same liveness rule (an enabled [t]
+    and live counters) and [gc_end] returns the delta since, or
+    {!Metrics.Gcstat.zero} when nothing was measured, so the cells keep
+    their shape. *)
+
 val gc_phase : t -> ?emit:(string -> float -> unit) -> string -> (unit -> 'a) -> 'a
 (** [gc_phase t name f] runs [f] and records the [Gc.quick_stat] delta
     it caused under [name.*] (also on exceptional exit).  [emit] is
@@ -158,7 +167,6 @@ val timer_count : t -> string -> int
 val series_values : t -> string -> float array
 
 val hist_count : t -> string -> int
-val hist_max : t -> string -> int
 val hist_quantile : t -> string -> float -> int
 
 val mem : t -> string -> bool

@@ -101,11 +101,6 @@ let format_seconds s =
 
 type interval_method = Wald | Wilson | Agresti_coull
 
-let interval_method_name = function
-  | Wald -> "wald"
-  | Wilson -> "wilson"
-  | Agresti_coull -> "agresti-coull"
-
 let default_z = 1.96
 
 (* Wald degenerates to a zero-width interval at phat in {0, 1} — the

@@ -54,9 +54,6 @@ val format_seconds : float -> string
 
 type interval_method = Wald | Wilson | Agresti_coull
 
-val interval_method_name : interval_method -> string
-(** ["wald"] / ["wilson"] / ["agresti-coull"]. *)
-
 val default_z : float
 (** [1.96] — the nominal two-sided 95% normal quantile. *)
 

@@ -147,7 +147,6 @@ let rec pow_int x n =
 let log2 x = if is_zero x then neg_infinity else Float.log2 x.m +. float_of_int x.e
 let log10 x = log2 x *. 0.301029995663981195
 let sum xs = List.fold_left add zero xs
-let sum_array xs = Array.fold_left add zero xs
 
 let mantissa_exponent x = (x.m, x.e)
 

@@ -89,7 +89,6 @@ val mantissa_exponent : t -> float * int
     [m] in [[0.5, 1)], or [(0., 0)] for {!zero}. *)
 
 val sum : t list -> t
-val sum_array : t array -> t
 
 val to_string : t -> string
 (** Decimal scientific notation, e.g. ["3.1415e-1234"]. *)
