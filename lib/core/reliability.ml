@@ -127,13 +127,13 @@ let split ?(obs = Obs.disabled) ?(trace = Trace.disabled)
         Array.of_list subproblems
         |> Array.mapi (fun i (sp : P.subproblem) ->
                let seed = Int64.to_int (Prng.bits64 seed_rng) in
-               let config = { config with S2bdd.seed } in
-               let config =
+               let order =
                  match orders with
-                 | Some os -> { config with S2bdd.order = `Explicit os.(i) }
-                 | None -> config
+                 | Some os -> `Explicit os.(i)
+                 | None -> config.S2bdd.order
                in
-               { graph = sp.P.graph; terminals = sp.P.terminals; config })
+               { graph = sp.P.graph; terminals = sp.P.terminals;
+                 config = { config with S2bdd.seed; order } })
       in
       Split { pb = Xprob.to_float_exn pb; stats = Some stats; subproblems }
 

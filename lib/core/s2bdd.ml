@@ -449,6 +449,11 @@ let construction_result cfg c ~value ~samples_drawn ~sampled_nodes =
     stop = c.c_stop;
   }
 
+(* A construction no descent refined: its value is [lower]. *)
+let unsampled_result cfg c =
+  construction_result cfg c ~value:(Xprob.to_float_approx c.c_pc)
+    ~samples_drawn:0 ~sampled_nodes:0
+
 type 'u built =
   | Trivial of result
   | Built of F.ctx * construction * 'u array
@@ -580,9 +585,7 @@ let bounds ?(config = default_config) g ~terminals =
       ~terminals ~unit_of:(fun _ ~s_cur:_ ~pos:_ _ _ -> None)
   with
   | Trivial r -> r
-  | Built (_, c, _) ->
-    construction_result config c ~value:(Xprob.to_float_approx c.c_pc)
-      ~samples_drawn:0 ~sampled_nodes:0
+  | Built (_, c, _) -> unsampled_result config c
 
 (* ------------------------------------------------------------------ *)
 (* Adaptive sampling plans                                             *)
@@ -608,10 +611,7 @@ let prepare ?(obs = Obs.disabled) ?(trace = Trace.disabled)
   in
   match build ~name:"S2bdd.prepare" ~obs ~trace config g ~terminals ~unit_of with
   | Trivial r -> Exact r
-  | Built (_, c, [||]) ->
-    Exact
-      (construction_result config c ~value:(Xprob.to_float_approx c.c_pc)
-         ~samples_drawn:0 ~sampled_nodes:0)
+  | Built (_, c, [||]) -> Exact (unsampled_result config c)
   | Built (ctx, c, strata) ->
     Sampling { p_ctx = ctx; p_construction = c; p_strata = strata }
 
