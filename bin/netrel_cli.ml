@@ -580,7 +580,10 @@ let convert_cmd =
 
 let bounds_cmd =
   let width =
-    let doc = "Maximum S2BDD layer width." in
+    let doc = "Maximum S2BDD layer width. The bounds are exactly those \
+               $(b,estimate) proves at this width; wider layers cost more \
+               (DBLP1, 5 terminals: about 0.2 s at 1000 and 3 s at \
+               10000)." in
     Arg.(value & opt int 10_000 & info [ "w"; "width" ] ~docv:"W" ~doc)
   in
   let threshold =
@@ -609,7 +612,8 @@ let bounds_cmd =
       Printf.printf "threshold %.4g: %s\n" p verdict);
     Printf.printf "time: %s\n" (Relstats.format_seconds dt)
   in
-  let doc = "Prove reliability bounds without sampling (anytime bounds)" in
+  let doc = "Prove reliability bounds without sampling: pro's S2BDD \
+             construction at the same width, without its descents" in
   Cmd.v (Cmd.info "bounds" ~doc)
     Term.(const run $ graph_file $ dataset_arg $ seed_arg $ scale_arg
           $ terminals_arg $ k_arg $ width $ threshold)

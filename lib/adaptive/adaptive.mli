@@ -89,9 +89,10 @@ val reliability :
   ?extension:bool -> ?jobs:int -> ?prep:Preprocess.Pipeline.outcome ->
   ?orders:int array array -> ?max_samples:int ->
   Ugraph.t -> terminals:int list -> ci_width:float -> result
-(** The full pipeline (Algorithm 1) under sequential stopping: the
-    preprocess extension splits the problem, each subproblem runs
-    {!S2bdd.prepare}, and every resulting sampling plan is drawn in
+(** The full pipeline (Algorithm 1) under sequential stopping:
+    {!Netrel.Reliability.split} gives the subproblems and their seeds,
+    each subproblem runs {!S2bdd.prepare}, and every resulting
+    sampling plan is drawn in
     Neyman-allocated rounds — round 1 proportional to stratum mass
     with every stratum covered, later rounds proportional to
     [mass_i * sigma^_i] with the half-count smoothed binomial spread,

@@ -93,8 +93,8 @@ val estimate :
 
     With [extension = true] (default) the graph is pruned, decomposed
     at bridges and transformed first (Section 5); each subproblem gets
-    its own S2BDD with an independent seed split from [config.seed],
-    and the results multiply with the bridge probability [pb]
+    its own S2BDD with an independent seed split from [config.seed]
+    (see {!split}), and the results multiply with the bridge probability [pb]
     (Lemma 5.1). With [extension = false], a single S2BDD runs on the
     raw graph — the paper's "Pro w/o ext" configuration.
 

@@ -28,7 +28,18 @@
 
     When the construction finishes with no deletions, the result is the
     {e exact} reliability ([exact = true]), which plain sampling can
-    never deliver. *)
+    never deliver.
+
+    {b One construction, three consumers.} {!estimate}, {!prepare} and
+    {!bounds} run one private construction entry (validation, the
+    trivial answers, edge order, frontier context, construction stream,
+    GC-accounted construction). They differ only in what they keep of
+    each deleted or leftover node: {!estimate} keeps a stratum with its
+    descent count and weight ([p_n], or [N_n / s'] in the
+    randomised-rounding tail); {!prepare} keeps a stratum for every
+    node and leaves the budgets to its caller; {!bounds} keeps nothing.
+    The construction never reads what a consumer kept, so for the same
+    [config] all three build the same layers, bounds and stop. *)
 
 type estimator =
   | Monte_carlo

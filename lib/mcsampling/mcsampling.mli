@@ -42,7 +42,9 @@
     fake clock) from which the report layer derives
     [kernel.samples_per_sec] — the throughput figure is computed at
     report time, never stored mid-run. Per-chunk latency, early-exit
-    union depth and (for HT) dedup-table occupancy additionally land in
+    connectivity depth (one entry per world under the flat kernel, per
+    62-world batch under the bit-sliced one; see [Kernel.union_steps])
+    and (for HT) dedup-table occupancy additionally land in
     [hist.chunk_ns], [hist.early_exit_depth] and [hist.dedup_occupancy]
     histograms, and each chunk's [Gc.quick_stat] delta accumulates
     under [gc.*]. They also accept a {!Trace.t} and stream
@@ -84,7 +86,11 @@ type kernel_mode =
               the pre-kernel stream, bit-identical to {!Reference} *)
   | Bitsliced
       (** word-parallel draw: 62 worlds per {!Prng.Bitbatch.draw} pass
-          through [Kernel.draw_bitsliced] *)
+          through [Kernel.draw_bitsliced]. MC and HT both decide
+          connectivity once per batch, with one
+          [Kernel.connected_lanes] verdict word; HT still hashes every
+          lane for its dedup and prices only distinct connected
+          worlds *)
 (** Which draw kernel the samplers run on (default {!Flat}). Each mode
     is bit-identical to itself at every [jobs] value, but the modes
     consume the per-chunk streams differently: for the same seed they
