@@ -34,7 +34,8 @@ let compute ?(width = 10_000) ?max_work ?(order = `Auto) ?(extension = true) g
           layers_built = t.layers_built + r.S2bdd.layers_built;
           work_used = t.work_used || r.S2bdd.stop = S2bdd.Work_capped;
         })
-      { lower = pb; upper = pb; exact = true; layers_built = 0; work_used = false }
+      { lower = pb; upper = pb; exact = true; layers_built = 0;
+        work_used = false }
       subproblems
 
 let decides t ~threshold =

@@ -94,14 +94,18 @@ type subproblem = {
 
 type split =
   | Resolved of float
-  | Split of { pb : float; stats : P.stats option; subproblems : subproblem array }
+  | Split of {
+      pb : float;
+      stats : P.stats option;
+      subproblems : subproblem array;
+    }
 
 let split ?(obs = Obs.disabled) ?(trace = Trace.disabled)
     ?(config = S2bdd.default_config) ?(extension = true) ?prep ?orders g
     ~terminals =
   if not extension then
-    Split
-      { pb = 1.; stats = None; subproblems = [| { graph = g; terminals; config } |] }
+    let subproblems = [| { graph = g; terminals; config } |] in
+    Split { pb = 1.; stats = None; subproblems }
   else
     (* [prep] short-circuits the pipeline with a previously computed
        outcome for the same (graph, terminals): the engine caches it

@@ -609,7 +609,9 @@ let prepare ?(obs = Obs.disabled) ?(trace = Trace.disabled)
   let unit_of rng ~s_cur:_ ~pos st pn =
     Some (stratum rng ~pos st (Xprob.to_float_approx pn))
   in
-  match build ~name:"S2bdd.prepare" ~obs ~trace config g ~terminals ~unit_of with
+  match
+    build ~name:"S2bdd.prepare" ~obs ~trace config g ~terminals ~unit_of
+  with
   | Trivial r -> Exact r
   | Built (_, c, [||]) -> Exact (unsampled_result config c)
   | Built (ctx, c, strata) ->

@@ -215,8 +215,8 @@ let mc_chunk_bitsliced depth csr term_arr rng len =
   let remaining = ref len in
   while !remaining > 0 do
     let batch = min !remaining Prng.Bitbatch.lanes in
-    hits :=
-      !hits + Prng.Bitbatch.popcount (draw_batch depth sc csr term_arr rng ~batch);
+    let verdict = draw_batch depth sc csr term_arr rng ~batch in
+    hits := !hits + Prng.Bitbatch.popcount verdict;
     remaining := !remaining - batch
   done;
   !hits

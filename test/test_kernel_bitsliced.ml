@@ -295,7 +295,9 @@ let prop_bitsliced_jobs_identical =
    dedup path carries the answer. Every sample count leaves a ragged
    last batch in some chunk. *)
 let t_ht_bitsliced_known_answers () =
-  let karate () = (Workload.Datasets.karate ~seed:1 ()).Workload.Datasets.graph in
+  let karate () =
+    (Workload.Datasets.karate ~seed:1 ()).Workload.Datasets.graph
+  in
   let pa () =
     Workload.Probability.uniform_range ~seed:3 ~lo:0.5 ~hi:0.95
       (Workload.Generators.preferential_attachment_large ~seed:7 ~n:1000
