@@ -289,11 +289,10 @@ let prop_bitsliced_jobs_identical =
 
 (* Known answers of seeded bit-sliced HT runs: value (as float bits),
    hits and distinct for k = 2/5/20 random terminals (fig1: 2/3/5 fixed
-   ones). Karate and a
-   10^3-vertex preferential-attachment graph keep every drawn world
-   distinct; fig1's six edges make most draws duplicates, so there the
-   dedup path carries the answer. Every sample count leaves a ragged
-   last batch in some chunk. *)
+   ones). Karate and a 10^3-vertex preferential-attachment graph keep
+   every drawn world distinct; fig1's six edges make most draws
+   duplicates, so there the dedup path carries the answer. Every sample
+   count leaves a ragged last batch in some chunk. *)
 let t_ht_bitsliced_known_answers () =
   let karate () =
     (Workload.Datasets.karate ~seed:1 ()).Workload.Datasets.graph
