@@ -23,7 +23,6 @@ type result = {
   samples_planned : int;
   rounds : int;
   stop : stop;
-  estimate : Mcsampling.estimate option;
 }
 
 let default_max_samples = 1_000_000
@@ -86,20 +85,44 @@ let apportion ~total weights =
   done;
   out
 
-let trivial ~target_width value =
+let exact ~target_width ~lower ~upper value =
   {
     value;
-    lower = value;
-    upper = value;
+    lower;
+    upper;
     exact = true;
-    ci_width = 0.;
+    ci_width = upper -. lower;
     target_width;
     samples_used = 0;
     samples_planned = 0;
     rounds = 0;
     stop = Exact_answer;
-    estimate = None;
   }
+
+(* Independent factors multiply (each lies in [[0, 1]]), starting from
+   the probability [pb] the pipeline resolved. The product is exact
+   when every factor is; otherwise a capped factor makes it capped. *)
+let product ~target_width ~pb results =
+  let r =
+    Array.fold_left
+      (fun a r ->
+        {
+          a with
+          value = a.value *. r.value;
+          lower = a.lower *. r.lower;
+          upper = a.upper *. r.upper;
+          exact = a.exact && r.exact;
+          samples_used = a.samples_used + r.samples_used;
+          samples_planned = a.samples_planned + r.samples_planned;
+          rounds = a.rounds + r.rounds;
+          stop =
+            (if a.stop = Budget_exhausted || r.stop = Exact_answer then a.stop
+             else r.stop);
+        })
+      (exact ~target_width ~lower:pb ~upper:pb pb)
+      results
+  in
+  { r with ci_width = r.upper -. r.lower }
 
 let finish_obs ao r =
   Obs.add ao "rounds" r.rounds;
@@ -126,52 +149,79 @@ let emit_result trace r =
         ];
   r
 
+(* The one round loop of every driver. The driver supplies its current
+   interval [width], its [next] round size (0 once the budget is
+   spent) and [round i n]: for round [i] planned at [n], the size it
+   actually draws, the draw, and the [adaptive.round] trace args given
+   the width after the draw. Returns the stop reason, the rounds run
+   and their total size. *)
+let loop ~ao ~trace ~ci_width ~width ~next ~round =
+  let rec go w rounds planned =
+    if w <= ci_width then (Width_reached, rounds, planned)
+    else
+      match next () with
+      | 0 -> (Budget_exhausted, rounds, planned)
+      | n ->
+        let ts = Trace.now trace in
+        let size, draw, args = round (rounds + 1) n in
+        (* Round-size distribution and per-round GC cost: the round
+           schedule is a deterministic function of the observed hit
+           counts, so the histogram is byte-stable for a fixed seed. *)
+        Obs.hist ao "hist.round_size" size;
+        Obs.gc_phase ao "gc" draw;
+        let w = width () in
+        if Trace.enabled trace then
+          Trace.complete trace ~ts "adaptive.round" ~args:(args w);
+        go w (rounds + 1) (planned + size)
+  in
+  go (width ()) 0 0
+
 (* ------------------------------------------------------------------ *)
 (* Plain samplers                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* One sequential-stopping loop shared by MC and HT: [hits]/[samples]
-   feed the planner, [estimate] prices the current interval. *)
-let sampler_loop ~ao ~trace ~ci_width ~max_samples ~draw ~samples ~hits
-    ~estimate =
-  let rounds = ref 0 in
-  let planned = ref 0 in
-  let finished = ref None in
-  while !finished = None do
-    let drawn = samples () in
-    (* [hits] may cost an estimate replay (HT) and is undefined before
-       the first draw — only consult it once something was drawn. *)
-    let h = if drawn = 0 then 0 else hits () in
-    let next = next_round ~hits:h ~drawn ~width:ci_width ~max_samples in
-    if next = 0 then finished := Some Budget_exhausted
-    else begin
-      let ts = Trace.now trace in
-      (* Round-size distribution and per-round GC cost: the round
-         schedule is a deterministic function of the observed hit
-         counts, so the histogram is byte-stable for a fixed seed. *)
-      Obs.hist ao "hist.round_size" next;
-      Obs.gc_phase ao "gc" (fun () -> draw next);
-      incr rounds;
-      planned := !planned + next;
-      let e = estimate () in
-      let lower, upper = Mcsampling.interval e in
-      let width = upper -. lower in
-      if Trace.enabled trace then
-        Trace.complete trace ~ts "adaptive.round"
-          ~args:
-            [
-              ("round", Trace.Int !rounds);
-              ("planned", Trace.Int next);
-              ("samples", Trace.Int (samples ()));
-              ("width", Trace.Float width);
-            ];
-      if width <= ci_width then finished := Some Width_reached
-    end
-  done;
-  let stop = Option.get !finished in
-  let e = estimate () in
-  let lower, upper = Mcsampling.interval e in
-  finish_obs ao
+(* The plain samplers' driver: validation, the trivial k < 2 answer,
+   the snapshot the chunk stream samples, then rounds. [sampler csr]
+   returns the stream's [draw], [samples], [hits] (the planner's
+   input) and [estimate] (which prices the interval). *)
+let plain ~obs ~trace ?csr ~max_samples g ~terminals ~ci_width sampler =
+  validate ~ci_width ~max_samples;
+  Ugraph.validate_terminals g terminals;
+  let ao = Obs.sub obs "adaptive" in
+  emit_result trace @@ finish_obs ao
+  @@
+  if List.length terminals < 2 then
+    exact ~target_width:ci_width ~lower:1. ~upper:1. 1.
+  else
+    let csr = match csr with Some c -> c | None -> Kernel.Csr.of_graph g in
+    let draw, samples, hits, estimate = sampler csr in
+    let width () =
+      if samples () = 0 then infinity
+      else
+        let lower, upper = Mcsampling.interval (estimate ()) in
+        upper -. lower
+    in
+    let next () =
+      let drawn = samples () in
+      (* [hits] may cost an estimate replay (HT) and is undefined before
+         the first draw — only consult it once something was drawn. *)
+      let hits = if drawn = 0 then 0 else hits () in
+      next_round ~hits ~drawn ~width:ci_width ~max_samples
+    in
+    let round i n =
+      ( n,
+        (fun () -> draw n),
+        fun width ->
+          [
+            ("round", Trace.Int i);
+            ("planned", Trace.Int n);
+            ("samples", Trace.Int (samples ()));
+            ("width", Trace.Float width);
+          ] )
+    in
+    let stop, rounds, planned = loop ~ao ~trace ~ci_width ~width ~next ~round in
+    let e = estimate () in
+    let lower, upper = Mcsampling.interval e in
     {
       value = Float.max 0. (Float.min 1. e.Mcsampling.value);
       lower;
@@ -180,38 +230,24 @@ let sampler_loop ~ao ~trace ~ci_width ~max_samples ~draw ~samples ~hits
       ci_width = upper -. lower;
       target_width = ci_width;
       samples_used = e.Mcsampling.samples_used;
-      samples_planned = !planned;
-      rounds = !rounds;
+      samples_planned = planned;
+      rounds;
       stop;
-      estimate = Some e;
     }
-
-(* Shared prologue of the plain samplers: validation, the trivial k < 2
-   answer, and the snapshot the chunk stream samples. *)
-let plain ~obs ~trace ?csr ~max_samples g ~terminals ~ci_width run =
-  validate ~ci_width ~max_samples;
-  Ugraph.validate_terminals g terminals;
-  let ao = Obs.sub obs "adaptive" in
-  if List.length terminals < 2 then
-    emit_result trace (finish_obs ao (trivial ~target_width:ci_width 1.))
-  else
-    let csr = match csr with Some c -> c | None -> Kernel.Csr.of_graph g in
-    emit_result trace (run ~ao csr)
 
 let monte_carlo ?(obs = Obs.disabled) ?(trace = Trace.disabled) ?seed ?jobs
     ?kernel ?csr ?(max_samples = default_max_samples) g ~terminals ~ci_width =
-  plain ~obs ~trace ?csr ~max_samples g ~terminals ~ci_width @@ fun ~ao csr ->
+  plain ~obs ~trace ?csr ~max_samples g ~terminals ~ci_width @@ fun csr ->
   let t = MC.mc_create ~obs ~trace ?seed ?jobs ?kernel csr ~terminals in
-  sampler_loop ~ao ~trace ~ci_width ~max_samples
-    ~draw:(fun n -> MC.mc_draw t ~samples:n)
-    ~samples:(fun () -> MC.mc_samples t)
-    ~hits:(fun () -> MC.mc_hits t)
-    ~estimate:(fun () -> MC.mc_estimate t)
+  ( (fun n -> MC.mc_draw t ~samples:n),
+    (fun () -> MC.mc_samples t),
+    (fun () -> MC.mc_hits t),
+    fun () -> MC.mc_estimate t )
 
 let horvitz_thompson ?(obs = Obs.disabled) ?(trace = Trace.disabled) ?seed
     ?jobs ?kernel ?csr ?(max_samples = default_max_samples) g ~terminals
     ~ci_width =
-  plain ~obs ~trace ?csr ~max_samples g ~terminals ~ci_width @@ fun ~ao csr ->
+  plain ~obs ~trace ?csr ~max_samples g ~terminals ~ci_width @@ fun csr ->
   let t = MC.ht_create ~obs ~trace ?seed ?jobs ?kernel csr ~terminals in
   (* The HT planner reads hits as round(value * samples): the HT value
      is a weighted sum, not a count, but the planner only needs a
@@ -221,11 +257,10 @@ let horvitz_thompson ?(obs = Obs.disabled) ?(trace = Trace.disabled) ?seed
     let v = Float.max 0. (Float.min 1. e.Mcsampling.value) in
     int_of_float (Float.round (v *. float_of_int e.Mcsampling.samples_used))
   in
-  sampler_loop ~ao ~trace ~ci_width ~max_samples
-    ~draw:(fun n -> MC.ht_draw t ~samples:n)
-    ~samples:(fun () -> MC.ht_samples t)
-    ~hits
-    ~estimate:(fun () -> MC.ht_estimate t)
+  ( (fun n -> MC.ht_draw t ~samples:n),
+    (fun () -> MC.ht_samples t),
+    hits,
+    fun () -> MC.ht_estimate t )
 
 (* ------------------------------------------------------------------ *)
 (* Stratified S2BDD plans (Neyman re-allocation)                       *)
@@ -234,29 +269,6 @@ let horvitz_thompson ?(obs = Obs.disabled) ?(trace = Trace.disabled) ?seed
 (* How many per-stratum gauges a plan run records: real graphs can shed
    thousands of strata and the stats document must stay bounded. *)
 let max_stratum_gauges = 16
-
-type plan_outcome = {
-  po_value : float;
-  po_lower : float;
-  po_upper : float;
-  po_exact : bool;
-  po_samples : int;
-  po_planned : int;
-  po_rounds : int;
-  po_stop : stop;
-}
-
-let outcome_of_exact (r : S2bdd.result) =
-  {
-    po_value = r.S2bdd.value;
-    po_lower = r.S2bdd.lower;
-    po_upper = r.S2bdd.upper;
-    po_exact = true;
-    po_samples = 0;
-    po_planned = 0;
-    po_rounds = 0;
-    po_stop = Exact_answer;
-  }
 
 (* The honest interval of a partially sampled plan. Let
    [U = upper - lower] be the unresolved mass and [Us] the mass the
@@ -305,135 +317,88 @@ let neyman_weight plan i =
   let sigma = sqrt ((h +. 0.5) *. (n -. h +. 0.5)) /. (n +. 1.) in
   S2bdd.stratum_mass plan i *. sigma
 
-let run_plan ?pool ~ao ~trace ~sub ~ci_width ~max_samples plan =
+(* One subproblem's plan through the loop. Its width is the
+   [plan_interval] width: [upper - lower] before any draw. *)
+let stratified ?pool ~ao ~trace ~sub ~ci_width ~max_samples plan =
   let lower, upper = S2bdd.plan_bounds plan in
   let k = S2bdd.n_strata plan in
-  let total_mass = ref 0. in
-  for i = 0 to k - 1 do
-    total_mass := !total_mass +. S2bdd.stratum_mass plan i
-  done;
-  let rounds = ref 0 in
-  let planned = ref 0 in
-  let finished = ref None in
-  if upper -. lower <= ci_width then finished := Some Width_reached;
-  while !finished = None do
+  let mass = Array.init k (S2bdd.stratum_mass plan) in
+  let total_mass = Array.fold_left ( +. ) 0. mass in
+  (* Plan against the width the Wilson part must reach once the mass
+     scaling and the unsampled slack are taken out. *)
+  let slack = Float.max 0. (upper -. lower -. total_mass) in
+  let w_eff =
+    if total_mass > 0. then (ci_width -. slack) /. total_mass else 0.
+  in
+  let width () =
+    let lo, hi, _, _ = plan_interval plan in
+    hi -. lo
+  in
+  let next () =
     let _, _, r_eff, drawn = plan_interval plan in
-    (* Plan against the width the Wilson part must reach once the
-       mass scaling and the unsampled slack are taken out. *)
-    let slack = Float.max 0. (upper -. lower -. !total_mass) in
-    let w_eff =
-      if !total_mass > 0. then (ci_width -. slack) /. !total_mass else 0.
+    if w_eff <= 0. then 0
+    else
+      next_round
+        ~hits:(int_of_float (Float.round (r_eff *. float_of_int drawn)))
+        ~drawn ~width:w_eff ~max_samples
+  in
+  let round i n =
+    (* Round 1 is proportional-to-mass with every stratum covered
+       (there is no variance signal yet); later rounds re-allocate by
+       the observed Neyman weights. *)
+    let alloc =
+      if i = 1 then
+        let n = max n k in
+        Array.map (fun a -> a + 1) (apportion ~total:(n - k) mass)
+      else apportion ~total:n (Array.init k (neyman_weight plan))
     in
-    let next =
-      if w_eff <= 0. then 0
-      else
-        next_round
-          ~hits:(int_of_float (Float.round (r_eff *. float_of_int drawn)))
-          ~drawn ~width:w_eff ~max_samples
+    let targets =
+      Array.of_list
+        (List.filter (fun i -> alloc.(i) > 0) (List.init k (fun i -> i)))
     in
-    if next = 0 then finished := Some Budget_exhausted
-    else begin
-      let ts = Trace.now trace in
-      (* Round 1 is proportional-to-mass with every stratum covered
-         (there is no variance signal yet); later rounds re-allocate by
-         the observed Neyman weights. *)
-      let alloc =
-        if !rounds = 0 then begin
-          let next = max next k in
-          let base =
-            apportion ~total:(next - k)
-              (Array.init k (fun i -> S2bdd.stratum_mass plan i))
-          in
-          Array.map (fun n -> n + 1) base
-        end
-        else apportion ~total:next (Array.init k (fun i -> neyman_weight plan i))
-      in
-      let this_round = Array.fold_left ( + ) 0 alloc in
-      let targets =
-        Array.of_list
-          (List.filter (fun i -> alloc.(i) > 0) (List.init k (fun i -> i)))
-      in
-      Obs.hist ao "hist.round_size" this_round;
-      (* Distinct strata only: safe to draw concurrently (each owns its
-         stream, counters and scratch). *)
-      Obs.gc_phase ao "gc" (fun () ->
-          ignore
-            (Par.run ?pool (Array.length targets) (fun j ->
-                 let i = targets.(j) in
-                 S2bdd.draw_stratum plan i ~n:alloc.(i))));
-      incr rounds;
-      planned := !planned + this_round;
-      let lo, hi, _, _ = plan_interval plan in
-      let width = hi -. lo in
-      if Trace.enabled trace then
-        Trace.complete trace ~ts "adaptive.round"
-          ~args:
-            [
-              ("sub", Trace.Int sub);
-              ("round", Trace.Int !rounds);
-              ("planned", Trace.Int this_round);
-              ("strata", Trace.Int (Array.length targets));
-              ("width", Trace.Float width);
-            ];
-      if width <= ci_width then finished := Some Width_reached
-    end
-  done;
-  let lo, hi, _, drawn = plan_interval plan in
+    (* Distinct strata only: safe to draw concurrently (each owns its
+       stream, counters and scratch). *)
+    let draw () =
+      ignore
+        (Par.run ?pool (Array.length targets) (fun j ->
+             let i = targets.(j) in
+             S2bdd.draw_stratum plan i ~n:alloc.(i)))
+    in
+    let size = Array.fold_left ( + ) 0 alloc in
+    ( size,
+      draw,
+      fun width ->
+        [
+          ("sub", Trace.Int sub);
+          ("round", Trace.Int i);
+          ("planned", Trace.Int size);
+          ("strata", Trace.Int (Array.length targets));
+          ("width", Trace.Float width);
+        ] )
+  in
+  let stop, rounds, planned = loop ~ao ~trace ~ci_width ~width ~next ~round in
+  let lo, hi, r_eff, drawn = plan_interval plan in
   for i = 0 to min k max_stratum_gauges - 1 do
     Obs.gauge ao
       (Printf.sprintf "stratum%d.drawn" i)
       (float_of_int (S2bdd.stratum_drawn plan i));
-    Obs.gauge ao
-      (Printf.sprintf "stratum%d.mass" i)
-      (S2bdd.stratum_mass plan i)
+    Obs.gauge ao (Printf.sprintf "stratum%d.mass" i) mass.(i)
   done;
   (* Point value: the plan's own stratified estimate, pulled into the
      honest interval (they can disagree by sampling noise near the
      clamp boundaries). *)
-  let value =
-    let _, _, r_eff, _ = plan_interval plan in
-    let v = lower +. (!total_mass *. r_eff) in
-    Float.max lo (Float.min hi v)
-  in
-  {
-    po_value = value;
-    po_lower = lo;
-    po_upper = hi;
-    po_exact = false;
-    po_samples = drawn;
-    po_planned = !planned;
-    po_rounds = !rounds;
-    po_stop = Option.get !finished;
-  }
-
-let combine_outcomes ~target_width ~pb outcomes =
-  let value, lower, upper, exact =
-    Array.fold_left
-      (fun (v, lo, hi, ex) o ->
-        (v *. o.po_value, lo *. o.po_lower, hi *. o.po_upper, ex && o.po_exact))
-      (pb, pb, pb, true) outcomes
-  in
-  let samples = Array.fold_left (fun a o -> a + o.po_samples) 0 outcomes in
-  let planned = Array.fold_left (fun a o -> a + o.po_planned) 0 outcomes in
-  let rounds = Array.fold_left (fun a o -> a + o.po_rounds) 0 outcomes in
-  let stop =
-    if exact then Exact_answer
-    else if Array.exists (fun o -> o.po_stop = Budget_exhausted) outcomes then
-      Budget_exhausted
-    else Width_reached
-  in
+  let value = Float.max lo (Float.min hi (lower +. (total_mass *. r_eff))) in
   {
     value;
-    lower;
-    upper;
-    exact;
-    ci_width = upper -. lower;
-    target_width;
-    samples_used = samples;
+    lower = lo;
+    upper = hi;
+    exact = false;
+    ci_width = hi -. lo;
+    target_width = ci_width;
+    samples_used = drawn;
     samples_planned = planned;
     rounds;
     stop;
-    estimate = None;
   }
 
 let reliability ?(obs = Obs.disabled) ?(trace = Trace.disabled)
@@ -444,36 +409,33 @@ let reliability ?(obs = Obs.disabled) ?(trace = Trace.disabled)
   let ejobs = Par.effective_jobs jobs in
   let pool = if ejobs > 1 then Some (Par.Pool.shared ~jobs:ejobs) else None in
   let ao = Obs.sub obs "adaptive" in
-  let result =
-    (* As in {!Reliability.estimate}: [prep] replays a cached pipeline
-       outcome for the same (graph, terminals); the rounds that follow
-       are a pure function of the outcome, config and seed. *)
-    match R.split ~obs ~trace ~config ~extension ?prep ?orders g ~terminals with
-    | R.Resolved v -> finish_obs ao (trivial ~target_width:ci_width v)
-    | R.Split { pb; subproblems; _ } ->
-      (* Constructions and rounds run sequentially per subproblem — the
-         strata within a round are the parallel surface. Product-interval
-         width is at most [pb * sum of sub widths] (all factors in
-         [[0, 1]]), so an even split of the target over the subproblems
-         is sufficient. *)
-      let k_s = Array.length subproblems in
-      let width =
-        Float.min 1. (ci_width /. (pb *. float_of_int (max 1 k_s)))
-      in
-      let cap = max 1 (max_samples / max 1 k_s) in
-      let outcomes =
-        Array.mapi
-          (fun i (sp : R.subproblem) ->
-            match
-              S2bdd.prepare ~obs ~trace ~config:sp.R.config sp.R.graph
-                ~terminals:sp.R.terminals
-            with
-            | S2bdd.Exact r -> outcome_of_exact r
-            | S2bdd.Sampling plan ->
-              run_plan ?pool ~ao ~trace ~sub:i ~ci_width:width ~max_samples:cap
-                plan)
-          subproblems
-      in
-      finish_obs ao (combine_outcomes ~target_width:ci_width ~pb outcomes)
-  in
-  emit_result trace result
+  emit_result trace @@ finish_obs ao
+  @@
+  (* As in {!Reliability.estimate}: [prep] replays a cached pipeline
+     outcome for the same (graph, terminals); the rounds that follow are
+     a pure function of the outcome, config and seed. *)
+  match R.split ~obs ~trace ~config ~extension ?prep ?orders g ~terminals with
+  | R.Resolved v -> exact ~target_width:ci_width ~lower:v ~upper:v v
+  | R.Split { pb; subproblems; _ } ->
+    (* Constructions and rounds run sequentially per subproblem — the
+       strata within a round are the parallel surface. Product-interval
+       width is at most [pb * sum of sub widths] (all factors in
+       [[0, 1]]), so an even split of the target over the subproblems is
+       sufficient. *)
+    let k_s = Array.length subproblems in
+    let width = Float.min 1. (ci_width /. (pb *. float_of_int (max 1 k_s))) in
+    let cap = max 1 (max_samples / max 1 k_s) in
+    product ~target_width:ci_width ~pb
+      (Array.mapi
+         (fun i (sp : R.subproblem) ->
+           match
+             S2bdd.prepare ~obs ~trace ~config:sp.R.config sp.R.graph
+               ~terminals:sp.R.terminals
+           with
+           | S2bdd.Exact r ->
+             exact ~target_width:width ~lower:r.S2bdd.lower
+               ~upper:r.S2bdd.upper r.S2bdd.value
+           | S2bdd.Sampling plan ->
+             stratified ?pool ~ao ~trace ~sub:i ~ci_width:width
+               ~max_samples:cap plan)
+         subproblems)

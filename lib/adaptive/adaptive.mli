@@ -8,6 +8,19 @@
     zero width at 0 or [n] hits — so stopping cannot be triggered by
     the degenerate-CI bug the fixed path used to exhibit.
 
+    {2 One round loop}
+
+    Plain Monte Carlo and Horvitz–Thompson on either kernel, and each
+    subproblem's S2BDD plan, run one loop. It checks the width before
+    every round, stops on {!Budget_exhausted} when the next round
+    would be empty, and per round records its size and GC cost and
+    one [adaptive.round] span. Each driver supplies its interval width
+    ([infinity] before a plain sampler's first draw; a plan's proven
+    [upper - lower] before its first), its next round size (0 once
+    its budget is spent), and for a planned size the round it draws:
+    the actual size, the draw and the span's args. A plan's outcome
+    is a [result]; subproblem results multiply.
+
     {2 Determinism}
 
     Each round's size is a pure function of the account so far (hits
@@ -28,8 +41,9 @@
     [target_width] gauges, the [stop] reason text (plus a [stop_*]
     counter), and — for the stratified driver — per-stratum
     [stratum<i>.drawn] / [stratum<i>.mass] gauges for the first 16
-    strata. Each round streams one [adaptive.round] trace span
-    (args: round, planned, running width) and the run closes with an
+    strata. Each round streams one [adaptive.round] trace span (args:
+    round, planned, samples so far, running width; a plan's reads sub,
+    round, planned, strata drawn, width) and the run closes with an
     [adaptive.done] instant. The underlying samplers keep their own
     ["sampling"] / ["construction"] accounts. *)
 
@@ -58,8 +72,6 @@ type result = {
                               [samples_used] only on the trivial path *)
   rounds : int;
   stop : stop;
-  estimate : Mcsampling.estimate option;
-      (** the final sampler estimate (MC/HT drivers only) *)
 }
 
 val default_max_samples : int
