@@ -25,7 +25,6 @@ type ctx = {
   last_pos : int array;
   terminal_arr : int array;
   is_terminal : bool array;
-  incident_positions : int array array; (* per vertex, sorted *)
   (* Edge endpoints and probabilities laid out in processing order
      (position [i] = edge [order.(i)]): descents stream through these
      flat arrays sequentially (the permuted accesses through [order]
@@ -59,15 +58,6 @@ let make g ~order ~terminals =
   let n = Ugraph.n_vertices g in
   let is_terminal = Array.make n false in
   List.iter (fun t -> is_terminal.(t) <- true) terminals;
-  let incident_positions =
-    Array.init n (fun v ->
-        let ps =
-          Array.map (fun eid -> plan.Graphalgo.Ordering.Frontier.pos_of_eid.(eid))
-            (Ugraph.incident_eids g v)
-        in
-        Array.sort Int.compare ps;
-        ps)
-  in
   let csr = Kernel.Csr.of_order g ~order in
   {
     g;
@@ -77,7 +67,6 @@ let make g ~order ~terminals =
     last_pos = plan.Graphalgo.Ordering.Frontier.last_pos;
     terminal_arr = Array.of_list terminals;
     is_terminal;
-    incident_positions;
     csr;
   }
 
@@ -91,18 +80,6 @@ let find_vert st x =
       else go lo mid
   in
   go 0 (Array.length st.verts)
-
-(* Remaining uncertain degree of vertex [v] strictly after position
-   [pos]: incident positions greater than [pos]. *)
-let rem_deg ctx v ~pos =
-  let ps = ctx.incident_positions.(v) in
-  let len = Array.length ps in
-  let rec go lo hi =
-    if lo >= hi then lo else
-    let mid = (lo + hi) / 2 in
-    if ps.(mid) <= pos then go (mid + 1) hi else go lo mid
-  in
-  len - go 0 len
 
 let step ctx ~eager ~pos st ~exists =
   let e = edge_at ctx pos in
@@ -258,14 +235,10 @@ let key_flags st =
 let component_count st = Array.length st.tc
 let component_terminals st = Array.copy st.tc
 
-let remaining_degrees ctx ~pos =
-  Array.init (Ugraph.n_vertices ctx.g) (fun v -> rem_deg ctx v ~pos)
-
 let heuristic_log2 ctx ~rem st ~log2_pn =
   let k = float_of_int ctx.k in
-  (* [rem] is the caller-maintained remaining-degree table (see
-     {!remaining_degrees}); per-component d sums come from it in O(state
-     size). *)
+  (* [rem] is the caller-maintained remaining-degree table;
+     per-component d sums come from it in O(state size). *)
   let d = Array.make (Array.length st.tc) 0 in
   Array.iteri
     (fun i v -> d.(st.comp_of.(i)) <- d.(st.comp_of.(i)) + rem.(v))

@@ -7,9 +7,9 @@
     state is a sufficient statistic of that past: the partition of the
     current frontier vertices into connected components plus, per
     component, the number of terminals attached to it
-    (the [c]/[t] attributes of Definition 2; the [d] attribute is
-    derivable from the layer context: {!remaining_degrees} per vertex,
-    summed per component by {!heuristic_log2}).
+    (the [c]/[t] attributes of Definition 2; the [d] attribute, the
+    remaining degree, is summed per component by {!heuristic_log2}
+    from a per-vertex table its caller keeps).
 
     Because the state is sufficient for the future, it also drives the
     paper's dynamic-programming sampling: {!descend} completes an
@@ -70,17 +70,13 @@ val component_count : state -> int
 val component_terminals : state -> int array
 (** Terminal count per component id. *)
 
-val remaining_degrees : ctx -> pos:int -> int array
-(** Per vertex: number of incident edges at positions strictly after
-    [pos]. O(|V| log deg); construction loops instead maintain this
-    incrementally and hand it to {!heuristic_log2}. *)
-
 val heuristic_log2 : ctx -> rem:int array -> state -> log2_pn:float -> float
 (** Priority of a node for the deleting procedure, Equation (10):
     [h(n) = p_n * max_f (t_{n,f} / k, 1 / d_{n,f})] over frontier
     components with [t > 0], computed in log2 to survive tiny [p_n].
-    [rem] is the per-vertex remaining-degree table at the state's layer
-    (from {!remaining_degrees} or maintained incrementally). States with
+    [rem] is the per-vertex remaining-degree table at the state's
+    layer: incident edges at later positions, which the S2BDD
+    construction decrements as it processes each edge. States with
     no terminal-bearing frontier component rank lowest at equal [p_n]
     (factor [1 / (2k * (1 + width))]). *)
 

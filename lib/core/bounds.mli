@@ -18,23 +18,15 @@ type t = {
   lower : float;
   upper : float;
   exact : bool;       (** the interval collapsed: lower = upper = R *)
-  layers_built : int;
-  work_used : bool;   (** true when the effort budget stopped construction *)
 }
 
 val compute :
-  ?width:int ->
-  ?max_work:int ->
-  ?order:[ `Auto | `Strategy of Graphalgo.Ordering.strategy | `Explicit of int array ] ->
-  ?extension:bool ->
-  Ugraph.t ->
-  terminals:int list ->
-  t
-(** Proven bounds on [R[G, T]] under the given construction budget
-    ([width] defaults to 10000, [max_work] to the {!S2bdd} default; the
-    rest of the config, seed and sample budget included, is
-    {!S2bdd.default_config}). With [extension] (default true) the
-    bounds multiply over the decomposed subproblems, which keeps them
+  ?width:int -> ?extension:bool -> Ugraph.t -> terminals:int list -> t
+(** Proven bounds on [R[G, T]] from pro's construction at layer width
+    [width] (default 10000). Everything else, the effort cap, edge
+    order, seed and sample budget included, is
+    {!S2bdd.default_config}. With [extension] (default true) the bounds
+    multiply over the decomposed subproblems, which keeps them
     valid. *)
 
 val decides : t -> threshold:float -> [ `Above | `Below | `Unknown ]

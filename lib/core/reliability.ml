@@ -186,21 +186,14 @@ let estimate ?(obs = Obs.disabled) ?(trace = Trace.disabled)
     Array.iter (fun st -> Trace.merge ~into:trace st) sub_trace;
     combine config ~pb ~stats subresults
 
-let exact ?node_budget ?(extension = true) g ~terminals =
-  if not extension then Bddbase.Exact.reliability_float ?node_budget g ~terminals
-  else begin
-    match P.run g ~terminals with
-    | P.Trivial r -> Ok (Xprob.to_float_exn r)
-    | P.Reduced { pb; subproblems; _ } ->
-      let rec go acc = function
-        | [] -> Ok acc
-        | (sp : P.subproblem) :: rest -> (
-          match
-            Bddbase.Exact.reliability_float ?node_budget sp.P.graph
-              ~terminals:sp.P.terminals
-          with
-          | Ok r -> go (acc *. r) rest
-          | Error e -> Error e)
-      in
-      go (Xprob.to_float_exn pb) subproblems
-  end
+let exact ?node_budget ?extension g ~terminals =
+  match split ?extension g ~terminals with
+  | Resolved v -> Ok v
+  | Split { pb; subproblems; _ } ->
+    Array.fold_left
+      (fun acc sp ->
+        Result.bind acc (fun acc ->
+            Bddbase.Exact.reliability_float ?node_budget sp.graph
+              ~terminals:sp.terminals
+            |> Result.map (fun r -> acc *. r)))
+      (Ok pb) subproblems

@@ -18,8 +18,6 @@ type config = {
   eager : bool;
   merge_flags : bool;
   heuristic : deletion_heuristic;
-  patience : int;
-  min_progress : float;
   max_work : int;
 }
 
@@ -33,8 +31,6 @@ let default_config =
     eager = true;
     merge_flags = true;
     heuristic = Paper_heuristic;
-    patience = 50;
-    min_progress = 1e-5;
     max_work = 80_000_000;
   }
 
@@ -319,8 +315,9 @@ let construct ~obs ~co ~trace ~cfg ~ctx ~rng g ~consume =
     if layer_words > !peak_state_words then peak_state_words := layer_words;
     current := next;
     incr pos;
-    (* Stagnation abort: saturated layers that no longer move the
-       bounds mean further construction cannot pay for itself. *)
+    (* Stagnation abort: 50 consecutive saturated layers that each
+       resolve less than 1e-5 of the still-unresolved mass mean further
+       construction cannot pay for itself. *)
     let resolved_after =
       Xprob.to_float_approx !pc +. Xprob.to_float_approx !pd
     in
@@ -345,9 +342,9 @@ let construct ~obs ~co ~trace ~cfg ~ctx ~rng g ~consume =
           ];
       Trace.counter trace "width" (float_of_int width)
     end;
-    if saturated && gain < cfg.min_progress *. (1. -. resolved_before) then begin
+    if saturated && gain < 1e-5 *. (1. -. resolved_before) then begin
       incr stagnant;
-      if !stagnant >= cfg.patience then stop := Stagnated
+      if !stagnant >= 50 then stop := Stagnated
     end
     else stagnant := 0;
     (* Hard cap on construction effort: wide-frontier graphs whose

@@ -52,18 +52,13 @@ type deletion_heuristic =
 type config = {
   samples : int;       (** the plain-sampling budget [s] being matched *)
   width : int;         (** maximum layer width [w] *)
-  estimator : estimator;
-  seed : int;
+  estimator : estimator;  (** within-node estimator of fixed-budget descents *)
+  seed : int;          (** the construction stream; strata split from it *)
   order : [ `Auto | `Strategy of Graphalgo.Ordering.strategy | `Explicit of int array ];
+      (** edge order; [`Auto] is multi-source BFS from the terminals *)
   eager : bool;        (** Lemmas 4.1–4.2 extended early sinking *)
   merge_flags : bool;  (** Lemma 4.3 flag-based merging (exact-count merge when false) *)
-  heuristic : deletion_heuristic;
-  patience : int;
-      (** abort construction after this many consecutive width-saturated
-          layers with negligible bound progress *)
-  min_progress : float;
-      (** relative [pc + pd] growth under which a saturated layer counts
-          as stagnant *)
+  heuristic : deletion_heuristic;  (** which nodes a saturated layer deletes *)
   max_work : int;
       (** hard cap on construction effort (cumulative node-state
           operations); past it the remaining mass falls back to the
@@ -72,8 +67,12 @@ type config = {
 
 val default_config : config
 (** [samples = 10_000], [width = 10_000], Monte Carlo, seed 1, [`Auto]
-    order, eager sinking, flag merging, paper heuristic, patience 50,
-    min_progress 1e-5, max_work 8e7. *)
+    order, eager sinking, flag merging, paper heuristic, max_work 8e7.
+
+    The stagnation stop is fixed, not configured: construction aborts
+    ({!Stagnated}) after 50 consecutive width-saturated layers that
+    each grow [pc + pd] by less than 1e-5 of the unresolved mass
+    [1 - pc - pd]. *)
 
 type stop_reason =
   | Completed    (** every layer processed *)

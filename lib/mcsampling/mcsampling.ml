@@ -131,9 +131,9 @@ let chunk_streams ~seed n =
    available in [variance_estimate] and under the
    [sampling.wald_variance] Obs gauge. The trivial k < 2 answer drew
    nothing and is exact, so it reports the point interval. *)
-let interval ?z ?(method_ = Relstats.Wilson) (e : estimate) =
+let interval (e : estimate) =
   if e.samples_used = 0 then (e.value, e.value)
-  else Relstats.interval ?z method_ ~phat:e.value ~n:e.samples_used
+  else Relstats.interval Relstats.Wilson ~phat:e.value ~n:e.samples_used
 
 let emit_estimate trace (e : estimate) =
   if Trace.enabled trace then begin
@@ -554,19 +554,6 @@ let monte_carlo_csr ?(obs = Obs.disabled) ?(trace = Trace.disabled) ?(seed = 1)
   Chunked.mc_draw t ~samples;
   Chunked.mc_estimate t
 
-let horvitz_thompson_csr ?(obs = Obs.disabled) ?(trace = Trace.disabled)
-    ?(seed = 1) ?(jobs = 1) ?(kernel = Flat) csr ~terminals ~samples =
-  fixed ~obs ~trace ~jobs ~kernel ~estimator:"ht" csr ~terminals ~samples
-  @@ fun o ->
-  let t = Chunked.start ~o ~trace ~seed ~jobs ~kernel csr ~terminals [] in
-  Chunked.ht_draw t ~samples;
-  let e = Chunked.ht_estimate t in
-  (* Once per run: a stream may be estimated after every round. *)
-  Obs.add o "hits" e.hits;
-  Obs.add o "distinct" e.distinct;
-  Obs.add o "connectivity_checks" e.distinct;
-  e
-
 (* The graph entry points keep the graph's own terminal messages.
    [?csr] lets a caller holding a prebuilt snapshot (the engine's
    per-graph cache) skip reconstruction; the Csr is a pure function of
@@ -578,11 +565,20 @@ let monte_carlo ?obs ?trace ?seed ?jobs ?kernel ?csr g ~terminals ~samples =
   monte_carlo_csr ?obs ?trace ?seed ?jobs ?kernel (csr_of ?csr g) ~terminals
     ~samples
 
-let horvitz_thompson ?obs ?trace ?seed ?jobs ?kernel ?csr g ~terminals
-    ~samples =
+let horvitz_thompson ?(obs = Obs.disabled) ?(trace = Trace.disabled)
+    ?(seed = 1) ?(jobs = 1) ?(kernel = Flat) ?csr g ~terminals ~samples =
   Ugraph.validate_terminals g terminals;
-  horvitz_thompson_csr ?obs ?trace ?seed ?jobs ?kernel (csr_of ?csr g)
-    ~terminals ~samples
+  let csr = csr_of ?csr g in
+  fixed ~obs ~trace ~jobs ~kernel ~estimator:"ht" csr ~terminals ~samples
+  @@ fun o ->
+  let t = Chunked.start ~o ~trace ~seed ~jobs ~kernel csr ~terminals [] in
+  Chunked.ht_draw t ~samples;
+  let e = Chunked.ht_estimate t in
+  (* Once per run: a stream may be estimated after every round. *)
+  Obs.add o "hits" e.hits;
+  Obs.add o "distinct" e.distinct;
+  Obs.add o "connectivity_checks" e.distinct;
+  e
 
 (* ------------------------------------------------------------------ *)
 (* Retained reference implementation                                   *)

@@ -123,10 +123,9 @@ val chunk_target_for : edges:int -> int
     across domains. Part of the determinism contract: depends only on
     [edges], never on [--jobs]. *)
 
-val interval :
-  ?z:float -> ?method_:Relstats.interval_method -> estimate -> float * float
-(** [(lower, upper)] confidence interval for an estimate, default the
-    95% Wilson score interval on [(value, samples_used)] — in contrast
+val interval : estimate -> float * float
+(** [(lower, upper)]: the 95% Wilson score interval
+    ({!Relstats.default_z}) on [(value, samples_used)] — in contrast
     to the Wald interval implied by [variance_estimate], it keeps a
     nonzero width at [hits ∈ {0, n}] (a 0-hit run has [upper > 0]).
     [value] is clamped into [[0, 1]] first (HT can overshoot under
@@ -202,12 +201,6 @@ val monte_carlo_csr :
     vertex count. For a snapshot built by [Kernel.Csr.of_graph g] the
     result is bit-identical to [monte_carlo g] (same chunk layout,
     same streams). *)
-
-val horvitz_thompson_csr :
-  ?obs:Obs.t -> ?trace:Trace.t -> ?seed:int -> ?jobs:int ->
-  ?kernel:kernel_mode -> Kernel.Csr.t ->
-  terminals:int list -> samples:int -> estimate
-(** {!horvitz_thompson} on a bare snapshot; see {!monte_carlo_csr}. *)
 
 (** The pre-kernel sampling paths, retained verbatim as the
     differential oracle for the flat kernels: boxed-edge iteration into

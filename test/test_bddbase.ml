@@ -252,7 +252,8 @@ let t_heuristic_monotone_in_pn () =
   let ctx = Fstate.make g ~order:(Array.init 6 Fun.id) ~terminals:ts in
   match Fstate.step ctx ~eager:true ~pos:0 Fstate.initial ~exists:true with
   | Fstate.Live st ->
-    let rem = Fstate.remaining_degrees ctx ~pos:0 in
+    (* Remaining degrees once edge 0-1 is processed. *)
+    let rem = [| 1; 2; 2; 3; 2 |] in
     let h1 = Fstate.heuristic_log2 ctx ~rem st ~log2_pn:(-1.) in
     let h2 = Fstate.heuristic_log2 ctx ~rem st ~log2_pn:(-10.) in
     Alcotest.(check bool) "higher pn, higher priority" true (h1 > h2)

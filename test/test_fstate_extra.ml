@@ -217,14 +217,6 @@ let t_exactness_under_adversarial_orders () =
     end
   done
 
-let t_remaining_degrees () =
-  let g = path4 0.5 in
-  let ctx = ctx_of g [ 0; 3 ] (Array.init 3 Fun.id) in
-  Alcotest.(check (array int)) "after pos 0" [| 0; 1; 2; 1 |]
-    (F.remaining_degrees ctx ~pos:0);
-  Alcotest.(check (array int)) "after last pos" [| 0; 0; 0; 0 |]
-    (F.remaining_degrees ctx ~pos:2)
-
 let t_descend_union_dsu_too_small () =
   let g = fig1 () in
   let ts = [ 0; 3; 4 ] in
@@ -253,7 +245,6 @@ let suite =
       Alcotest.test_case "demotion on departure" `Quick t_demotion_on_departure;
       Alcotest.test_case "exact under adversarial orders" `Quick
         t_exactness_under_adversarial_orders;
-      Alcotest.test_case "remaining degrees" `Quick t_remaining_degrees;
       Alcotest.test_case "descend_union validates dsu size" `Quick
         t_descend_union_dsu_too_small;
     ] )
