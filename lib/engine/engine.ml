@@ -167,6 +167,9 @@ type outcome =
 let validate q =
   match (q.ci_width, q.max_samples) with
   | None, Some _ -> Error "--max-samples requires --ci-width"
+  | Some _, _ when q.method_ = Pro_ht ->
+    (* Adaptive pro always draws MC descents: pro-ht would be pro. *)
+    Error "--ci-width applies to pro / sampling-mc / sampling-ht only"
   | _ -> Ok ()
 
 (* The one method dispatch, behind both [query] (which passes its cached

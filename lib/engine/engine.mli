@@ -74,7 +74,9 @@ val validate : query -> (unit, string) result
 (** The one check a query record gets before it is answered, shared by
     [netrel estimate] and the [batch] / [serve] query lines: [Error] with
     the CLI's message when [max_samples] is set without [ci_width] (the
-    cap would be ignored, yet still split the result memo). *)
+    cap would be ignored, yet still split the result memo), or when
+    [ci_width] is set for {!Pro_ht} (adaptive pro draws MC descents
+    only, so the answer would be pro's under pro-ht's name). *)
 
 (** What a method computed, before rendering. *)
 type outcome =

@@ -61,7 +61,13 @@ let t_query_validation () =
     (fun () -> ignore (E.query e g { E.default with E.terminals = [ 0; 1 ]; jobs = 0 }));
   Alcotest.check_raises "bad terminals"
     (Invalid_argument "Ugraph.validate_terminals: vertex 9 out of range")
-    (fun () -> ignore (E.query e g { E.default with E.terminals = [ 0; 9 ] }))
+    (fun () -> ignore (E.query e g { E.default with E.terminals = [ 0; 9 ] }));
+  let q = { E.default with E.terminals = [ 0; 4 ]; ci_width = Some 0.05 } in
+  Alcotest.(check (result unit string))
+    "pro-ht has no adaptive driver"
+    (Error "--ci-width applies to pro / sampling-mc / sampling-ht only")
+    (E.validate { q with E.method_ = E.Pro_ht });
+  Alcotest.(check (result unit string)) "adaptive pro" (Ok ()) (E.validate q)
 
 (* The acceptance bar: an engine-served answer must be bit-identical to
    the standalone from-scratch estimate at the same seed, at every jobs
