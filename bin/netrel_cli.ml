@@ -154,6 +154,17 @@ let guarded f =
     Printf.eprintf "netrel: %s\n" msg;
     exit 2
 
+(* Every bad input exits 2, flags included; [main] maps cmdliner's own
+   code for a flag it cannot parse (124) to 2. *)
+let exits =
+  Cmd.Exit.
+    [
+      info 0 ~doc:"on success.";
+      info 1 ~doc:"on a failing $(b,selfcheck) or $(b,benchdiff) verdict.";
+      info 2 ~doc:"on bad input, command-line flags included.";
+      info internal_error ~doc:"on unexpected internal errors (bugs).";
+    ]
+
 (* ---- estimate ---- *)
 
 (* The engine's methods go through its one dispatch; the two exact
@@ -403,7 +414,7 @@ let estimate_cmd =
       print_report g out dt
   in
   let doc = "Compute the network reliability of terminals in an uncertain graph" in
-  Cmd.v (Cmd.info "estimate" ~doc)
+  Cmd.v (Cmd.info "estimate" ~doc ~exits)
     Term.(const run $ verbose_arg $ graph_file $ dataset_arg $ seed_arg $ scale_arg
           $ terminals_arg $ k_arg $ samples $ width $ ht $ no_ext $ ci_width
           $ max_samples $ method_ $ jobs_arg $ kernel_arg $ stats_fmt
@@ -426,7 +437,7 @@ let stats_cmd =
         (List.length bridges)
   in
   let doc = "Print dataset statistics (all built-ins when no source is given)" in
-  Cmd.v (Cmd.info "stats" ~doc)
+  Cmd.v (Cmd.info "stats" ~doc ~exits)
     Term.(const run $ graph_file $ dataset_arg $ seed_arg $ scale_arg)
 
 (* ---- preprocess ---- *)
@@ -455,7 +466,7 @@ let preprocess_cmd =
         subproblems
   in
   let doc = "Show the extension technique's reduction (Section 5)" in
-  Cmd.v (Cmd.info "preprocess" ~doc)
+  Cmd.v (Cmd.info "preprocess" ~doc ~exits)
     Term.(const run $ graph_file $ dataset_arg $ seed_arg $ scale_arg
           $ terminals_arg $ k_arg)
 
@@ -484,7 +495,7 @@ let gen_cmd =
       | None -> Ugraph.to_channel stdout d.D.graph)
   in
   let doc = "Generate a built-in synthetic dataset as an edge-list file" in
-  Cmd.v (Cmd.info "gen" ~doc)
+  Cmd.v (Cmd.info "gen" ~doc ~exits)
     Term.(const run $ dataset_req $ seed_arg $ scale_arg $ out)
 
 (* ---- convert ---- *)
@@ -573,7 +584,7 @@ let convert_cmd =
   in
   let doc = "Convert between text, SNAP/KONECT, and binary (mmap-able) \
              graph formats" in
-  Cmd.v (Cmd.info "convert" ~doc)
+  Cmd.v (Cmd.info "convert" ~doc ~exits)
     Term.(const run $ from_arg $ to_arg $ prob_arg $ input_pos $ output_pos)
 
 (* ---- bounds ---- *)
@@ -614,7 +625,7 @@ let bounds_cmd =
   in
   let doc = "Prove reliability bounds without sampling: pro's S2BDD \
              construction at the same width, without its descents" in
-  Cmd.v (Cmd.info "bounds" ~doc)
+  Cmd.v (Cmd.info "bounds" ~doc ~exits)
     Term.(const run $ graph_file $ dataset_arg $ seed_arg $ scale_arg
           $ terminals_arg $ k_arg $ width $ threshold)
 
@@ -656,7 +667,7 @@ let search_cmd =
       hits
   in
   let doc = "Reliability search: vertices reliably reachable from sources" in
-  Cmd.v (Cmd.info "search" ~doc)
+  Cmd.v (Cmd.info "search" ~doc ~exits)
     Term.(const run $ graph_file $ dataset_arg $ seed_arg $ scale_arg $ sources
           $ eta $ samples)
 
@@ -703,7 +714,7 @@ let selfcheck_cmd =
   in
   let doc = "Differential self-validation: every estimator against the exact \
              oracle, metamorphic identities and CI calibration" in
-  Cmd.v (Cmd.info "selfcheck" ~doc)
+  Cmd.v (Cmd.info "selfcheck" ~doc ~exits)
     Term.(const run $ trials $ seed_arg $ json $ trace_arg $ trace_format_arg)
 
 (* ---- reach ---- *)
@@ -748,7 +759,7 @@ let reach_cmd =
         (Relstats.format_seconds dt)
   in
   let doc = "Two-terminal and distance-constrained reachability" in
-  Cmd.v (Cmd.info "reach" ~doc)
+  Cmd.v (Cmd.info "reach" ~doc ~exits)
     Term.(const run $ graph_file $ dataset_arg $ seed_arg $ scale_arg $ source
           $ target $ dist $ samples)
 
@@ -881,7 +892,7 @@ let batch_cmd =
   let doc = "Answer many reliability queries against one graph through the \
              amortized engine (one stats document per query, then the \
              engine cache summary)" in
-  Cmd.v (Cmd.info "batch" ~doc)
+  Cmd.v (Cmd.info "batch" ~doc ~exits)
     Term.(const run $ graph_file $ dataset_arg $ seed_arg $ scale_arg
           $ jobs_arg $ kernel_arg $ batch_samples_arg $ batch_width_arg
           $ file_pos)
@@ -932,7 +943,7 @@ let serve_cmd =
   let doc = "Serve reliability queries over a line protocol on \
              stdin/stdout, amortizing preprocessing and construction \
              across queries" in
-  Cmd.v (Cmd.info "serve" ~doc)
+  Cmd.v (Cmd.info "serve" ~doc ~exits)
     Term.(const run $ graph_file $ dataset_arg $ seed_arg $ scale_arg
           $ jobs_arg $ kernel_arg $ batch_samples_arg $ batch_width_arg)
 
@@ -994,15 +1005,20 @@ let benchdiff_cmd =
              per-metric thresholds (median-of-repeats, MAD bands, \
              direction-aware); exits 1 on regression, 2 on unusable \
              input" in
-  Cmd.v (Cmd.info "benchdiff" ~doc)
+  Cmd.v (Cmd.info "benchdiff" ~doc ~exits)
     Term.(const run $ old_file $ new_file $ tolerance $ mad_mult $ json)
 
 let () =
   let doc = "network reliability in uncertain graphs (S2BDD, EDBT 2019)" in
-  let info = Cmd.info "netrel" ~version:"1.0.0" ~doc in
+  let info = Cmd.info "netrel" ~version:"1.0.0" ~doc ~exits in
+  let cmd =
+    Cmd.group info
+      [ estimate_cmd; stats_cmd; preprocess_cmd; gen_cmd; convert_cmd;
+        bounds_cmd; search_cmd; reach_cmd; selfcheck_cmd; batch_cmd;
+        serve_cmd; benchdiff_cmd ]
+  in
   exit
-    (Cmd.eval
-       (Cmd.group info
-          [ estimate_cmd; stats_cmd; preprocess_cmd; gen_cmd; convert_cmd;
-            bounds_cmd; search_cmd; reach_cmd; selfcheck_cmd; batch_cmd;
-            serve_cmd; benchdiff_cmd ]))
+    (match Cmd.eval_value cmd with
+    | Ok _ -> 0
+    | Error (`Parse | `Term) -> 2
+    | Error `Exn -> Cmd.Exit.internal_error)
