@@ -75,4 +75,31 @@ let () =
   let config = { S.default_config with S.samples = 500; S.width = 2 } in
   check_all_equal "Reliability.estimate report"
     (runs (fun jobs -> R.estimate ~config ~jobs two_triangles ~terminals:[ 0; 4 ]));
+  (* The adaptive drivers: plain rounds on the chunk stream, and plan
+     rounds whose strata draw on the pool. two_triangles resolves
+     exactly at construction; fig1 at w = 2 leaves a plan to sample. *)
+  List.iter
+    (fun (what, run) -> check_all_equal what (runs run))
+    [
+      ( "Adaptive.monte_carlo",
+        fun jobs ->
+          Adaptive.monte_carlo ~seed:5 ~jobs fig1 ~terminals:[ 0; 4 ]
+            ~ci_width:0.01 );
+      ( "bitsliced Adaptive.monte_carlo",
+        fun jobs ->
+          Adaptive.monte_carlo ~seed:5 ~jobs ~kernel:Mcsampling.Bitsliced fig1
+            ~terminals:[ 0; 4 ] ~ci_width:0.01 );
+      ( "Adaptive.horvitz_thompson",
+        fun jobs ->
+          Adaptive.horvitz_thompson ~seed:5 ~jobs fig1 ~terminals:[ 0; 4 ]
+            ~ci_width:0.01 );
+      ( "Adaptive.reliability (two_triangles)",
+        fun jobs ->
+          Adaptive.reliability ~config ~jobs two_triangles ~terminals:[ 0; 4 ]
+            ~ci_width:0.01 );
+      ( "Adaptive.reliability (fig1)",
+        fun jobs ->
+          Adaptive.reliability ~config ~jobs fig1 ~terminals:[ 0; 4 ]
+            ~ci_width:0.01 );
+    ];
   print_endline "par_forced: OK (2 forced domains, all estimates invariant)"
