@@ -85,7 +85,7 @@ let apportion ~total weights =
   done;
   out
 
-let exact ~target_width ~lower ~upper value =
+let exact_result ~target_width ~lower ~upper value =
   {
     value;
     lower;
@@ -119,7 +119,7 @@ let product ~target_width ~pb results =
             (if a.stop = Budget_exhausted || r.stop = Exact_answer then a.stop
              else r.stop);
         })
-      (exact ~target_width ~lower:pb ~upper:pb pb)
+      (exact_result ~target_width ~lower:pb ~upper:pb pb)
       results
   in
   { r with ci_width = r.upper -. r.lower }
@@ -188,52 +188,55 @@ let plain ~obs ~trace ?csr ~max_samples g ~terminals ~ci_width sampler =
   validate ~ci_width ~max_samples;
   Ugraph.validate_terminals g terminals;
   let ao = Obs.sub obs "adaptive" in
-  emit_result trace @@ finish_obs ao
-  @@
-  if List.length terminals < 2 then
-    exact ~target_width:ci_width ~lower:1. ~upper:1. 1.
-  else
-    let csr = match csr with Some c -> c | None -> Kernel.Csr.of_graph g in
-    let draw, samples, hits, estimate = sampler csr in
-    let width () =
-      if samples () = 0 then infinity
-      else
-        let lower, upper = Mcsampling.interval (estimate ()) in
-        upper -. lower
-    in
-    let next () =
-      let drawn = samples () in
-      (* [hits] may cost an estimate replay (HT) and is undefined before
-         the first draw — only consult it once something was drawn. *)
-      let hits = if drawn = 0 then 0 else hits () in
-      next_round ~hits ~drawn ~width:ci_width ~max_samples
-    in
-    let round i n =
-      ( n,
-        (fun () -> draw n),
-        fun width ->
-          [
-            ("round", Trace.Int i);
-            ("planned", Trace.Int n);
-            ("samples", Trace.Int (samples ()));
-            ("width", Trace.Float width);
-          ] )
-    in
-    let stop, rounds, planned = loop ~ao ~trace ~ci_width ~width ~next ~round in
-    let e = estimate () in
-    let lower, upper = Mcsampling.interval e in
-    {
-      value = Float.max 0. (Float.min 1. e.Mcsampling.value);
-      lower;
-      upper;
-      exact = false;
-      ci_width = upper -. lower;
-      target_width = ci_width;
-      samples_used = e.Mcsampling.samples_used;
-      samples_planned = planned;
-      rounds;
-      stop;
-    }
+  let r =
+    if List.length terminals < 2 then
+      exact_result ~target_width:ci_width ~lower:1. ~upper:1. 1.
+    else
+      let csr = match csr with Some c -> c | None -> Kernel.Csr.of_graph g in
+      let draw, samples, hits, estimate = sampler csr in
+      let width () =
+        if samples () = 0 then infinity
+        else
+          let lower, upper = Mcsampling.interval (estimate ()) in
+          upper -. lower
+      in
+      let next () =
+        let drawn = samples () in
+        (* [hits] may cost an estimate replay (HT) and is undefined before
+           the first draw — only consult it once something was drawn. *)
+        let hits = if drawn = 0 then 0 else hits () in
+        next_round ~hits ~drawn ~width:ci_width ~max_samples
+      in
+      let round i n =
+        ( n,
+          (fun () -> draw n),
+          fun width ->
+            [
+              ("round", Trace.Int i);
+              ("planned", Trace.Int n);
+              ("samples", Trace.Int (samples ()));
+              ("width", Trace.Float width);
+            ] )
+      in
+      let stop, rounds, planned =
+        loop ~ao ~trace ~ci_width ~width ~next ~round
+      in
+      let e = estimate () in
+      let lower, upper = Mcsampling.interval e in
+      {
+        value = Float.max 0. (Float.min 1. e.Mcsampling.value);
+        lower;
+        upper;
+        exact = false;
+        ci_width = upper -. lower;
+        target_width = ci_width;
+        samples_used = e.Mcsampling.samples_used;
+        samples_planned = planned;
+        rounds;
+        stop;
+      }
+  in
+  emit_result trace (finish_obs ao r)
 
 let monte_carlo ?(obs = Obs.disabled) ?(trace = Trace.disabled) ?seed ?jobs
     ?kernel ?csr ?(max_samples = default_max_samples) g ~terminals ~ci_width =
@@ -409,33 +412,36 @@ let reliability ?(obs = Obs.disabled) ?(trace = Trace.disabled)
   let ejobs = Par.effective_jobs jobs in
   let pool = if ejobs > 1 then Some (Par.Pool.shared ~jobs:ejobs) else None in
   let ao = Obs.sub obs "adaptive" in
-  emit_result trace @@ finish_obs ao
-  @@
-  (* As in {!Reliability.estimate}: [prep] replays a cached pipeline
-     outcome for the same (graph, terminals); the rounds that follow are
-     a pure function of the outcome, config and seed. *)
-  match R.split ~obs ~trace ~config ~extension ?prep ?orders g ~terminals with
-  | R.Resolved v -> exact ~target_width:ci_width ~lower:v ~upper:v v
-  | R.Split { pb; subproblems; _ } ->
-    (* Constructions and rounds run sequentially per subproblem — the
-       strata within a round are the parallel surface. Product-interval
-       width is at most [pb * sum of sub widths] (all factors in
-       [[0, 1]]), so an even split of the target over the subproblems is
-       sufficient. *)
-    let k_s = Array.length subproblems in
-    let width = Float.min 1. (ci_width /. (pb *. float_of_int (max 1 k_s))) in
-    let cap = max 1 (max_samples / max 1 k_s) in
-    product ~target_width:ci_width ~pb
-      (Array.mapi
-         (fun i (sp : R.subproblem) ->
-           match
-             S2bdd.prepare ~obs ~trace ~config:sp.R.config sp.R.graph
-               ~terminals:sp.R.terminals
-           with
-           | S2bdd.Exact r ->
-             exact ~target_width:width ~lower:r.S2bdd.lower
-               ~upper:r.S2bdd.upper r.S2bdd.value
-           | S2bdd.Sampling plan ->
-             stratified ?pool ~ao ~trace ~sub:i ~ci_width:width
-               ~max_samples:cap plan)
-         subproblems)
+  let r =
+    (* As in {!Reliability.estimate}: [prep] replays a cached pipeline
+       outcome for the same (graph, terminals); the rounds that follow
+       are a pure function of the outcome, config and seed. *)
+    match R.split ~obs ~trace ~config ~extension ?prep ?orders g ~terminals with
+    | R.Resolved v -> exact_result ~target_width:ci_width ~lower:v ~upper:v v
+    | R.Split { pb; subproblems; _ } ->
+      (* Constructions and rounds run sequentially per subproblem — the
+         strata within a round are the parallel surface. Product-interval
+         width is at most [pb * sum of sub widths] (all factors in
+         [[0, 1]]), so an even split of the target over the subproblems
+         is sufficient. *)
+      let k_s = Array.length subproblems in
+      let width =
+        Float.min 1. (ci_width /. (pb *. float_of_int (max 1 k_s)))
+      in
+      let cap = max 1 (max_samples / max 1 k_s) in
+      product ~target_width:ci_width ~pb
+        (Array.mapi
+           (fun i (sp : R.subproblem) ->
+             match
+               S2bdd.prepare ~obs ~trace ~config:sp.R.config sp.R.graph
+                 ~terminals:sp.R.terminals
+             with
+             | S2bdd.Exact r ->
+               exact_result ~target_width:width ~lower:r.S2bdd.lower
+                 ~upper:r.S2bdd.upper r.S2bdd.value
+             | S2bdd.Sampling plan ->
+               stratified ?pool ~ao ~trace ~sub:i ~ci_width:width
+                 ~max_samples:cap plan)
+           subproblems)
+  in
+  emit_result trace (finish_obs ao r)
