@@ -154,8 +154,8 @@ let guarded f =
     Printf.eprintf "netrel: %s\n" msg;
     exit 2
 
-(* Every bad input exits 2, flags included; [main] maps cmdliner's own
-   code for a flag it cannot parse (124) to 2. *)
+(* Every bad input exits 2, flags included: the entry point at the end
+   maps cmdliner's own code for a flag it cannot parse (124) to 2. *)
 let exits =
   Cmd.Exit.
     [
