@@ -617,6 +617,7 @@ let prepare ?(obs = Obs.disabled) ?(trace = Trace.disabled)
 let plan_bounds p = proven p.p_construction
 let n_strata p = Array.length p.p_strata
 let stratum_mass p i = p.p_strata.(i).sm_weight
+let stratum_pos p i = p.p_strata.(i).sm_pos
 let stratum_drawn p i = p.p_strata.(i).sm_drawn
 let stratum_hits p i = p.p_strata.(i).sm_hits
 

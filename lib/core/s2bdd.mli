@@ -208,6 +208,12 @@ val n_strata : plan -> int
 (** At least [1]. *)
 
 val stratum_mass : plan -> int -> float
+
+val stratum_pos : plan -> int -> int
+(** The layer stratum [i]'s descents start at: the position after the
+    layer that deleted the node, or the abort position for a leftover
+    node. *)
+
 val stratum_drawn : plan -> int -> int
 val stratum_hits : plan -> int -> int
 
