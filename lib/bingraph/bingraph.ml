@@ -31,21 +31,33 @@ let edge t i =
 module Digest = struct
   (* Must stay bit-compatible with the engine cache key: chained
      splitmix64 over vertex count then exact (u, v, p) bit patterns in
-     edge order ([Engine.digest] delegates here). *)
-  let fold acc w = Hash64.mix64 (Int64.add (Int64.mul acc 0x9E3779B97F4A7C15L) w)
+     edge order ([Engine.digest] delegates here).
+
+     The finalizer is Hash64.mix64, written out again here so that it
+     inlines into the loops below: a call into another module is never
+     inlined under the dev profile's -opaque, so each call would box
+     its int64 argument and result (27 words per edge). Inlined, the
+     accumulator stays in a register and a digest allocates nothing. *)
+  let[@inline] mix z =
+    let open Int64 in
+    let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+    let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
+    logxor z (shift_right_logical z 31)
+
+  let[@inline] fold acc w = mix (Int64.add (Int64.mul acc 0x9E3779B97F4A7C15L) w)
 
   let of_graph g =
-    let acc = ref (Hash64.mix64 (Int64.of_int (Ugraph.n_vertices g))) in
-    Ugraph.iter_edges
-      (fun _ (e : Ugraph.edge) ->
-        acc := fold !acc (Int64.of_int e.Ugraph.u);
-        acc := fold !acc (Int64.of_int e.Ugraph.v);
-        acc := fold !acc (Int64.bits_of_float e.Ugraph.p))
-      g;
+    let acc = ref (mix (Int64.of_int (Ugraph.n_vertices g))) in
+    for i = 0 to Ugraph.n_edges g - 1 do
+      let e = Ugraph.edge g i in
+      acc := fold !acc (Int64.of_int e.Ugraph.u);
+      acc := fold !acc (Int64.of_int e.Ugraph.v);
+      acc := fold !acc (Int64.bits_of_float e.Ugraph.p)
+    done;
     Int64.to_int (Int64.logand !acc mask62)
 
   let of_packed ~n ~m (eu : int32_arr) (ev : int32_arr) (ep : float64_arr) =
-    let acc = ref (Hash64.mix64 (Int64.of_int n)) in
+    let acc = ref (mix (Int64.of_int n)) in
     for i = 0 to m - 1 do
       acc := fold !acc (Int64.of_int32 eu.{i});
       acc := fold !acc (Int64.of_int32 ev.{i});
