@@ -36,8 +36,7 @@ let tests seed =
   let t_descend_kernel =
     Test.make ~name:"fig3/4: descend-kernel tokyo"
       (Staged.stage @@ fun () ->
-       F.descend_kernel ctx ~scratch:ksc ~detail:false ~pos:0 F.initial
-         ~bernoulli:(fun p -> Prng.bernoulli rng p))
+       F.descend_kernel ctx ~scratch:ksc ~detail:false ~pos:0 F.initial rng)
   in
   (* Figure 5 kernel: frontier state transitions (one BDD layer step). *)
   let st =

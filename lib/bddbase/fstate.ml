@@ -339,19 +339,22 @@ let empty_digest = Hash64.mask_words [||] ~bits:0
    union only ever touches roots with [tcnt = 0], so [live] stays
    untouched; the marks must precede [union_drawn], which early-exits
    on the live count. *)
-let descend_kernel ctx ~scratch ~detail ~pos st ~bernoulli =
+let descend_kernel ctx ~scratch ~detail ~pos st rng =
   let n = Ugraph.n_vertices ctx.g in
   let nc = Array.length st.tc in
-  let logq = Kernel.draw_sub scratch ctx.csr ~pos ~detail ~bernoulli in
+  let logq = Kernel.draw_sub scratch ctx.csr ~pos ~detail rng in
   let hash = if detail then Kernel.mask_hash scratch else empty_digest in
   Kernel.round_begin scratch ~elems:(n + nc);
-  Array.iteri
-    (fun i v -> Kernel.union scratch v (n + st.comp_of.(i)))
-    st.verts;
-  Array.iteri (fun c t -> if t > 0 then Kernel.mark scratch (n + c)) st.tc;
-  Array.iter
-    (fun t -> if ctx.first_pos.(t) >= pos then Kernel.mark scratch t)
-    ctx.terminal_arr;
+  for i = 0 to Array.length st.verts - 1 do
+    Kernel.union scratch st.verts.(i) (n + st.comp_of.(i))
+  done;
+  for c = 0 to nc - 1 do
+    if st.tc.(c) > 0 then Kernel.mark scratch (n + c)
+  done;
+  let terminals = ctx.terminal_arr in
+  for i = 0 to Array.length terminals - 1 do
+    if ctx.first_pos.(terminals.(i)) >= pos then Kernel.mark scratch terminals.(i)
+  done;
   (Kernel.union_drawn scratch ctx.csr, hash, logq)
 
 module Key_table = Hashtbl.Make (struct

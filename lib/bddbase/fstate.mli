@@ -123,14 +123,15 @@ val descend_kernel :
   detail:bool ->
   pos:int ->
   state ->
-  bernoulli:(float -> bool) ->
+  Prng.t ->
   bool * int * float
 (** Kernel fast path for {!descend_union}: draws the completion through
     {!Kernel.draw_sub} (flat position buffer; packed mask words when
     [detail]) and checks connectivity with the early-exit generation-
     stamped union–find — the union loop stops as soon as the required
     components have merged instead of unioning every present edge.
-    Bit-identical to {!descend_union} on the same [bernoulli] stream:
+    Bit-identical to {!descend_union} when its [bernoulli] draws
+    [Prng.bernoulli] from a copy of the same stream:
     same number of draws in the same order, same completion hash, same
     log-probability, same verdict. [scratch] is re-initialised on
     entry (a shared per-domain scratch from {!Kernel.scratch} is the

@@ -100,8 +100,7 @@ let alloc rng x =
    Returns [(connected, hash, log_q)]; the hash and log-probability are
    only computed for the HT estimator. *)
 let descend_detailed ctx sc rng ~detail ~pos st =
-  F.descend_kernel ctx ~scratch:sc ~detail ~pos st
-    ~bernoulli:(fun p -> Prng.bernoulli rng p)
+  F.descend_kernel ctx ~scratch:sc ~detail ~pos st rng
 
 (* Horvitz–Thompson weight q / (1 - (1 - q)^n): the single shared
    implementation lives in Mcsampling (this module used to carry a

@@ -221,7 +221,7 @@ let draw t (c : Csr.t) rng =
   let ep = c.Csr.ep and present = t.present in
   let np = ref 0 in
   for pos = 0 to m - 1 do
-    if Prng.bernoulli rng ep.(pos) then begin
+    if Prng.bernoulli_at rng ep pos then begin
       present.(!np) <- pos;
       incr np
     end
@@ -238,7 +238,7 @@ let draw_prob t (c : Csr.t) rng =
   for pos = 0 to m - 1 do
     (* One Prng call per edge in position order: part of the
        bit-identity contract. *)
-    if Prng.bernoulli rng ep.(pos) then begin
+    if Prng.bernoulli_at rng ep pos then begin
       present.(!np) <- pos;
       incr np;
       acc := !acc lor (1 lsl !nbits)
@@ -261,7 +261,7 @@ let draw_prob t (c : Csr.t) rng =
   Xprob.world_prob ep ~n:m ~present:(fun pos ->
       (words.(pos / Hash64.word_bits) lsr (pos mod Hash64.word_bits)) land 1 = 1)
 
-let draw_sub t (c : Csr.t) ~pos ~detail ~bernoulli =
+let draw_sub t (c : Csr.t) ~pos ~detail rng =
   let m = c.Csr.m in
   let remaining = m - pos in
   ensure_edges t remaining;
@@ -274,8 +274,7 @@ let draw_sub t (c : Csr.t) ~pos ~detail ~bernoulli =
     let acc = ref 0 and nbits = ref 0 and w = ref 0 in
     for p = pos to m - 1 do
       let pe = ep.(p) in
-      let exists = bernoulli pe in
-      if exists then begin
+      if Prng.bernoulli_at rng ep p then begin
         present.(!np) <- p;
         incr np;
         acc := !acc lor (1 lsl !nbits);
@@ -295,7 +294,7 @@ let draw_sub t (c : Csr.t) ~pos ~detail ~bernoulli =
   end
   else
     for p = pos to m - 1 do
-      if bernoulli ep.(p) then begin
+      if Prng.bernoulli_at rng ep p then begin
         present.(!np) <- p;
         incr np
       end
@@ -317,7 +316,7 @@ let draw_bitsliced t (c : Csr.t) rng =
   ensure_slab t m;
   let ep = c.Csr.ep and slab = t.slab in
   for pos = 0 to m - 1 do
-    slab.(pos) <- Prng.Bitbatch.draw rng ep.(pos)
+    slab.(pos) <- Prng.Bitbatch.draw_at rng ep pos
   done;
   t.slab_edges <- m;
   t.slab_for <- c;

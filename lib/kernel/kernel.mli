@@ -1,10 +1,12 @@
 (** Flat sampling kernels: the shared fast path under every
     estimator's inner loop (MC, HT, and the S2BDD stratified descents),
     which all bottom out in "draw one possible graph, test terminal
-    connectivity". A draw allocates 2 words per edge — the boxed
-    probability handed to the cross-module {!Prng} call — and a
-    connectivity round or {!world_prob} a constant number of words per
-    call ([test/test_alloc.ml] holds these bounds).
+    connectivity". A draw allocates nothing per edge — {!Prng} reads
+    each probability out of the snapshot's array itself
+    ({!Prng.bernoulli_at}, {!Prng.Bitbatch.draw_at}), so no float is
+    boxed to cross the module boundary — and a connectivity round or
+    {!world_prob} a constant number of words per call
+    ([test/test_alloc.ml] holds these bounds).
 
     Three pieces:
 
@@ -117,7 +119,7 @@ val scratch : unit -> t
 (** {2 Draw loops}
 
     All variants draw every remaining edge in position order, one
-    {!Prng.bernoulli} (or [bernoulli]) call per edge. *)
+    {!Prng.bernoulli} per edge. *)
 
 val draw : t -> Csr.t -> Prng.t -> unit
 (** MC draw: fill the present buffer only. *)
@@ -128,9 +130,10 @@ val draw_prob : t -> Csr.t -> Prng.t -> Xprob.t
     the drawn mask — bit for bit the [Xprob.scale p] /
     [Xprob.scale (1 - p)] fold in draw order. *)
 
-val draw_sub : t -> Csr.t -> pos:int -> detail:bool -> bernoulli:(float -> bool) -> float
+val draw_sub : t -> Csr.t -> pos:int -> detail:bool -> Prng.t -> float
 (** Descent draw: positions [pos .. m - 1] (the start-position offset of
-    a resumed S2BDD descent). With [~detail:true] also packs the mask
+    a resumed S2BDD descent), one {!Prng.bernoulli} per position from
+    the given stream. With [~detail:true] also packs the mask
     words (bit [i] = outcome of position [pos + i]) and returns the
     completion's log-probability, accumulated as [log p] for existent
     edges with [p < 1] and [log1p (-p)] for non-existent ones; with

@@ -89,7 +89,12 @@ let int g bound =
   end
 
 let bool g = next_top g 63 = 1
-let bernoulli g p = if p >= 1. then true else if p <= 0. then false else float g < p
+let[@inline] bernoulli g p = if p >= 1. then true else if p <= 0. then false else float g < p
+
+(* The probability is read here rather than passed in: a float
+   argument of a call from another module is boxed, a float array
+   element read inside the callee is not. *)
+let bernoulli_at g ps i = bernoulli g ps.(i)
 let uniform g lo hi = lo +. ((hi -. lo) *. float g)
 
 let shuffle g arr =
@@ -142,7 +147,7 @@ module Bitbatch = struct
   (* Top 62 of the 64 generator bits, as a non-negative native int. *)
   let[@inline] word g = next_top g 2
 
-  let draw g p =
+  let[@inline] draw g p =
     if p >= 1. then all
     else if p <= 0. then 0
     else begin
@@ -170,6 +175,8 @@ module Bitbatch = struct
       done;
       !result
     end
+
+  let draw_at g ps i = draw g ps.(i)
 
   (* Scalar replay of one lane: runs the identical word-parallel draw
      (consuming the identical stream — word count depends only on [p]

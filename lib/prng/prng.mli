@@ -12,7 +12,8 @@
     A state is one private 32-byte buffer holding the four 64-bit
     xoshiro words, read and written with the unboxed int64 bytes
     primitives, so a generator step allocates nothing. {!bernoulli},
-    {!bool}, {!int} and {!Bitbatch.draw} allocate nothing at all;
+    {!bernoulli_at}, {!bool}, {!int}, {!Bitbatch.draw} and
+    {!Bitbatch.draw_at} allocate nothing at all;
     {!float}, {!uniform} and {!bits64} box only the value they return.
     {!create}, {!split} and {!copy} allocate the new 32-byte state. *)
 
@@ -46,6 +47,13 @@ val bool : t -> bool
 val bernoulli : t -> float -> bool
 (** [bernoulli g p] is [true] with probability [p] (clamped to
     [[0, 1]]). *)
+
+val bernoulli_at : t -> float array -> int -> bool
+(** [bernoulli_at g ps i] is [bernoulli g ps.(i)], drawing the same
+    value from the same stream. It reads the probability inside this
+    module, so a draw loop over a probability array allocates nothing
+    per draw, where passing [ps.(i)] to {!bernoulli} from another
+    module boxes it. *)
 
 val uniform : t -> float -> float -> float
 (** [uniform g lo hi] is uniform in [[lo, hi)]. *)
@@ -81,6 +89,10 @@ module Bitbatch : sig
       the state consumes the identical stream). Like {!bernoulli},
       clamps [p] to [[0, 1]] and consumes nothing for [p <= 0] /
       [p >= 1]. *)
+
+  val draw_at : t -> float array -> int -> int
+  (** [draw_at g ps i] is [draw g ps.(i)], with the probability read
+      inside this module as in {!bernoulli_at}. *)
 
   val bernoulli_lane : t -> lane:int -> float -> bool
   (** [bernoulli_lane g ~lane p] is the scalar replay of lane [lane]:

@@ -2,9 +2,10 @@
    one outcome per edge per possible graph, so a word allocated per edge
    is paid millions of times per query; these tests hold the draws, the
    connectivity round and the world-probability fold to what they are
-   meant to allocate, measured as Gc.minor_words deltas. The remaining
-   2 words per edge of the kernel draws are the boxed probability
-   argument of the cross-module Prng call. *)
+   meant to allocate, measured as Gc.minor_words deltas. The kernel
+   draws allocate nothing per edge: Prng reads each probability out of
+   the snapshot's array itself, where a float passed to it from another
+   module would be boxed (2 words per edge). *)
 
 open Testutil
 module K = Kernel
@@ -18,10 +19,6 @@ let words_per_call ~reps f =
     f ()
   done;
   (Gc.minor_words () -. before) /. float_of_int reps
-
-let check_at_most what ~limit words =
-  if words > limit then
-    Alcotest.failf "%s: %.2f words, limit %.2f" what words limit
 
 let check_below what ~limit words =
   if words >= limit then
@@ -63,16 +60,14 @@ let terminals = [| 0; 1; 999; 1_999 |]
 let t_per_edge_draws () =
   let c = Lazy.force csr and sc = K.create () and g = rng () in
   let per_edge what f =
-    check_at_most (what ^ " per edge") ~limit:3.
+    check_below (what ^ " per edge") ~limit:1.
       (words_per_call ~reps:10 f /. float_of_int m)
   in
   per_edge "draw" (fun () -> K.draw sc c g);
   per_edge "draw_prob" (fun () -> ignore (K.draw_prob sc c g));
   per_edge "draw_bitsliced" (fun () -> K.draw_bitsliced sc c g);
   per_edge "draw_sub" (fun () ->
-      ignore
-        (K.draw_sub sc c ~pos:0 ~detail:true ~bernoulli:(fun p ->
-             Prng.bernoulli g p)))
+      ignore (K.draw_sub sc c ~pos:0 ~detail:true g))
 
 let t_per_call_rounds () =
   let c = Lazy.force csr and sc = K.create () and g = rng () in
@@ -112,7 +107,7 @@ let suite =
   ( "alloc",
     [
       Alcotest.test_case "Prng draws allocate nothing" `Quick t_prng_draws;
-      Alcotest.test_case "kernel draws: <= 3 words per edge" `Quick
+      Alcotest.test_case "kernel draws: < 1 word per edge" `Quick
         t_per_edge_draws;
       Alcotest.test_case "connectivity and world_prob: O(1) per call"
         `Quick t_per_call_rounds;

@@ -238,8 +238,7 @@ let prop_descend_kernel_matches_union =
               ~bernoulli:(fun p -> Prng.bernoulli r1 p)
           in
           let b =
-            F.descend_kernel ctx ~scratch:sc ~detail ~pos:0 F.initial
-              ~bernoulli:(fun p -> Prng.bernoulli r2 p)
+            F.descend_kernel ctx ~scratch:sc ~detail ~pos:0 F.initial r2
           in
           a = b && streams_synced r1 r2)
         [ false; true ])
@@ -286,8 +285,7 @@ let prop_descend_kernel_resume =
                 ~bernoulli:(fun p -> Prng.bernoulli r1 p)
             in
             let b =
-              F.descend_kernel ctx ~scratch:sc ~detail ~pos st
-                ~bernoulli:(fun p -> Prng.bernoulli r2 p)
+              F.descend_kernel ctx ~scratch:sc ~detail ~pos st r2
             in
             a = b && streams_synced r1 r2)
           [ false; true ])
