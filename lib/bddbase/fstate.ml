@@ -29,9 +29,9 @@ type ctx = {
      (position [i] = edge [order.(i)]): descents stream through these
      flat arrays sequentially (the permuted accesses through [order]
      into the boxed edge records would dominate the per-sample cost
-     otherwise). The snapshot also carries the CSR adjacency, unused by
-     the descents themselves but shared with every other kernel
-     consumer. *)
+     otherwise), and [step] reads its edge's endpoints here. A
+     positions-only snapshot (Kernel.Csr.positions): nothing reads an
+     adjacency, so none is built. *)
   csr : Kernel.Csr.t;
 }
 
@@ -54,20 +54,18 @@ let make g ~order ~terminals =
       if Ugraph.degree g t = 0 then
         invalid_arg "Fstate.make: isolated terminal (reliability is trivially zero)")
     terminals;
-  let plan = Graphalgo.Ordering.Frontier.plan g order in
-  let n = Ugraph.n_vertices g in
-  let is_terminal = Array.make n false in
+  let first_pos, last_pos = Graphalgo.Ordering.Frontier.first_last g order in
+  let is_terminal = Array.make (Ugraph.n_vertices g) false in
   List.iter (fun t -> is_terminal.(t) <- true) terminals;
-  let csr = Kernel.Csr.of_order g ~order in
   {
     g;
     k;
     order = Array.copy order;
-    first_pos = plan.Graphalgo.Ordering.Frontier.first_pos;
-    last_pos = plan.Graphalgo.Ordering.Frontier.last_pos;
+    first_pos;
+    last_pos;
     terminal_arr = Array.of_list terminals;
     is_terminal;
-    csr;
+    csr = Kernel.Csr.positions g ~order;
   }
 
 let find_vert st x =

@@ -25,12 +25,18 @@ type state
     cluster boundary rather than the frontier width. *)
 
 type ctx
-(** Immutable per-instance context: graph, edge order, frontier plan,
-    terminal bookkeeping and per-layer slot maps. *)
+(** Immutable per-instance context: graph, edge order, each vertex's
+    first and last position, terminal bookkeeping, and the edges'
+    endpoints and probabilities in processing order. *)
 
 val make :
   Ugraph.t -> order:int array -> terminals:int list -> ctx
-(** Precompute layer contexts for a graph under an edge order.
+(** The context of a graph under an edge order. One pass over [order]
+    checks it is a permutation and finds each vertex's first and last
+    position ({!Graphalgo.Ordering.Frontier.first_last}); a second lays
+    the edges out by position ({!Kernel.Csr.positions}, no adjacency:
+    neither {!step} nor the descents read one). Its arrays are sized by
+    the graph and allocate no minor-heap words per edge.
     @raise Invalid_argument on an invalid order or terminal set. *)
 
 val n_positions : ctx -> int

@@ -165,28 +165,31 @@ module Frontier = struct
     max_width : int;
   }
 
-  let plan g order =
+  let first_last g order =
     let n = Ugraph.n_vertices g and m = Ugraph.n_edges g in
     if Array.length order <> m then
       invalid_arg "Ordering.Frontier.plan: order length mismatch";
-    let pos_of_eid = Array.make m (-1) in
-    Array.iteri
-      (fun pos eid ->
-        if eid < 0 || eid >= m || pos_of_eid.(eid) >= 0 then
-          invalid_arg "Ordering.Frontier.plan: order is not a permutation";
-        pos_of_eid.(eid) <- pos)
-      order;
+    let seen = Bytes.make m '\000' in
     let first_pos = Array.make n (-1) and last_pos = Array.make n (-1) in
-    Array.iteri
-      (fun pos eid ->
-        let e = Ugraph.edge g eid in
-        let touch v =
-          if first_pos.(v) < 0 then first_pos.(v) <- pos;
-          last_pos.(v) <- pos
-        in
-        touch e.Ugraph.u;
-        touch e.Ugraph.v)
-      order;
+    for pos = 0 to m - 1 do
+      let eid = order.(pos) in
+      if eid < 0 || eid >= m || Bytes.get seen eid <> '\000' then
+        invalid_arg "Ordering.Frontier.plan: order is not a permutation";
+      Bytes.set seen eid '\001';
+      let e = Ugraph.edge g eid in
+      let u = e.Ugraph.u and v = e.Ugraph.v in
+      if first_pos.(u) < 0 then first_pos.(u) <- pos;
+      last_pos.(u) <- pos;
+      if first_pos.(v) < 0 then first_pos.(v) <- pos;
+      last_pos.(v) <- pos
+    done;
+    (first_pos, last_pos)
+
+  let plan g order =
+    let n = Ugraph.n_vertices g and m = Ugraph.n_edges g in
+    let first_pos, last_pos = first_last g order in
+    let pos_of_eid = Array.make m (-1) in
+    Array.iteri (fun pos eid -> pos_of_eid.(eid) <- pos) order;
     let width = Array.make (max m 1) 0 in
     let alive = ref 0 and max_width = ref 0 in
     (* Sweep positions: vertices enter at first_pos, leave after

@@ -44,6 +44,14 @@ module Frontier : sig
     max_width : int;
   }
 
+  val first_last : Ugraph.t -> int array -> int array * int array
+  (** [first_last g order] is [(first_pos, last_pos)] of {!plan}, in
+      one pass over [order] that allocates nothing besides the two
+      arrays and a byte per edge for the permutation check. {!plan}
+      computes its fields with it, and the frontier state machine
+      needs nothing else of the plan.
+      @raise Invalid_argument as {!plan}. *)
+
   val plan : Ugraph.t -> int array -> plan
   (** Build the frontier plan for a given edge order.
       @raise Invalid_argument if [order] is not a permutation of the

@@ -44,21 +44,28 @@ module Csr = struct
     done;
     (off, adj_pos, adj_other)
 
-  let of_order g ~order =
+  let positions g ~order =
     let n = Ugraph.n_vertices g in
     let m = Array.length order in
     let eu = Array.make (max m 1) 0
     and ev = Array.make (max m 1) 0
     and ep = Array.make (max m 1) 0. in
-    Array.iteri
-      (fun pos eid ->
-        let e = Ugraph.edge g eid in
-        eu.(pos) <- e.Ugraph.u;
-        ev.(pos) <- e.Ugraph.v;
-        ep.(pos) <- e.Ugraph.p)
-      order;
-    let off, adj_pos, adj_other = build_adjacency ~n ~m eu ev in
-    { n; m; eu; ev; ep; off; adj_pos; adj_other }
+    for pos = 0 to m - 1 do
+      let e = Ugraph.edge g order.(pos) in
+      eu.(pos) <- e.Ugraph.u;
+      ev.(pos) <- e.Ugraph.v;
+      ep.(pos) <- e.Ugraph.p
+    done;
+    { n; m; eu; ev; ep; off = [||]; adj_pos = [||]; adj_other = [||] }
+
+  (* A positions-only snapshot has an empty [off], never [n + 1]
+     entries. *)
+  let has_adjacency t = Array.length t.off = t.n + 1
+
+  let of_order g ~order =
+    let c = positions g ~order in
+    let off, adj_pos, adj_other = build_adjacency ~n:c.n ~m:c.m c.eu c.ev in
+    { c with off; adj_pos; adj_other }
 
   let of_graph g = of_order g ~order:(Array.init (Ugraph.n_edges g) Fun.id)
 
@@ -93,6 +100,8 @@ module Csr = struct
   let n_edges t = t.m
 
   let iter_incident t v f =
+    if not (has_adjacency t) then
+      invalid_arg "Kernel.Csr.iter_incident: snapshot has no adjacency";
     for i = t.off.(v) to t.off.(v + 1) - 1 do
       f ~pos:t.adj_pos.(i) ~other:t.adj_other.(i)
     done
@@ -484,6 +493,8 @@ let terminals_meet reach terminals =
 let connected_lanes t (c : Csr.t) terminals ~active =
   check_drawn t.slab_for c;
   t.union_steps <- 0;
+  if not (Csr.has_adjacency c) then
+    invalid_arg "Kernel.connected_lanes: snapshot has no adjacency";
   let active = active land Prng.Bitbatch.all in
   let k = Array.length terminals in
   if active = 0 || k = 0 then active

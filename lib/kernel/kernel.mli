@@ -51,7 +51,9 @@ module Csr : sig
     eu : int array;  (** endpoint u by position *)
     ev : int array;  (** endpoint v by position *)
     ep : float array;  (** existence probability by position *)
-    off : int array;  (** adjacency offsets, length [n + 1] *)
+    off : int array;
+        (** adjacency offsets, length [n + 1] ([[||]] in a {!positions}
+            snapshot) *)
     adj_pos : int array;  (** incident positions, CSR-packed *)
     adj_other : int array;  (** matching opposite endpoints *)
   }
@@ -62,6 +64,16 @@ module Csr : sig
   val of_order : Ugraph.t -> order:int array -> t
   (** Snapshot in processing order: position [i] holds edge
       [order.(i)]. [order] need not cover every edge id. *)
+
+  val positions : Ugraph.t -> order:int array -> t
+  (** The edge positions of {!of_order} alone: [eu], [ev] and [ep] in
+      processing order, with an empty adjacency ([off], [adj_pos] and
+      [adj_other] are [[||]]), for callers that only stream the edges.
+      Its result is accepted by the draws ({!draw}, {!draw_prob},
+      {!draw_sub}, {!draw_bitsliced}), by {!world_prob} and by the
+      union–find rounds ({!union_drawn}, {!connected_terminals}); the
+      two functions that read the adjacency, {!iter_incident} and
+      {!connected_lanes}, raise [Invalid_argument] on it. *)
 
   val of_arrays : n:int -> eu:int array -> ev:int array -> ep:float array -> t
   (** Snapshot straight from packed endpoint/probability arrays in

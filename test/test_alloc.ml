@@ -103,6 +103,30 @@ let t_pipeline_words_per_edge () =
   in
   check_below "Pipeline.run minor words per input edge" ~limit:40. per_edge
 
+(* The pro query path after preprocessing: the graph digest an engine
+   query computes on a text graph and the frontier context every
+   construction builds. Both are linear passes that allocate their
+   result arrays in the major heap, so their minor words per edge stay
+   near zero. *)
+let dblp1 = lazy (Workload.Datasets.dblp1 ~seed:1 ()).Workload.Datasets.graph
+let dblp1_terminals = [ 2358; 193; 2271; 2247; 133 ]
+
+let t_digest_words_per_edge () =
+  let g = (Workload.Datasets.nyc ()).Workload.Datasets.graph in
+  check_below "Bingraph.Digest.of_graph minor words per edge" ~limit:1.
+    (words_per_call ~reps:10 (fun () -> ignore (Bingraph.Digest.of_graph g))
+    /. float_of_int (Ugraph.n_edges g))
+
+let t_fstate_make_words_per_edge () =
+  let g = Lazy.force dblp1 in
+  let order =
+    Graphalgo.Ordering.order_edges (Graphalgo.Ordering.Bfs_from dblp1_terminals) g
+  in
+  check_below "Fstate.make minor words per edge" ~limit:1.
+    (words_per_call ~reps:10 (fun () ->
+         ignore (Bddbase.Fstate.make g ~order ~terminals:dblp1_terminals))
+    /. float_of_int (Ugraph.n_edges g))
+
 let suite =
   ( "alloc",
     [
@@ -113,4 +137,8 @@ let suite =
         `Quick t_per_call_rounds;
       Alcotest.test_case "Pipeline.run: < 40 minor words per edge" `Quick
         t_pipeline_words_per_edge;
+      Alcotest.test_case "graph digest: < 1 minor word per edge" `Quick
+        t_digest_words_per_edge;
+      Alcotest.test_case "frontier context: < 1 minor word per edge" `Quick
+        t_fstate_make_words_per_edge;
     ] )

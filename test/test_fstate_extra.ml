@@ -228,6 +228,42 @@ let t_descend_union_dsu_too_small () =
         (F.descend_union ctx ~dsu:small ~detail:false ~pos:0 F.initial
            ~bernoulli:(fun _ -> true)))
 
+(* The shared first/last-position pass against [Frontier.plan]'s fields
+   and a per-vertex scan; a repeated edge id is rejected. *)
+let prop_first_last_matches_plan =
+  QCheck.Test.make ~name:"first/last positions = plan's fields = scan" ~count:300
+    QCheck.(pair (Test_bddbase.arb_graph_ts ~max_n:10 ~max_m:18 ~max_k:2) int)
+    (fun ((n, es, _), seed) ->
+      let g = graph ~n es in
+      let m = Ugraph.n_edges g in
+      let order = Array.init m Fun.id in
+      Prng.shuffle (Prng.create seed) order;
+      let first, last = O.Frontier.first_last g order in
+      let plan = O.Frontier.plan g order in
+      let scan_first = Array.make n (-1) and scan_last = Array.make n (-1) in
+      for v = 0 to n - 1 do
+        Array.iteri
+          (fun pos eid ->
+            let e = Ugraph.edge g eid in
+            if e.Ugraph.u = v || e.Ugraph.v = v then begin
+              if scan_first.(v) < 0 then scan_first.(v) <- pos;
+              scan_last.(v) <- pos
+            end)
+          order
+      done;
+      let rejects_repeat =
+        m < 2
+        ||
+        let bad = Array.copy order in
+        bad.(m - 1) <- bad.(0);
+        match O.Frontier.first_last g bad with
+        | _ -> false
+        | exception Invalid_argument _ -> true
+      in
+      first = plan.O.Frontier.first_pos
+      && last = plan.O.Frontier.last_pos
+      && first = scan_first && last = scan_last && rejects_repeat)
+
 let suite =
   ( "fstate-extra",
     [
@@ -247,4 +283,5 @@ let suite =
         t_exactness_under_adversarial_orders;
       Alcotest.test_case "descend_union validates dsu size" `Quick
         t_descend_union_dsu_too_small;
-    ] )
+    ]
+    @ qtests [ prop_first_last_matches_plan ] )
