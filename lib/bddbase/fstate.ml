@@ -68,84 +68,152 @@ let make g ~order ~terminals =
     csr = Kernel.Csr.positions g ~order;
   }
 
-let find_vert st x =
-  let rec go lo hi =
-    if lo >= hi then -1
-    else
-      let mid = (lo + hi) / 2 in
-      if st.verts.(mid) = x then mid
-      else if st.verts.(mid) < x then go (mid + 1) hi
-      else go lo mid
-  in
-  go 0 (Array.length st.verts)
+(* Index of [x] in the sorted prefix [a.(lo .. hi - 1)], or [-1]. A
+   top-level function, so a search allocates no closure. *)
+let rec bsearch (a : int array) x lo hi =
+  if lo >= hi then -1
+  else
+    let mid = (lo + hi) / 2 in
+    let y = a.(mid) in
+    if y = x then mid else if y < x then bsearch a x (mid + 1) hi else bsearch a x lo mid
+
+(* Per-domain working buffers of [step] and [heuristic_log2], grown on
+   demand: the merged vertex list and its components (room for the two
+   insertions of a step), the terminal counts, departure flags and
+   canonical renaming per component, and the per-component degree sums
+   of the heuristic. A domain runs one call at a time and every call
+   rewrites what it reads, so constructions running as pool tasks on
+   different domains never share a buffer, and nothing carries over
+   from one call to the next. *)
+type work = {
+  mutable w_verts : int array;
+  mutable w_comp : int array;
+  mutable w_removed : Bytes.t;
+  mutable w_tc : int array;
+  mutable w_rename : int array;
+  mutable w_tc_out : int array;
+  mutable w_deg : int array;
+}
+
+let work_key =
+  Domain.DLS.new_key (fun () ->
+      {
+        w_verts = [||];
+        w_comp = [||];
+        w_removed = Bytes.empty;
+        w_tc = [||];
+        w_rename = [||];
+        w_tc_out = [||];
+        w_deg = [||];
+      })
+
+(* The calling domain's buffers, with room for [verts] explicit
+   vertices and [comps] components. *)
+let work ~verts ~comps =
+  let w = Domain.DLS.get work_key in
+  if Array.length w.w_verts < verts then begin
+    let n = (2 * verts) + 16 in
+    w.w_verts <- Array.make n 0;
+    w.w_comp <- Array.make n 0;
+    w.w_removed <- Bytes.make n '\000'
+  end;
+  if Array.length w.w_tc < comps then begin
+    let n = (2 * comps) + 16 in
+    w.w_tc <- Array.make n 0;
+    w.w_rename <- Array.make n 0;
+    w.w_tc_out <- Array.make n 0;
+    w.w_deg <- Array.make n 0
+  end;
+  w
+
+let removed w i = Bytes.get w.w_removed i <> '\000'
+let remove w i = Bytes.set w.w_removed i '\001'
+
+(* Departure of endpoint [x] at [pos] from the [len] merged vertices:
+   0 when nothing resolves, 1 when a terminal-bearing component is
+   stranded (sink 0), 2 when the component leaving holds every terminal
+   (sink 1). Only an endpoint can leave at its edge's position. *)
+let leave ctx w ~pos ~len x =
+  if ctx.last_pos.(x) <> pos then 0
+  else
+    let ix = bsearch w.w_verts x 0 len in
+    (* An implicit singleton leaving carries no terminal: silent. *)
+    if ix < 0 || removed w ix then 0
+    else begin
+      remove w ix;
+      let comp = w.w_comp in
+      let c = comp.(ix) in
+      (* Does c still have an explicit member? *)
+      let members = ref 0 and last_member = ref (-1) in
+      for i = 0 to len - 1 do
+        if (not (removed w i)) && comp.(i) = c then begin
+          incr members;
+          last_member := i
+        end
+      done;
+      let t = w.w_tc.(c) in
+      if !members = 0 then if t = ctx.k then 2 else if t > 0 then 1 else 0
+      else begin
+        (* Demote the leftover lone non-terminal to implicit. *)
+        if !members = 1 && t = 0 then remove w !last_member;
+        0
+      end
+    end
 
 let step ctx ~eager ~pos st ~exists =
-  let e = edge_at ctx pos in
-  let u = e.Ugraph.u and v = e.Ugraph.v in
+  let u = ctx.csr.Kernel.Csr.eu.(pos) and v = ctx.csr.Kernel.Csr.ev.(pos) in
   let nv = Array.length st.verts and nc = Array.length st.tc in
-  (* Working arrays sized for up to two insertions. *)
-  let w_verts = Array.make (nv + 2) 0 in
-  let w_comp = Array.make (nv + 2) 0 in
-  let w_tc = Array.make (nc + 2) 0 in
+  let w = work ~verts:(nv + 2) ~comps:(nc + 2) in
+  let w_verts = w.w_verts and w_comp = w.w_comp and w_tc = w.w_tc in
   Array.blit st.tc 0 w_tc 0 nc;
-  let w_len = ref 0 and w_nc = ref nc in
   (* Materialisation set: a vertex joins the explicit representation if
      it is an entering terminal, or an endpoint of an existent non-loop
-     edge (its component will have size >= 2). *)
-  let entering x = ctx.first_pos.(x) = pos in
-  let needs x =
-    (entering x && ctx.is_terminal.(x)) || (exists && u <> v)
+     edge (its component will have size >= 2). Up to two insertions,
+     [p1 < p2], [-1] for none. *)
+  let joins = exists && u <> v in
+  let ins_u =
+    (joins || (ctx.first_pos.(u) = pos && ctx.is_terminal.(u)))
+    && bsearch st.verts u 0 nv < 0
   in
-  let insert_sorted =
-    let pending = ref [] in
-    if needs u && find_vert st u < 0 then pending := [ u ];
-    if v <> u && needs v && find_vert st v < 0 then
-      pending := List.sort_uniq Int.compare (v :: !pending);
-    !pending
+  let ins_v =
+    v <> u
+    && (joins || (ctx.first_pos.(v) = pos && ctx.is_terminal.(v)))
+    && bsearch st.verts v 0 nv < 0
   in
-  (* Merge old verts with pending insertions, both sorted. *)
-  let rec emit i pending =
-    match pending with
-    | p :: rest when i >= nv || p < st.verts.(i) ->
-      w_verts.(!w_len) <- p;
-      w_comp.(!w_len) <- !w_nc;
-      (* New singleton: terminal iff it is a terminal vertex (it may
-         have entered earlier as an implicit non-terminal only if not a
-         terminal, so is_terminal decides). *)
-      w_tc.(!w_nc) <- (if ctx.is_terminal.(p) then 1 else 0);
-      incr w_nc;
-      incr w_len;
-      emit i rest
-    | _ when i < nv ->
-      w_verts.(!w_len) <- st.verts.(i);
-      w_comp.(!w_len) <- st.comp_of.(i);
-      incr w_len;
-      emit (i + 1) pending
-    | [] -> ()
-    | _ -> emit i pending
-  in
-  emit 0 insert_sorted;
-  let len = !w_len in
-  let find x =
-    let rec go lo hi =
-      if lo >= hi then -1
-      else
-        let mid = (lo + hi) / 2 in
-        if w_verts.(mid) = x then mid
-        else if w_verts.(mid) < x then go (mid + 1) hi
-        else go lo mid
-    in
-    go 0 len
-  in
+  let lo = if u < v then u else v and hi = if u < v then v else u in
+  let p1 = if ins_u && ins_v then lo else if ins_u then u else if ins_v then v else -1 in
+  let p2 = if ins_u && ins_v then hi else -1 in
+  (* Merge old verts with the insertions, both sorted. A new singleton
+     is terminal iff it is a terminal vertex (it may have entered
+     earlier as an implicit non-terminal only if not a terminal). *)
+  let len = ref 0 and n_comp = ref nc and i = ref 0 in
+  let pend = ref p1 and pend2 = ref p2 in
+  while !i < nv || !pend >= 0 do
+    if !pend >= 0 && (!i >= nv || !pend < st.verts.(!i)) then begin
+      let p = !pend in
+      w_verts.(!len) <- p;
+      w_comp.(!len) <- !n_comp;
+      w_tc.(!n_comp) <- (if ctx.is_terminal.(p) then 1 else 0);
+      incr n_comp;
+      pend := !pend2;
+      pend2 := -1
+    end
+    else begin
+      w_verts.(!len) <- st.verts.(!i);
+      w_comp.(!len) <- st.comp_of.(!i);
+      incr i
+    end;
+    incr len
+  done;
+  let len = !len in
   (* Apply an existent edge: merge the endpoint components. *)
   let early_sink1 = ref false in
-  if exists && u <> v then begin
-    let iu = find u and iv = find v in
-    let cu = w_comp.(iu) and cv = w_comp.(iv) in
+  if joins then begin
+    let cu = w_comp.(bsearch w_verts u 0 len) and cv = w_comp.(bsearch w_verts v 0 len) in
     if cu <> cv then begin
-      let keep, dead = if cu < cv then (cu, cv) else (cv, cu) in
-      for i = 0 to len - 1 do
-        if w_comp.(i) = dead then w_comp.(i) <- keep
+      let keep = if cu < cv then cu else cv and dead = if cu < cv then cv else cu in
+      for j = 0 to len - 1 do
+        if w_comp.(j) = dead then w_comp.(j) <- keep
       done;
       w_tc.(keep) <- w_tc.(keep) + w_tc.(dead);
       w_tc.(dead) <- 0;
@@ -154,59 +222,34 @@ let step ctx ~eager ~pos st ~exists =
   end;
   if !early_sink1 then Sink1
   else begin
-    (* Departures: only the endpoints can leave at this position. *)
-    let removed = Array.make len false in
-    let sink0 = ref false and sink1 = ref false in
-    let leave x =
-      if ctx.last_pos.(x) = pos then begin
-        let ix = find x in
-        if ix >= 0 && not removed.(ix) then begin
-          removed.(ix) <- true;
-          let c = w_comp.(ix) in
-          (* Does c still have an explicit member? *)
-          let members = ref 0 and last_member = ref (-1) in
-          for i = 0 to len - 1 do
-            if (not removed.(i)) && w_comp.(i) = c then begin
-              incr members;
-              last_member := i
-            end
-          done;
-          if !members = 0 then begin
-            if w_tc.(c) = ctx.k then sink1 := true
-            else if w_tc.(c) > 0 then sink0 := true
-          end
-          else if !members = 1 && w_tc.(c) = 0 then
-            (* Demote the leftover lone non-terminal to implicit. *)
-            removed.(!last_member) <- true
-        end
-        (* An implicit singleton leaving carries no terminal: silent. *)
-      end
-    in
-    leave u;
-    if v <> u then leave v;
-    if !sink1 then Sink1
-    else if !sink0 then Sink0
+    Bytes.fill w.w_removed 0 len '\000';
+    let left_u = leave ctx w ~pos ~len u in
+    let left_v = if v <> u then leave ctx w ~pos ~len v else 0 in
+    if left_u = 2 || left_v = 2 then Sink1
+    else if left_u = 1 || left_v = 1 then Sink0
     else begin
-      (* Compact and canonically renumber. *)
-      let out_len = ref 0 in
-      for i = 0 to len - 1 do
-        if not removed.(i) then incr out_len
-      done;
-      let verts = Array.make !out_len 0 in
-      let comp_of = Array.make !out_len 0 in
-      let rename = Array.make (nc + 2) (-1) in
-      let tc_out = Array.make !out_len 0 in
-      let cursor = ref 0 and n_comps = ref 0 in
-      for i = 0 to len - 1 do
-        if not removed.(i) then begin
-          let c = w_comp.(i) in
+      (* Compact and canonically renumber: components by first
+         appearance, so equal partitions are equal arrays. *)
+      let rename = w.w_rename and tc_out = w.w_tc_out in
+      Array.fill rename 0 !n_comp (-1);
+      let out_len = ref 0 and n_comps = ref 0 in
+      for j = 0 to len - 1 do
+        if not (removed w j) then begin
+          incr out_len;
+          let c = w_comp.(j) in
           if rename.(c) < 0 then begin
             rename.(c) <- !n_comps;
             tc_out.(!n_comps) <- w_tc.(c);
             incr n_comps
-          end;
-          verts.(!cursor) <- w_verts.(i);
-          comp_of.(!cursor) <- rename.(c);
+          end
+        end
+      done;
+      let verts = Array.make !out_len 0 and comp_of = Array.make !out_len 0 in
+      let cursor = ref 0 in
+      for j = 0 to len - 1 do
+        if not (removed w j) then begin
+          verts.(!cursor) <- w_verts.(j);
+          comp_of.(!cursor) <- rename.(w_comp.(j));
           incr cursor
         end
       done;
@@ -227,7 +270,10 @@ let key_flags st =
   let key = Array.make ((2 * nv) + 1 + nt) (-1) in
   Array.blit st.verts 0 key 0 nv;
   Array.blit st.comp_of 0 key nv nv;
-  Array.iteri (fun i t -> key.((2 * nv) + 1 + i) <- (if t > 0 then 1 else 0)) st.tc;
+  let base = (2 * nv) + 1 in
+  for i = 0 to nt - 1 do
+    key.(base + i) <- (if st.tc.(i) > 0 then 1 else 0)
+  done;
   key
 
 let component_count st = Array.length st.tc
@@ -235,21 +281,27 @@ let component_terminals st = Array.copy st.tc
 
 let heuristic_log2 ctx ~rem st ~log2_pn =
   let k = float_of_int ctx.k in
+  let nc = Array.length st.tc in
   (* [rem] is the caller-maintained remaining-degree table;
      per-component d sums come from it in O(state size). *)
-  let d = Array.make (Array.length st.tc) 0 in
-  Array.iteri
-    (fun i v -> d.(st.comp_of.(i)) <- d.(st.comp_of.(i)) + rem.(v))
-    st.verts;
+  let d = (work ~verts:0 ~comps:nc).w_deg in
+  Array.fill d 0 nc 0;
+  for i = 0 to Array.length st.verts - 1 do
+    let c = st.comp_of.(i) in
+    d.(c) <- d.(c) + rem.(st.verts.(i))
+  done;
+  (* Both candidates are positive and finite, so the larger one is
+     what [Float.max] would return. *)
   let best = ref neg_infinity in
-  Array.iteri
-    (fun c t ->
-      if t > 0 then begin
-        let dc = max 1 d.(c) in
-        let f = Float.max (float_of_int t /. k) (1. /. float_of_int dc) in
-        if f > !best then best := f
-      end)
-    st.tc;
+  for c = 0 to nc - 1 do
+    let t = st.tc.(c) in
+    if t > 0 then begin
+      let dc = if d.(c) > 1 then d.(c) else 1 in
+      let by_t = float_of_int t /. k and by_d = 1. /. float_of_int dc in
+      let f = if by_d > by_t then by_d else by_t in
+      if f > !best then best := f
+    end
+  done;
   let factor =
     if !best > neg_infinity then !best
     else 1. /. (2. *. k *. float_of_int (1 + Array.length st.verts))
@@ -355,10 +407,18 @@ let descend_kernel ctx ~scratch ~detail ~pos st rng =
   done;
   (Kernel.union_drawn scratch ctx.csr, hash, logq)
 
+(* Hash and equality are plain loops: no closure or ref per call, and
+   the hash values are those of the FNV-1a fold they replaced, which
+   the construction's iteration order depends on. *)
+let rec equal_from (a : int array) (b : int array) i n =
+  i >= n || (a.(i) = b.(i) && equal_from a b (i + 1) n)
+
 module Key_table = Hashtbl.Make (struct
   type t = int array
 
-  let equal (a : int array) b = a = b
+  let equal (a : int array) b =
+    let n = Array.length a in
+    n = Array.length b && equal_from a b 0 n
 
   let hash a =
     (* FNV-1a over every element; Hashtbl.hash would only inspect a
@@ -367,6 +427,8 @@ module Key_table = Hashtbl.Make (struct
        compared by structural equality on collision — so FNV's weak
        diffusion costs at most table balance, never correctness. *)
     let h = ref 0x811C9DC5 in
-    Array.iter (fun x -> h := (!h lxor (x + 0x9E3779B9)) * 0x01000193 land max_int) a;
+    for i = 0 to Array.length a - 1 do
+      h := (!h lxor (a.(i) + 0x9E3779B9)) * 0x01000193 land max_int
+    done;
     !h
 end)

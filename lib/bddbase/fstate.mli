@@ -54,7 +54,9 @@ type outcome =
 
 val step : ctx -> eager:bool -> pos:int -> state -> exists:bool -> outcome
 (** Process the edge at [pos] with the given existence decision on a
-    state valid at layer [pos].
+    state valid at layer [pos]. It works in the calling domain's
+    buffers and allocates only the resulting state, so concurrent
+    constructions on different domains share nothing.
 
     With [eager = true], the extended conditions of Lemmas 4.1–4.2 fire:
     a component holding every terminal sinks to 1 immediately; otherwise

@@ -227,7 +227,6 @@ let construct ~obs ~co ~trace ~cfg ~ctx ~rng g ~consume =
   let stop = ref Completed in
   let work = ref 0 in
   let merges = ref 0 in
-  let deleted_mass = ref Xprob.zero in
   let update_s_cur () =
     s_cur :=
       Samplesize.reduced ~s:cfg.samples
@@ -235,8 +234,10 @@ let construct ~obs ~co ~trace ~cfg ~ctx ~rng g ~consume =
         ~pd:(Xprob.to_float_approx !pd)
   in
   let current = ref (F.Key_table.create 16) in
-  F.Key_table.replace !current (key_fn F.initial) (F.initial, ref Xprob.one);
-    (* Remaining-degree table, decremented as each edge is processed so
+  F.Key_table.add !current (key_fn F.initial) (F.initial, ref Xprob.one);
+  (* Placeholder of the deletion's node buffer. *)
+  let no_node = (F.initial, ref Xprob.zero) in
+  (* Remaining-degree table, decremented as each edge is processed so
      the deletion heuristic reads d values in O(state size). *)
   let rem = Array.init (Ugraph.n_vertices g) (Ugraph.degree g) in
   let pos = ref 0 in
@@ -250,25 +251,33 @@ let construct ~obs ~co ~trace ~cfg ~ctx ~rng g ~consume =
       Xprob.to_float_approx !pc +. Xprob.to_float_approx !pd
     in
     let next = F.Key_table.create (2 * F.Key_table.length !current) in
+    (* Generating and merging. [generate] and [expand] are built once
+       per layer, and the two edge weights computed once, so a node
+       allocates only its two children's masses and states, their
+       keys, and the table entry of a child no earlier node produced.
+       The table's iteration order decides the order of expansion, of
+       deletion ties and of consumption, hence every estimate, so the
+       hash, the table sizes and the order of insertion are fixed. *)
+    let layer = !pos in
+    let p_exists = e.Ugraph.p in
+    let p_absent = 1. -. p_exists in
+    let generate st pn ~exists weight =
+      let p' = Xprob.scale weight !pn in
+      match F.step ctx ~eager:cfg.eager ~pos:layer st ~exists with
+      | F.Sink1 -> pc := Xprob.add !pc p'
+      | F.Sink0 -> pd := Xprob.add !pd p'
+      | F.Live st' -> (
+        let key = key_fn st' in
+        match F.Key_table.find_opt next key with
+        | Some (_, acc) ->
+          incr merges;
+          acc := Xprob.add !acc p'
+        | None -> F.Key_table.add next key (st', ref p'))
+    in
     let expand key (st, pn) =
       work := !work + (2 * (4 + Array.length key));
-      let branch exists weight =
-        if weight > 0. then begin
-          let p' = Xprob.scale weight !pn in
-          match F.step ctx ~eager:cfg.eager ~pos:!pos st ~exists with
-          | F.Sink1 -> pc := Xprob.add !pc p'
-          | F.Sink0 -> pd := Xprob.add !pd p'
-          | F.Live st' -> (
-            let key = key_fn st' in
-            match F.Key_table.find_opt next key with
-            | Some (_, acc) ->
-              incr merges;
-              acc := Xprob.add !acc p'
-            | None -> F.Key_table.replace next key (st', ref p'))
-        end
-      in
-      branch true e.Ugraph.p;
-      branch false (1. -. e.Ugraph.p)
+      if p_exists > 0. then generate st pn ~exists:true p_exists;
+      if p_absent > 0. then generate st pn ~exists:false p_absent
     in
     F.Key_table.iter expand !current;
     rem.(e.Ugraph.u) <- rem.(e.Ugraph.u) - 1;
@@ -280,30 +289,36 @@ let construct ~obs ~co ~trace ~cfg ~ctx ~rng g ~consume =
        the rest right away (their states are discarded after). *)
     let saturated = width > cfg.width in
     if saturated then begin
-      let nodes = Array.make width (F.initial, Xprob.zero, 0.) in
+      let keys = Array.make width [||] and nodes = Array.make width no_node in
+      let prio = Array.make width 0. in
       let i = ref 0 in
       F.Key_table.iter
-        (fun _ (st, pn) ->
-          let prio =
-            match cfg.heuristic with
+        (fun key ((st, pn) as node) ->
+          prio.(!i) <-
+            (match cfg.heuristic with
             | Paper_heuristic ->
               F.heuristic_log2 ctx ~rem st ~log2_pn:(Xprob.log2 !pn)
-            | Random_deletion -> Prng.float rng
-          in
-          nodes.(!i) <- (st, !pn, prio);
+            | Random_deletion -> Prng.float rng);
+          keys.(!i) <- key;
+          nodes.(!i) <- node;
           incr i)
         next;
-      Array.sort (fun (_, _, a) (_, _, b) -> Float.compare b a) nodes;
+      (* Highest priority first. The node indices are sorted with the
+         comparator the nodes themselves once were: the sort's moves
+         follow its comparisons alone, so the permutation, ties
+         included, is the same. The kept nodes go back under the keys
+         they already have, in that order. *)
+      let by_prio = Array.init width Fun.id in
+      Array.sort (fun a b -> Float.compare prio.(b) prio.(a)) by_prio;
       F.Key_table.reset next;
       for j = 0 to cfg.width - 1 do
-        let st, pn, _ = nodes.(j) in
-        F.Key_table.replace next (key_fn st) (st, ref pn)
+        let x = by_prio.(j) in
+        F.Key_table.add next keys.(x) nodes.(x)
       done;
       for j = cfg.width to width - 1 do
-        let st, pn, _ = nodes.(j) in
+        let st, pn = nodes.(by_prio.(j)) in
         incr deleted_nodes;
-        deleted_mass := Xprob.add !deleted_mass pn;
-        consume ~s_cur:!s_cur ~pos:(!pos + 1) st pn
+        consume ~s_cur:!s_cur ~pos:(!pos + 1) st !pn
       done
     end;
     let layer_words =

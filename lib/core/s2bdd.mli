@@ -39,7 +39,17 @@
     randomised-rounding tail); {!prepare} keeps a stratum for every
     node and leaves the budgets to its caller; {!bounds} keeps nothing.
     The construction never reads what a consumer kept, so for the same
-    [config] all three build the same layers, bounds and stop. *)
+    [config] all three build the same layers, bounds and stop.
+
+    {b Iteration order is part of the determinism contract.} A layer
+    is a hash table of merge keys ({!Bddbase.Fstate.Key_table}), and
+    its iteration order decides the order in which nodes expand, how
+    deletion breaks priority ties, and the order in which deleted nodes
+    are consumed — which fixes each stratum's split stream and so every
+    estimate. The key hash, the table size each layer is created with,
+    the order of insertion and the comparisons of the deletion sort
+    must therefore stay as they are; a faster layer loop has to keep
+    all four, and a new layer layout would re-pin every pro answer. *)
 
 type estimator =
   | Monte_carlo

@@ -23,6 +23,27 @@ let two_triangles =
     [ (0, 1, 0.6); (1, 2, 0.6); (2, 0, 0.6); (2, 3, 0.6); (3, 4, 0.6);
       (4, 5, 0.6); (5, 3, 0.6) ]
 
+(* Two 10 x 10 grids at p = 0.5 joined by a bridge from the first
+   grid's last corner to the second's first: the extension leaves one
+   subproblem per grid, and at w = 64 each construction saturates its
+   layers for long enough that the two pool tasks overlap, each
+   stepping states in its own domain's working buffers. (Two 6 x 6
+   grids at w = 8 finish too soon to overlap: one buffer shared by
+   both domains went unnoticed there, and fails here.) *)
+let two_grids =
+  let side = 10 in
+  let grid base =
+    List.concat
+      (List.init side (fun r ->
+           List.concat
+             (List.init side (fun c ->
+                  let v = base + (r * side) + c in
+                  (if c + 1 < side then [ (v, v + 1, 0.5) ] else [])
+                  @ if r + 1 < side then [ (v, v + side, 0.5) ] else []))))
+  in
+  let cells = side * side in
+  graph ~n:(2 * cells) (grid 0 @ grid cells @ [ (cells - 1, cells, 0.5) ])
+
 let () =
   (match Par.forced_domains () with
   | Some 2 -> ()
@@ -75,6 +96,11 @@ let () =
   let config = { S.default_config with S.samples = 500; S.width = 2 } in
   check_all_equal "Reliability.estimate report"
     (runs (fun jobs -> R.estimate ~config ~jobs two_triangles ~terminals:[ 0; 4 ]));
+  check_all_equal "Reliability.estimate report (two grids, concurrent constructions)"
+    (runs (fun jobs ->
+         R.estimate
+           ~config:{ S.default_config with S.samples = 2_000; S.width = 64 }
+           ~jobs two_grids ~terminals:[ 0; 199 ]));
   (* The adaptive drivers: plain rounds on the chunk stream, and plan
      rounds whose strata draw on the pool. two_triangles resolves
      exactly at construction; fig1 at w = 2 leaves a plan to sample. *)

@@ -104,10 +104,13 @@ let t_pipeline_words_per_edge () =
   check_below "Pipeline.run minor words per input edge" ~limit:40. per_edge
 
 (* The pro query path after preprocessing: the graph digest an engine
-   query computes on a text graph and the frontier context every
-   construction builds. Both are linear passes that allocate their
-   result arrays in the major heap, so their minor words per edge stay
-   near zero. *)
+   query computes on a text graph, the frontier context every
+   construction builds, and the construction itself. The digest and
+   the context are linear passes that allocate their result arrays in
+   the major heap, so their minor words per edge stay near zero; the
+   construction allocates each layer's states, keys and masses, and
+   the limit is half of what it allocated while every step built its
+   working arrays, closures and a second key per deleted node. *)
 let dblp1 = lazy (Workload.Datasets.dblp1 ~seed:1 ()).Workload.Datasets.graph
 let dblp1_terminals = [ 2358; 193; 2271; 2247; 133 ]
 
@@ -127,6 +130,13 @@ let t_fstate_make_words_per_edge () =
          ignore (Bddbase.Fstate.make g ~order ~terminals:dblp1_terminals))
     /. float_of_int (Ugraph.n_edges g))
 
+let t_bounds_words () =
+  let g = Lazy.force dblp1 in
+  let config = { Netrel.S2bdd.default_config with Netrel.S2bdd.width = 1_000 } in
+  check_below "S2bdd.bounds (DBLP1, k = 5, w = 1,000) minor words" ~limit:7.985e6
+    (words_per_call ~reps:1 (fun () ->
+         ignore (Netrel.S2bdd.bounds ~config g ~terminals:dblp1_terminals)))
+
 let suite =
   ( "alloc",
     [
@@ -141,4 +151,6 @@ let suite =
         t_digest_words_per_edge;
       Alcotest.test_case "frontier context: < 1 minor word per edge" `Quick
         t_fstate_make_words_per_edge;
+      Alcotest.test_case "S2bdd.bounds on DBLP1: < 7.985 M minor words" `Quick
+        t_bounds_words;
     ] )

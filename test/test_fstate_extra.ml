@@ -228,6 +228,56 @@ let t_descend_union_dsu_too_small () =
         (F.descend_union ctx ~dsu:small ~detail:false ~pos:0 F.initial
            ~bernoulli:(fun _ -> true)))
 
+(* ---- step against its reference copy ---- *)
+
+(* Every state reachable from the root under a random order, terminal
+   set and sinking mode, layer by layer (deduplicated by exact key,
+   at most [cap] per layer in key order), steps to the same outcome
+   under [Fstate.step] and the reference copy of its former
+   closure-based body. Edge probabilities play no part: both
+   decisions are taken at every node. *)
+let prop_step_matches_reference =
+  let cap = 200 in
+  QCheck.Test.make ~name:"step = reference step on every reachable state" ~count:300
+    QCheck.(pair (Test_bddbase.arb_graph_ts ~max_n:10 ~max_m:18 ~max_k:4) (pair int bool))
+    (fun ((n, es, ts), (seed, eager)) ->
+      let g = graph ~n es in
+      QCheck.assume (List.for_all (fun t -> Ugraph.degree g t > 0) ts);
+      let order = Array.init (Ugraph.n_edges g) Fun.id in
+      Prng.shuffle (Prng.create seed) order;
+      let ctx = F.make g ~order ~terminals:ts in
+      let rctx = Fstate_ref.make g ~order ~terminals:ts in
+      let m = F.n_positions ctx in
+      let same a b =
+        match (a, b) with
+        | F.Sink1, Fstate_ref.Sink1 | F.Sink0, Fstate_ref.Sink0 -> true
+        | F.Live s, Fstate_ref.Live r ->
+          F.key_exact s = Fstate_ref.key r
+          && F.component_terminals s = r.Fstate_ref.tc
+        | _ -> false
+      in
+      let rec layer pos states =
+        pos >= m || states = []
+        ||
+        let next = Hashtbl.create 16 in
+        List.for_all
+          (fun st ->
+            let r = Fstate_ref.of_fstate st in
+            List.for_all
+              (fun exists ->
+                let a = F.step ctx ~eager ~pos st ~exists in
+                (match a with
+                | F.Live s -> Hashtbl.replace next (F.key_exact s) s
+                | F.Sink1 | F.Sink0 -> ());
+                same a (Fstate_ref.step rctx ~eager ~pos r ~exists))
+              [ true; false ])
+          states
+        &&
+        let keyed = List.sort compare (List.of_seq (Hashtbl.to_seq next)) in
+        layer (pos + 1) (List.filteri (fun i _ -> i < cap) (List.map snd keyed))
+      in
+      layer 0 [ F.initial ])
+
 (* The shared first/last-position pass against [Frontier.plan]'s fields
    and a per-vertex scan; a repeated edge id is rejected. *)
 let prop_first_last_matches_plan =
@@ -284,4 +334,4 @@ let suite =
       Alcotest.test_case "descend_union validates dsu size" `Quick
         t_descend_union_dsu_too_small;
     ]
-    @ qtests [ prop_first_last_matches_plan ] )
+    @ qtests [ prop_step_matches_reference; prop_first_last_matches_plan ] )
