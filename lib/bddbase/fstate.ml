@@ -290,8 +290,9 @@ let heuristic_log2 ctx ~rem st ~log2_pn =
     let c = st.comp_of.(i) in
     d.(c) <- d.(c) + rem.(st.verts.(i))
   done;
-  (* Both candidates are positive and finite, so the larger one is
-     what [Float.max] would return. *)
+  (* A comparison rather than [Float.max], a call into another module
+     that would box its arguments; both candidates are positive and
+     finite, so the two agree. *)
   let best = ref neg_infinity in
   for c = 0 to nc - 1 do
     let t = st.tc.(c) in
@@ -407,9 +408,9 @@ let descend_kernel ctx ~scratch ~detail ~pos st rng =
   done;
   (Kernel.union_drawn scratch ctx.csr, hash, logq)
 
-(* Hash and equality are plain loops: no closure or ref per call, and
-   the hash values are those of the FNV-1a fold they replaced, which
-   the construction's iteration order depends on. *)
+(* Hash and equality are plain loops, with no closure or ref per call.
+   The construction's iteration order depends on the hash values, so
+   they must stay those of this FNV-1a fold. *)
 let rec equal_from (a : int array) (b : int array) i n =
   i >= n || (a.(i) = b.(i) && equal_from a b (i + 1) n)
 

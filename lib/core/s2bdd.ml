@@ -303,11 +303,11 @@ let construct ~obs ~co ~trace ~cfg ~ctx ~rng g ~consume =
           nodes.(!i) <- node;
           incr i)
         next;
-      (* Highest priority first. The node indices are sorted with the
-         comparator the nodes themselves once were: the sort's moves
-         follow its comparisons alone, so the permutation, ties
-         included, is the same. The kept nodes go back under the keys
-         they already have, in that order. *)
+      (* Highest priority first. [Array.sort]'s moves follow its
+         comparisons alone, so sorting the node indices by [prio] gives
+         the permutation that sorting the nodes by the same comparator
+         would, ties included. The kept nodes go back in that order,
+         under the keys they already have. *)
       let by_prio = Array.init width Fun.id in
       Array.sort (fun a b -> Float.compare prio.(b) prio.(a)) by_prio;
       F.Key_table.reset next;

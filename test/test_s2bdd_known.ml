@@ -429,5 +429,5 @@ let t_known_answers () =
     cases
 
 let suite =
-  ( "s2bdd known",
+  ( "s2bdd-known",
     [ Alcotest.test_case "known answers of the S2BDD and exact BDD" `Quick t_known_answers ] )
