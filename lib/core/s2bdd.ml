@@ -92,16 +92,6 @@ let alloc rng x =
     let f = Float.floor x in
     int_of_float f + (if Prng.bernoulli rng (x -. f) then 1 else 0)
 
-(* One DP descent from a node's state: the state anchors past
-   connectivity, the remaining edges are flipped, one early-exit
-   union-find pass over the drawn edges decides the indicator. Runs on
-   the per-domain kernel scratch ([Kernel.scratch] — re-initialised per
-   descent, so reuse across tasks and domains cannot affect results).
-   Returns [(connected, hash, log_q)]; the hash and log-probability are
-   only computed for the HT estimator. *)
-let descend_detailed ctx sc rng ~detail ~pos st =
-  F.descend_kernel ctx ~scratch:sc ~detail ~pos st rng
-
 (* Horvitz–Thompson weight q / (1 - (1 - q)^n): the single shared
    implementation lives in Mcsampling (this module used to carry a
    divergent copy with its own underflow threshold). *)
@@ -132,13 +122,22 @@ let stratum rng ~pos st weight =
   { sm_pos = pos; sm_state = st; sm_weight = weight; sm_rng = Prng.split rng;
     sm_drawn = 0; sm_hits = 0 }
 
-(* [n] more Monte-Carlo descents from [s], folded into its counters. *)
+(* [n] more Monte-Carlo descents from [s], folded into its counters.
+   A DP descent ([F.descend_kernel]) anchors past connectivity in the
+   node's state, flips the remaining edges on the stratum's stream and
+   decides the indicator with one early-exit union-find pass over the
+   drawn edges. It runs on the per-domain kernel scratch
+   ([Kernel.scratch], re-initialised per descent, so reuse across tasks
+   and domains cannot affect results) and returns
+   [(connected, hash, log_q)]; the hash and log-probability are only
+   computed for the HT estimator. *)
 let draw ctx s ~n =
   let sc = Kernel.scratch () in
   let hits = ref 0 in
   for _ = 1 to n do
     let connected, _, _ =
-      descend_detailed ctx sc s.sm_rng ~detail:false ~pos:s.sm_pos s.sm_state
+      F.descend_kernel ctx ~scratch:sc ~detail:false ~pos:s.sm_pos s.sm_state
+        s.sm_rng
     in
     if connected then incr hits
   done;
@@ -152,7 +151,8 @@ let ht_r_hat ctx s ~n =
   let seen : (int, float * bool) Hashtbl.t = Hashtbl.create n in
   for _ = 1 to n do
     let connected, h, logq =
-      descend_detailed ctx sc s.sm_rng ~detail:true ~pos:s.sm_pos s.sm_state
+      F.descend_kernel ctx ~scratch:sc ~detail:true ~pos:s.sm_pos s.sm_state
+        s.sm_rng
     in
     if not (Hashtbl.mem seen h) then Hashtbl.add seen h (logq, connected)
   done;

@@ -89,7 +89,8 @@ let int g bound =
   end
 
 let bool g = next_top g 63 = 1
-let[@inline] bernoulli g p = if p >= 1. then true else if p <= 0. then false else float g < p
+let[@inline] bernoulli g p =
+  if p >= 1. then true else if p <= 0. then false else float g < p
 
 (* The probability is read here rather than passed in: a float
    argument of a call from another module is boxed, a float array

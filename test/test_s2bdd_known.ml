@@ -104,7 +104,8 @@ let cases =
     ("karate w = 64", fun () -> s2bdd_lines ~width:64 (karate ()) ~terminals:[ 0; 33 ]);
     ( "DBLP1 w = 1,000",
       fun () ->
-        s2bdd_lines ~width:1_000 (D.dblp1 ~seed:1 ()).D.graph ~terminals:dblp1_terminals );
+        s2bdd_lines ~width:1_000 (D.dblp1 ~seed:1 ()).D.graph
+          ~terminals:dblp1_terminals );
     ( "preferential attachment, p = 0.5, w = 64",
       fun () -> s2bdd_lines ~width:64 (pa_graph ()) ~terminals:[ 0; 500; 999 ] );
     ( "karate random deletion w = 8",
@@ -125,7 +126,8 @@ let cases =
     ( "exact fig1",
       fun () ->
         exact_lines (Bddbase.Exact.reliability (fig1 ()) ~terminals:[ 0; 4 ])
-        @ exact_lines (Bddbase.Exact.reliability ~eager:true (fig1 ()) ~terminals:[ 0; 4 ]) );
+        @ exact_lines
+            (Bddbase.Exact.reliability ~eager:true (fig1 ()) ~terminals:[ 0; 4 ]) );
     ( "exact karate",
       fun () ->
         exact_lines (Bddbase.Exact.reliability (karate ()) ~terminals:[ 0; 33 ])
@@ -430,4 +432,7 @@ let t_known_answers () =
 
 let suite =
   ( "s2bdd-known",
-    [ Alcotest.test_case "known answers of the S2BDD and exact BDD" `Quick t_known_answers ] )
+    [
+      Alcotest.test_case "known answers of the S2BDD and exact BDD" `Quick
+        t_known_answers;
+    ] )
