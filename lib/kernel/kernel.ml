@@ -230,10 +230,12 @@ let draw t (c : Csr.t) rng =
   let ep = c.Csr.ep and present = t.present in
   let np = ref 0 in
   for pos = 0 to m - 1 do
-    if Prng.bernoulli_at rng ep pos then begin
-      present.(!np) <- pos;
-      incr np
-    end
+    (* Branch-free append: every position is written and only a present
+       one is kept. A branch on the draw mispredicts as often as the
+       probabilities are uncertain, which cost half the loop's time on
+       a road graph (p around 0.3). *)
+    present.(!np) <- pos;
+    np := !np + Bool.to_int (Prng.bernoulli_at rng ep pos)
   done;
   t.n_present <- !np;
   t.present_for <- c
