@@ -641,7 +641,7 @@ let search_cmd =
     Arg.(value & opt float 0.5 & info [ "eta" ] ~docv:"ETA" ~doc)
   in
   let samples =
-    let doc = "Shared sample count." in
+    let doc = "Number of sampled possible graphs." in
     Arg.(value & opt int 2_000 & info [ "s"; "samples" ] ~docv:"S" ~doc)
   in
   let run file dataset seed scale sources eta samples = guarded @@ fun () ->
@@ -655,15 +655,12 @@ let search_cmd =
     in
     Printf.printf "graph %s: %s\n" name (Format.asprintf "%a" Ugraph.pp_stats g);
     let hits, dt =
-      Relstats.time (fun () ->
-          Uapps.Reliability_search.search ~seed ~samples g ~sources:srcs ~eta)
+      Relstats.time (fun () -> Reach.search ~seed g ~sources:srcs ~eta ~samples)
     in
     Printf.printf "%d vertices reachable with probability >= %.3f (%s):\n"
       (List.length hits) eta (Relstats.format_seconds dt);
     List.iter
-      (fun r ->
-        Printf.printf "  %6d  %.4f\n" r.Uapps.Reliability_search.vertex
-          r.Uapps.Reliability_search.reliability)
+      (fun r -> Printf.printf "  %6d  %.4f\n" r.Reach.vertex r.Reach.reliability)
       hits
   in
   let doc = "Reliability search: vertices reliably reachable from sources" in

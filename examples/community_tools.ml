@@ -1,53 +1,26 @@
-(* The uncertain-graph analyses the paper lists in Section 2 — all of
-   which consume reliability estimates — running on the Zachary karate
-   club: reliability search (Khan et al.), k-center clustering
-   (Ceccarello et al.) and reliable-subgraph discovery (Jin et al.).
+(* Reliability search (Khan et al.), one of the uncertain-graph
+   analyses the paper lists in Section 2, on the Zachary karate club:
+   which members does the instructor reach reliably?
 
      dune exec examples/community_tools.exe *)
-
-module RSearch = Uapps.Reliability_search
-module Clust = Uapps.Clustering
-module RSub = Uapps.Reliable_subgraph
 
 let () =
   let g = Workload.Karate.graph ~seed:5 () in
   Printf.printf "Karate club as an uncertain graph: %s\n\n"
     (Format.asprintf "%a" Ugraph.pp_stats g);
 
-  (* 1. Reliability search: who is reliably reachable from the
-     instructor (vertex 33, the famous hub)? *)
+  (* Who is reliably reachable from the instructor (vertex 33, the
+     famous hub)? *)
   let sources = [ 33 ] in
   let eta = 0.9 in
-  let hits = RSearch.search ~seed:1 ~samples:4_000 g ~sources ~eta in
+  let hits = Reach.search ~seed:1 g ~sources ~eta ~samples:4_000 in
   Printf.printf "Reliability search from the instructor (eta = %.1f): %d vertices\n"
     eta (List.length hits);
   List.iteri
     (fun i r ->
       if i < 5 then
         Printf.printf "  vertex %2d reachable with probability %.3f\n"
-          r.RSearch.vertex r.RSearch.reliability)
+          r.Reach.vertex r.Reach.reliability)
     hits;
   if List.length hits > 5 then
-    Printf.printf "  ... and %d more\n" (List.length hits - 5);
-
-  (* 2. Clustering: does the reliability metric recover the club's
-     famous two-faction split? Vertex 0 is the officer, 33 the
-     instructor. *)
-  let cl = Clust.cluster ~seed:2 ~samples:2_000 g ~k:2 in
-  let c0 = cl.Clust.assignment.(0) and c33 = cl.Clust.assignment.(33) in
-  Printf.printf
-    "\nk-center clustering (k = 2): centers at %d and %d; %s\n\
-     average member-to-center reliability: %.3f\n"
-    cl.Clust.centers.(0) cl.Clust.centers.(1)
-    (if c0 <> c33 then "the two leaders land in different clusters"
-     else "the two leaders share a cluster")
-    (Clust.average_inner_reliability cl);
-
-  (* 3. Reliable subgraph: the smallest context that keeps the two
-     leaders connected with probability 0.8. *)
-  let r = RSub.discover ~seed:3 ~samples:2_000 g ~seeds:[ 0; 33 ] ~threshold:0.8 in
-  Printf.printf
-    "\nReliable subgraph for the two leaders (threshold 0.8):\n\
-     kept %d of %d vertices (%d edges), seed reliability %.3f\n"
-    (List.length r.RSub.vertices) (Ugraph.n_vertices g)
-    (Ugraph.n_edges r.RSub.subgraph) r.RSub.reliability
+    Printf.printf "  ... and %d more\n" (List.length hits - 5)

@@ -71,7 +71,6 @@ type ctx = {
   mutable csr : Kernel.Csr.t option;
   preps : (string, prep_entry) Hashtbl.t;
   memo : (string, answer) Hashtbl.t;
-  slots : (string, exn) Hashtbl.t;
 }
 
 type t = {
@@ -116,7 +115,7 @@ let context ?digest:(d0 = None) t g =
     Obs.incr t.eo "graph.miss";
     let ctx =
       { graph = g; csr = None; preps = Hashtbl.create 8;
-        memo = Hashtbl.create 16; slots = Hashtbl.create 4 }
+        memo = Hashtbl.create 16 }
     in
     Hashtbl.replace t.ctxs d ctx;
     ctx
@@ -282,7 +281,6 @@ let counter_names =
   [
     "queries"; "digest_from_header"; "graph.hit"; "graph.miss"; "csr.hit";
     "csr.miss"; "prep.hit"; "prep.miss"; "result.hit"; "result.miss";
-    "artifact.hit"; "artifact.miss";
   ]
 
 let counters t =
@@ -295,17 +293,3 @@ let counters t =
 let summary_json t =
   J.Obj
     [ ("engine", J.Obj (List.map (fun (k, v) -> (k, J.Int v)) (counters t))) ]
-
-(* ---- client artifact slots ---- *)
-
-let artifact t g ~key ~build =
-  let ctx = context t g in
-  match Hashtbl.find_opt ctx.slots key with
-  | Some e ->
-    Obs.incr t.eo "artifact.hit";
-    e
-  | None ->
-    Obs.incr t.eo "artifact.miss";
-    let e = build () in
-    Hashtbl.replace ctx.slots key e;
-    e

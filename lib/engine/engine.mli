@@ -21,10 +21,7 @@
        {!Adaptive.reliability};}
     {- {b results} — one full answer per distinct query signature
        (terminals, method, budgets, seed, jobs, kernel); a repeated
-       query replays the stored answer and its stats verbatim;}
-    {- {b client artifacts} — an untyped slot table ({!artifact}) so
-       higher layers (e.g. [Uapps.Sampleset]) can share per-graph
-       state through the engine without a dependency cycle.}}
+       query replays the stored answer and its stats verbatim.}}
 
     {b Cache key contract.} Cached artifacts are sound because every
     producer is deterministic: the pipeline emits subproblems in
@@ -37,7 +34,7 @@
 
     Cache traffic is counted on the engine observer under ["engine."]:
     [graph.hit/miss], [csr.hit/miss], [prep.hit/miss],
-    [result.hit/miss], [artifact.hit/miss] and [queries] — the batch
+    [result.hit/miss], [queries] and [digest_from_header] — the batch
     CLI's summary document exposes them, proving amortization. *)
 
 type t
@@ -148,9 +145,3 @@ val counters : t -> (string * int) list
 
 val summary_json : t -> Obs.Json.t
 (** [{"engine": {counters...}}] — the batch CLI's closing document. *)
-
-val artifact : t -> Ugraph.t -> key:string -> build:(unit -> exn) -> exn
-(** Per-graph client artifact slots, exn-as-universal-type: the caller
-    wraps its value in a private exception constructor and unwraps the
-    returned one. [build] runs once per (graph digest, [key]); later
-    calls return the stored value ([artifact.hit]). *)

@@ -457,6 +457,12 @@ let union_drawn t (c : Csr.t) =
 
 let union_steps t = t.union_steps
 
+let iter_present t (c : Csr.t) f =
+  check_drawn t.present_for c;
+  for i = 0 to t.n_present - 1 do
+    f t.present.(i)
+  done
+
 let connected_terminals t (c : Csr.t) terminals =
   round_begin t ~elems:c.Csr.n;
   t.union_steps <- 0;

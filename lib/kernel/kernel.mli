@@ -154,6 +154,14 @@ val draw_sub : t -> Csr.t -> pos:int -> detail:bool -> Prng.t -> float
 val n_present : t -> int
 (** Number of present edges in the last draw. *)
 
+val iter_present : t -> Csr.t -> (int -> unit) -> unit
+(** [iter_present t c f] calls [f pos] on each drawn-present position
+    of the last {!draw}, {!draw_prob} or {!draw_sub}, in position
+    order — how a caller that searches the drawn world itself (the
+    breadth-first searches of [Reach]) reads it.
+    @raise Invalid_argument as {!union_drawn}, if that draw ran against
+    a different {!Csr.t} than [c]. *)
+
 val mask_hash : t -> int
 (** 62-bit content hash ({!Hash64.mask_words}) of the last
     {!draw_prob} / detail {!draw_sub} mask. Digest-identical to

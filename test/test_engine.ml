@@ -4,9 +4,6 @@ module R = Netrel.Reliability
 module S = Netrel.S2bdd
 module SD = Netrel.Statsdoc
 module D = Workload.Datasets
-module SSet = Uapps.Sampleset
-module Clust = Uapps.Clustering
-module RSub = Uapps.Reliable_subgraph
 
 let karate () = (D.karate ~seed:1 ()).D.graph
 let assoc k e = List.assoc k (E.counters e)
@@ -165,42 +162,6 @@ let t_bit_identity_adaptive () =
         (a.E.value = r.Adaptive.value && a.E.exact = r.Adaptive.exact))
     [ 1; 2; 8 ]
 
-(* ---- client artifact slots / apps integration ---- *)
-
-let t_sampleset_shared () =
-  let e = engine_with_obs () in
-  let g = fig1 () in
-  let s1 = SSet.shared ~engine:e ~seed:3 g ~samples:100 in
-  let s2 = SSet.shared ~engine:e ~seed:3 g ~samples:100 in
-  Alcotest.(check bool) "same physical artifact" true (s1 == s2);
-  Alcotest.(check int) "artifact.miss" 1 (assoc "artifact.miss" e);
-  Alcotest.(check int) "artifact.hit" 1 (assoc "artifact.hit" e);
-  let s3 = SSet.shared ~engine:e ~seed:4 g ~samples:100 in
-  Alcotest.(check bool) "distinct key, distinct artifact" true (s3 != s1);
-  let plain = SSet.draw ~seed:3 g ~samples:100 in
-  for sample = 0 to 99 do
-    for eid = 0 to Ugraph.n_edges g - 1 do
-      Alcotest.(check bool) "same bits as engine-less draw"
-        (SSet.edge_present plain ~sample ~eid)
-        (SSet.edge_present s1 ~sample ~eid)
-    done
-  done
-
-let t_apps_identity () =
-  let g = karate () in
-  let e = E.create () in
-  let plain = RSub.discover g ~seeds:[ 0; 33 ] ~threshold:0.9 in
-  let shared = RSub.discover ~engine:e g ~seeds:[ 0; 33 ] ~threshold:0.9 in
-  Alcotest.(check (list int)) "same vertex set" plain.RSub.vertices
-    shared.RSub.vertices;
-  Alcotest.(check bool) "same reliability" true
-    (plain.RSub.reliability = shared.RSub.reliability);
-  let c1 = Clust.cluster g ~k:4 in
-  let c2 = Clust.cluster ~engine:e g ~k:4 in
-  Alcotest.(check (array int)) "same centers" c1.Clust.centers c2.Clust.centers;
-  Alcotest.(check (array int)) "same assignment" c1.Clust.assignment
-    c2.Clust.assignment
-
 let suite =
   ( "engine",
     [
@@ -212,6 +173,4 @@ let suite =
       Alcotest.test_case "bit identity: sampling" `Quick t_bit_identity_sampling;
       Alcotest.test_case "bit identity: bitsliced" `Quick t_bit_identity_bitsliced;
       Alcotest.test_case "bit identity: adaptive" `Quick t_bit_identity_adaptive;
-      Alcotest.test_case "sampleset shared" `Quick t_sampleset_shared;
-      Alcotest.test_case "apps identity" `Quick t_apps_identity;
     ] )
