@@ -111,28 +111,32 @@ let k_arg =
              --terminals." in
   Arg.(value & opt (some int) None & info [ "k" ] ~docv:"K" ~doc)
 
+(* A comma-separated vertex id list ([--terminals], [--sources]),
+   validated here, not deep in the library: out-of-range or duplicate
+   ids otherwise surface as obscure failures several layers down, or
+   only after the sampling they were meant to steer. *)
+let parse_ids g ~flag s =
+  let n = Ugraph.n_vertices g in
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | x :: rest -> (
+      match int_of_string_opt x with
+      | None ->
+        Error
+          (Printf.sprintf
+             "could not parse %s: %S is not a vertex id (expected e.g. 0,5,9)"
+             flag x)
+      | Some t when t < 0 || t >= n ->
+        Error (Printf.sprintf "%s: vertex %d outside [0,%d)" flag t n)
+      | Some t when List.mem t acc ->
+        Error (Printf.sprintf "%s: duplicate vertex %d" flag t)
+      | Some t -> go (t :: acc) rest)
+  in
+  go [] (String.split_on_char ',' s |> List.map String.trim)
+
 let parse_terminals g ~terminals ~k ~seed =
   match (terminals, k) with
-  | Some s, None ->
-    (* Validate here, not deep in the library: out-of-range or duplicate
-       ids otherwise surface as obscure failures several layers down. *)
-    let n = Ugraph.n_vertices g in
-    let rec go acc seen = function
-      | [] -> Ok (List.rev acc)
-      | x :: rest -> (
-        match int_of_string_opt x with
-        | None ->
-          Error
-            (Printf.sprintf
-               "could not parse --terminals: %S is not a vertex id (expected \
-                e.g. 0,5,9)" x)
-        | Some t when t < 0 || t >= n ->
-          Error (Printf.sprintf "--terminals: vertex %d outside [0,%d)" t n)
-        | Some t when List.mem t seen ->
-          Error (Printf.sprintf "--terminals: duplicate terminal %d" t)
-        | Some t -> go (t :: acc) (t :: seen) rest)
-    in
-    go [] [] (String.split_on_char ',' s |> List.map String.trim)
+  | Some s, None -> parse_ids g ~flag:"--terminals" s
   | None, Some k -> Ok (Workload.Generators.random_terminals ~seed g ~k)
   | Some _, Some _ -> Error "--terminals and -k are mutually exclusive"
   | None, None -> Error "one of --terminals IDS or -k K is required"
@@ -146,6 +150,10 @@ let or_die = function
 let check_jobs jobs =
   if jobs < 1 then
     or_die (Error (Printf.sprintf "--jobs must be >= 1 (got %d)" jobs))
+
+let check_samples samples =
+  if samples < 1 then
+    or_die (Error (Printf.sprintf "--samples must be >= 1 (got %d)" samples))
 
 (* Turn library precondition failures into clean CLI errors. *)
 let guarded f =
@@ -602,6 +610,8 @@ let bounds_cmd =
     Arg.(value & opt (some float) None & info [ "threshold" ] ~docv:"P" ~doc)
   in
   let run file dataset seed scale terminals k width threshold = guarded @@ fun () ->
+    if Option.fold ~none:false ~some:Float.is_nan threshold then
+      or_die (Error "--threshold must be a number, not nan");
     let g, name = or_die (load_graph ~file ~dataset ~seed ~scale) in
     let ts = or_die (parse_terminals g ~terminals ~k ~seed:(seed + 17)) in
     Printf.printf "graph %s: %s\n" name (Format.asprintf "%a" Ugraph.pp_stats g);
@@ -645,14 +655,11 @@ let search_cmd =
     Arg.(value & opt int 2_000 & info [ "s"; "samples" ] ~docv:"S" ~doc)
   in
   let run file dataset seed scale sources eta samples = guarded @@ fun () ->
+    if not (eta >= 0. && eta <= 1.) then
+      or_die (Error (Printf.sprintf "--eta must be in [0, 1] (got %g)" eta));
+    check_samples samples;
     let g, name = or_die (load_graph ~file ~dataset ~seed ~scale) in
-    let srcs =
-      or_die
-        (try
-           Ok (String.split_on_char ',' sources
-              |> List.map (fun x -> int_of_string (String.trim x)))
-         with Failure _ -> Error "could not parse --sources")
-    in
+    let srcs = or_die (parse_ids g ~flag:"--sources" sources) in
     Printf.printf "graph %s: %s\n" name (Format.asprintf "%a" Ugraph.pp_stats g);
     let hits, dt =
       Relstats.time (fun () -> Reach.search ~seed g ~sources:srcs ~eta ~samples)
@@ -730,16 +737,19 @@ let reach_cmd =
     Arg.(value & opt (some int) None & info [ "max-dist" ] ~docv:"D" ~doc)
   in
   let samples =
-    Arg.(value & opt int 10_000
-         & info [ "s"; "samples" ] ~docv:"S" ~doc:"Sample budget.")
+    let doc = "Sample budget: the S2BDD budget of an s-t query, the number \
+               of sampled possible graphs of a $(b,--max-dist) one." in
+    Arg.(value & opt int 10_000 & info [ "s"; "samples" ] ~docv:"S" ~doc)
   in
   let run file dataset seed scale source target dist samples = guarded @@ fun () ->
+    check_samples samples;
     let g, name = or_die (load_graph ~file ~dataset ~seed ~scale) in
     Printf.printf "graph %s: %s\n" name (Format.asprintf "%a" Ugraph.pp_stats g);
     match dist with
     | None ->
+      let config = { Netrel.S2bdd.default_config with samples; seed } in
       let rep, dt =
-        Relstats.time (fun () -> Reach.two_terminal g ~source ~target)
+        Relstats.time (fun () -> Reach.two_terminal ~config g ~source ~target)
       in
       Printf.printf "s-t reliability = %.10g%s  bounds [%.4g, %.4g]\ntime: %s\n"
         rep.Netrel.Reliability.value
