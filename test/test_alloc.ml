@@ -137,6 +137,30 @@ let t_bounds_words () =
     (words_per_call ~reps:1 (fun () ->
          ignore (Netrel.S2bdd.bounds ~config g ~terminals:dblp1_terminals)))
 
+(* Reliability search keeps one world at a time, so its memory does not
+   grow with the sample count. Measured in the major heap, where a large
+   block such as a samples x edges bit matrix goes straight from
+   [Bytes.make] without passing the minor heap [words_per_call] reads.
+   [Gc.minor] first promotes what the caller left in the minor heap, so
+   that is not charged to [f]. *)
+let major_words f =
+  Gc.minor ();
+  let _, _, before = Gc.counters () in
+  f ();
+  let _, _, after = Gc.counters () in
+  after -. before
+
+let t_search_memory () =
+  let g = (Workload.Datasets.nyc ~seed:1 ()).Workload.Datasets.graph in
+  let search samples () =
+    ignore (Reach.search g ~sources:[ 0 ] ~eta:0.5 ~samples)
+  in
+  let small = major_words (search 1_000) in
+  let large = major_words (search 10_000) in
+  check_below "Reach.search on NYC: major words at 10^4 samples minus 10^3"
+    ~limit:(float_of_int (Ugraph.n_edges g))
+    (large -. small)
+
 let suite =
   ( "alloc",
     [
@@ -153,4 +177,6 @@ let suite =
         t_fstate_make_words_per_edge;
       Alcotest.test_case "S2bdd.bounds on DBLP1: < 7.985 M minor words" `Quick
         t_bounds_words;
+      Alcotest.test_case "Reach.search: memory flat in samples" `Slow
+        t_search_memory;
     ] )
