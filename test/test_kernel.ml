@@ -101,9 +101,9 @@ let present_positions present =
   Array.iteri (fun i b -> if b then acc := i :: !acc) present;
   List.rev !acc
 
-(* The scratch's present buffer is not exposed, so the plain draw is
-   pinned by present count + stream sync here; the detail draw below
-   pins the exact drawn set through the mask hash. *)
+(* The plain draw is pinned by its drawn positions, read back with
+   [iter_present], and stream sync; the detail draw below pins the
+   exact drawn set through the mask hash. *)
 let prop_draw_matches_reference =
   QCheck.Test.make ~name:"draw: same Prng stream, same present count"
     ~count:300
@@ -117,7 +117,10 @@ let prop_draw_matches_reference =
       let c = K.Csr.of_graph g in
       let sc = K.create () in
       K.draw sc c r2;
-      List.length (present_positions present) = K.n_present sc
+      let drawn = ref [] in
+      K.iter_present sc c (fun pos -> drawn := pos :: !drawn);
+      present_positions present = List.rev !drawn
+      && List.length !drawn = K.n_present sc
       && streams_synced r1 r2)
 
 let prop_draw_prob_matches_reference =

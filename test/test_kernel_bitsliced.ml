@@ -452,6 +452,9 @@ let t_scratch_graph_mismatch () =
   Alcotest.check_raises "flat draw A, union B"
     (Invalid_argument "Kernel: no draw against this Csr in scratch (draw first)")
     (fun () -> ignore (K.connected_terminals sc csr_b [| 0; 2 |]));
+  Alcotest.check_raises "flat draw A, read present of B"
+    (Invalid_argument "Kernel: no draw against this Csr in scratch (draw first)")
+    (fun () -> K.iter_present sc csr_b ignore);
   Alcotest.(check bool)
     "matching Csr still works" true
     (let _ = K.connected_terminals sc csr_a [| 0; 4 |] in
