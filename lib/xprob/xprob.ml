@@ -47,48 +47,44 @@ let scale c x =
     let frac, ex = Float.frexp c in
     norm (frac *. x.m) (x.e + ex)
 
-(* The [scale] fold over a world, with the accumulator's mantissa and
-   exponent kept in locals instead of a fresh record per edge. frexp of
-   a positive normal double keeps its fraction bits under the exponent
-   field of 0.5 and reads the exponent off the biased field; subnormals
-   (field 0) fall back to [Float.frexp]. The product of two mantissas in
-   [0.5, 1) lies in [0.25, 1), so [norm] is at most one doubling. *)
-let half_bits = Int64.bits_of_float 0.5
-let fraction_mask = 0x000F_FFFF_FFFF_FFFFL
+(* The [scale] fold over a world as one running double [x] and an
+   exponent offset [e] (value [x * 2^e]) instead of a normalised pair per
+   factor. Rounding commutes with scaling by a power of two while the
+   rounded product stays normal, so [x *. c] has the same significand as
+   the fold's [fst (frexp c) *. m] whenever it lands at or above 2^-1022.
+   Keeping [x] in [2^-900, 1] (or 0) and multiplying straight in only the
+   factors in [2^-100, 1] keeps every such product at or above 2^-1000;
+   [x] is rescaled by 2^900, exactly, when it falls below 2^-900. Every
+   other factor (zero, below 2^-100, above one, or invalid) takes the
+   [scale] step itself on the normalised accumulator, which also
+   validates it. Once [x] is 0 it stays 0 and only [e] drifts, which the
+   final [norm] ignores.
 
+   The factor is selected without a branch on [present i], which
+   mispredicts as often as the world's edges are uncertain: with [b] 0.
+   or 1., one of [b *. p] and [(1. -. b) *. (1. -. p)] is the factor
+   times 1 and the other a signed zero, so their sum is the factor
+   exactly, and NaN whenever [p] or [1. -. p] is not finite. *)
 let world_prob ps ~n ~present =
-  let m = ref one.m and e = ref one.e in
+  let x = ref 1. and e = ref 0 in
   for i = 0 to n - 1 do
     let p = ps.(i) in
-    let c = if present i then p else 1. -. p in
-    if Float.is_nan c || c < 0. || c = Float.infinity then
-      invalid_arg (Printf.sprintf "Xprob.world_prob: %g" c);
-    if c = 0. then begin
-      m := 0.;
-      e := 0
+    let b = Float.of_int (Bool.to_int (present i)) in
+    let c = (b *. p) +. ((1. -. b) *. (1. -. p)) in
+    if c >= 0x1p-100 && c <= 1. then begin
+      x := !x *. c;
+      if !x < 0x1p-900 then begin
+        x := !x *. 0x1p900;
+        e := !e - 900
+      end
     end
-    else if !m <> 0. then begin
-      let bits = Int64.bits_of_float c in
-      let biased = Int64.to_int (Int64.shift_right_logical bits 52) in
-      if biased = 0 then begin
-        let frac, ex = Float.frexp c in
-        m := frac *. !m;
-        e := !e + ex
-      end
-      else begin
-        let frac =
-          Int64.float_of_bits (Int64.logor (Int64.logand bits fraction_mask) half_bits)
-        in
-        m := frac *. !m;
-        e := !e + biased - 1022
-      end;
-      if !m < 0.5 then begin
-        m := !m *. 2.;
-        e := !e - 1
-      end
+    else begin
+      let acc = scale c (norm !x !e) in
+      x := acc.m;
+      e := acc.e
     end
   done;
-  { m = !m; e = !e }
+  norm !x !e
 
 (* Alignment beyond 54 bits makes the smaller operand vanish entirely. *)
 let add a b =

@@ -61,8 +61,11 @@ val world_prob : float array -> n:int -> present:(int -> bool) -> t
     world over positions [0 .. n - 1]: [ps.(i)] for each position where
     [present i], [1 - ps.(i)] elsewhere. Bit for bit the left fold
     [scale c_(n-1) (... (scale c_0 one))], with [present] called once
-    per position in increasing order, but allocation-free for normal
-    factors (the sampling kernels call it once per drawn world).
+    per position in increasing order. Each factor in [[2^-100, 1]] costs
+    one multiply into a running double, selected without a branch on
+    [present i]; the rest take a {!scale} step. A call allocates a
+    constant number of words, plus a few per factor outside that range
+    (the sampling kernels call it only for the worlds they weight).
     @raise Invalid_argument like {!scale} on a negative, infinite or
     NaN factor. *)
 

@@ -203,6 +203,35 @@ let t_world_prob_rejects () =
   (* Like [scale], a zero accumulator still checks later factors. *)
   raises "NaN after a zero factor" [| 0.; Float.nan |] (fun _ -> true)
 
+(* Long worlds leave the double range through normal factors many times
+   over, as drawn worlds of a large graph do: uniform probabilities and
+   log-uniform ones down to 1e-30, with rare special values and factors
+   on both sides of the fold's split points, 2^-100 and 1 (above one
+   only for present positions, where such a probability is still a
+   valid factor). The rare factors are rare because each renormalises
+   the accumulator: the product must also fall through the whole double
+   range between them. No factor is zero, which would zero the product
+   and hide every later step. *)
+let gen_long_world =
+  QCheck.Gen.(
+    let log_uniform ~from ~down_to =
+      map (fun u -> 10. ** (from +. ((down_to -. from) *. u))) (float_bound_inclusive 1.)
+    in
+    let split =
+      [ 0x1p-100; Float.pred 0x1p-100; Float.succ 0x1p-100; 1.; Float.pred 1. ]
+    in
+    let nonzero (p, present) = (p, if p = 0. then false else present || p = 1.) in
+    let entry =
+      frequency
+        [ (1000, pair (float_bound_inclusive 1.) bool);
+          (200, pair (log_uniform ~from:0. ~down_to:(-30.)) bool);
+          (2, pair (log_uniform ~from:(-31.) ~down_to:(-42.)) bool);
+          (1, pair (oneofl split) bool);
+          (1, pair (oneofl special_probs) bool);
+          (1, map (fun p -> (p, true)) (oneofl [ Float.succ 1.; 1.5 ])) ]
+    in
+    int_range 500 5_000 >>= fun n -> list_repeat n (map nonzero entry))
+
 let arb_world =
   let gen_prob =
     QCheck.Gen.(
@@ -212,7 +241,9 @@ let arb_world =
     ~print:(fun ps ->
       String.concat "; "
         (List.map (fun (p, b) -> Printf.sprintf "(%h, %b)" p b) ps))
-    QCheck.Gen.(list_size (int_bound 80) (pair gen_prob bool))
+    QCheck.Gen.(
+      frequency
+        [ (1, list_size (int_bound 80) (pair gen_prob bool)); (1, gen_long_world) ])
 
 let prop_world_prob_is_scale_fold =
   QCheck.Test.make ~name:"world_prob = left fold of scale, bit for bit"
