@@ -373,16 +373,12 @@ let descend_union ctx ~dsu ~detail ~pos st ~bernoulli =
   Array.iter (fun t -> if ctx.first_pos.(t) >= pos then require t) ctx.terminal_arr;
   (!connected, Hash64.Stream.finish hs, !logq)
 
-(* What [descend_union] returns as the hash when [detail] is false: the
-   digest of an empty Hash64 stream (a fixed non-zero constant, not 0).
-   [descend_kernel] must return the same value to stay bit-compatible. *)
-let empty_digest = Hash64.mask_words [||] ~bits:0
-
-(* Kernel fast path for [descend_union]: same draw order, same float
-   operations, same completion hash — but drawing through the flat
-   kernel (present-position buffer, packed mask words) and checking
-   connectivity with the early-exit union-find instead of unioning
-   every present edge into a full-reset [Dsu.t].
+(* Kernel fast path for [descend_union]: same draw order, same
+   verdict, and after a [detail] descent the same completion hash
+   ([Kernel.mask_hash]) and log-probability ([descent_log_q]), drawing
+   through the flat kernel (present-position buffer, packed mask words)
+   and checking connectivity with the early-exit union-find instead of
+   unioning every present edge into a full-reset [Dsu.t].
 
    Element layout mirrors [descend_union]: vertices [0 .. n-1], virtual
    anchors [n + comp_id] for the state's explicit components. Anchors
@@ -393,8 +389,7 @@ let empty_digest = Hash64.mask_words [||] ~bits:0
 let descend_kernel ctx ~scratch ~detail ~pos st rng =
   let n = Ugraph.n_vertices ctx.g in
   let nc = Array.length st.tc in
-  let logq = Kernel.draw_sub scratch ctx.csr ~pos ~detail rng in
-  let hash = if detail then Kernel.mask_hash scratch else empty_digest in
+  Kernel.draw_sub scratch ctx.csr ~pos ~detail rng;
   Kernel.round_begin scratch ~elems:(n + nc);
   for i = 0 to Array.length st.verts - 1 do
     Kernel.union scratch st.verts.(i) (n + st.comp_of.(i))
@@ -406,7 +401,9 @@ let descend_kernel ctx ~scratch ~detail ~pos st rng =
   for i = 0 to Array.length terminals - 1 do
     if ctx.first_pos.(terminals.(i)) >= pos then Kernel.mark scratch terminals.(i)
   done;
-  (Kernel.union_drawn scratch ctx.csr, hash, logq)
+  Kernel.union_drawn scratch ctx.csr
+
+let descent_log_q ctx ~scratch = Kernel.drawn_log_q scratch ctx.csr
 
 (* Hash and equality are plain loops, with no closure or ref per call.
    The construction's iteration order depends on the hash values, so

@@ -132,18 +132,29 @@ val descend_kernel :
   pos:int ->
   state ->
   Prng.t ->
-  bool * int * float
+  bool
 (** Kernel fast path for {!descend_union}: draws the completion through
     {!Kernel.draw_sub} (flat position buffer; packed mask words when
     [detail]) and checks connectivity with the early-exit generation-
     stamped union–find — the union loop stops as soon as the required
     components have merged instead of unioning every present edge.
+    Returns the verdict. After a [detail] descent, {!Kernel.mask_hash}
+    of [scratch] is the completion hash and {!descent_log_q} its
+    log-probability; neither is computed until asked for.
     Bit-identical to {!descend_union} when its [bernoulli] draws
     [Prng.bernoulli] from a copy of the same stream:
     same number of draws in the same order, same completion hash, same
     log-probability, same verdict. [scratch] is re-initialised on
     entry (a shared per-domain scratch from {!Kernel.scratch} is the
     intended argument). *)
+
+val descent_log_q : ctx -> scratch:Kernel.t -> float
+(** The log-probability of the last [detail] {!descend_kernel}
+    completion on [scratch] ({!Kernel.drawn_log_q}); the
+    Horvitz–Thompson descents read it only for a connected completion
+    they have not seen before.
+    @raise Invalid_argument if the last draw on [scratch] was not a
+    [detail] descent of this context. *)
 
 module Key_table : Hashtbl.S with type key = int array
 (** Hash tables over merge keys (array-content hashing). *)

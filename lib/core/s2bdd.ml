@@ -128,33 +128,37 @@ let stratum rng ~pos st weight =
    decides the indicator with one early-exit union-find pass over the
    drawn edges. It runs on the per-domain kernel scratch
    ([Kernel.scratch], re-initialised per descent, so reuse across tasks
-   and domains cannot affect results) and returns
-   [(connected, hash, log_q)]; the hash and log-probability are only
-   computed for the HT estimator. *)
+   and domains cannot affect results) and returns the verdict; the HT
+   estimator's detail descents also pack the completion's mask, for its
+   hash and log-probability. *)
 let draw ctx s ~n =
   let sc = Kernel.scratch () in
   let hits = ref 0 in
   for _ = 1 to n do
-    let connected, _, _ =
+    if
       F.descend_kernel ctx ~scratch:sc ~detail:false ~pos:s.sm_pos s.sm_state
         s.sm_rng
-    in
-    if connected then incr hits
+    then incr hits
   done;
   s.sm_drawn <- s.sm_drawn + n;
   s.sm_hits <- s.sm_hits + !hits
 
 (* Horvitz–Thompson within-node estimate from [n >= 1] descents of [s]:
-   the weighted sum over its distinct connected completions. *)
+   the weighted sum over its distinct connected completions, the only
+   ones whose log-probability it reads. *)
 let ht_r_hat ctx s ~n =
   let sc = Kernel.scratch () in
   let seen : (int, float * bool) Hashtbl.t = Hashtbl.create n in
   for _ = 1 to n do
-    let connected, h, logq =
+    let connected =
       F.descend_kernel ctx ~scratch:sc ~detail:true ~pos:s.sm_pos s.sm_state
         s.sm_rng
     in
-    if not (Hashtbl.mem seen h) then Hashtbl.add seen h (logq, connected)
+    let h = Kernel.mask_hash sc in
+    if not (Hashtbl.mem seen h) then begin
+      let logq = if connected then F.descent_log_q ctx ~scratch:sc else 0. in
+      Hashtbl.add seen h (logq, connected)
+    end
   done;
   Hashtbl.fold
     (fun _ (logq, connected) acc ->

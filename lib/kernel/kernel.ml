@@ -133,11 +133,14 @@ end
 
 type t = {
   (* Draw buffers. [present] holds the drawn-present positions of the
-     last draw; [words] the packed mask bits of the last detail draw. *)
+     last flat draw; [words] the packed mask bits of the last detail
+     draw, [mask_bits] of them from position [mask_pos]. [mask_pos] is
+     -1 when the last flat draw packed no mask. *)
   mutable present : int array;
   mutable n_present : int;
   mutable words : int array;
   mutable mask_bits : int;
+  mutable mask_pos : int;
   (* Bit-sliced draw buffers. [slab.(pos)] holds the last
      [draw_bitsliced]'s outcome bits for edge [pos], one bit-lane per
      world; [tmask] is its world-major transpose ([transpose_worlds]),
@@ -193,6 +196,7 @@ let create () =
     n_present = 0;
     words = [||];
     mask_bits = 0;
+    mask_pos = -1;
     slab = [||];
     slab_edges = 0;
     tmask = [||];
@@ -224,76 +228,31 @@ let ensure_words t bits =
 
 (* ---- draws ---- *)
 
-let draw t (c : Csr.t) rng =
-  let m = c.Csr.m in
-  ensure_edges t m;
-  let ep = c.Csr.ep and present = t.present in
-  let np = ref 0 in
-  for pos = 0 to m - 1 do
-    (* Branch-free append: every position is written and only a present
-       one is kept. A branch on the draw mispredicts as often as the
-       probabilities are uncertain, which cost half the loop's time on
-       a road graph (p around 0.3). *)
-    present.(!np) <- pos;
-    np := !np + Bool.to_int (Prng.bernoulli_at rng ep pos)
-  done;
-  t.n_present <- !np;
-  t.present_for <- c
-
-let draw_prob t (c : Csr.t) rng =
-  let m = c.Csr.m in
-  ensure_edges t m;
-  ensure_words t m;
-  let ep = c.Csr.ep and present = t.present and words = t.words in
-  let np = ref 0 and acc = ref 0 and nbits = ref 0 and w = ref 0 in
-  for pos = 0 to m - 1 do
-    (* One Prng call per edge in position order: part of the
-       bit-identity contract. *)
-    if Prng.bernoulli_at rng ep pos then begin
-      present.(!np) <- pos;
-      incr np;
-      acc := !acc lor (1 lsl !nbits)
-    end;
-    incr nbits;
-    if !nbits = Hash64.word_bits then begin
-      words.(!w) <- !acc;
-      incr w;
-      acc := 0;
-      nbits := 0
-    end
-  done;
-  if !nbits > 0 then words.(!w) <- !acc;
-  t.n_present <- !np;
-  t.mask_bits <- m;
-  t.present_for <- c;
-  (* Folded off the packed mask after the draw, in the reference
-     draw's float-operation order (the probability never feeds back
-     into the stream). *)
-  Xprob.world_prob ep ~n:m ~present:(fun pos ->
-      (words.(pos / Hash64.word_bits) lsr (pos mod Hash64.word_bits)) land 1 = 1)
-
+(* One loop draws every flat world: positions [pos .. m - 1], one
+   [Prng.bernoulli_at] each in position order. Each position is appended
+   to [present] and, in a [detail] draw, its outcome packed into the
+   mask words, bit [i] for position [pos + i]. Neither write branches on
+   the outcome: every position is written and only a present one is
+   kept, and the outcome bit is or-ed in as 0 or 1. A branch on the draw
+   mispredicts as often as the probabilities are uncertain, which cost
+   half the loop's time on a road graph (p around 0.3). *)
 let draw_sub t (c : Csr.t) ~pos ~detail rng =
   let m = c.Csr.m in
   let remaining = m - pos in
   ensure_edges t remaining;
   let ep = c.Csr.ep and present = t.present in
   let np = ref 0 in
-  let logq = ref 0. in
   if detail then begin
     ensure_words t remaining;
-    let words = t.words in
+    let words = t.words and word_bits = Hash64.word_bits in
     let acc = ref 0 and nbits = ref 0 and w = ref 0 in
     for p = pos to m - 1 do
-      let pe = ep.(p) in
-      if Prng.bernoulli_at rng ep p then begin
-        present.(!np) <- p;
-        incr np;
-        acc := !acc lor (1 lsl !nbits);
-        if pe < 1. then logq := !logq +. Float.log pe
-      end
-      else logq := !logq +. Float.log1p (-.pe);
+      let b = Bool.to_int (Prng.bernoulli_at rng ep p) in
+      present.(!np) <- p;
+      np := !np + b;
+      acc := !acc lor (b lsl !nbits);
       incr nbits;
-      if !nbits = Hash64.word_bits then begin
+      if !nbits = word_bits then begin
         words.(!w) <- !acc;
         incr w;
         acc := 0;
@@ -301,18 +260,21 @@ let draw_sub t (c : Csr.t) ~pos ~detail rng =
       end
     done;
     if !nbits > 0 then words.(!w) <- !acc;
-    t.mask_bits <- remaining
+    t.mask_bits <- remaining;
+    t.mask_pos <- pos
   end
-  else
+  else begin
     for p = pos to m - 1 do
-      if Prng.bernoulli_at rng ep p then begin
-        present.(!np) <- p;
-        incr np
-      end
+      present.(!np) <- p;
+      np := !np + Bool.to_int (Prng.bernoulli_at rng ep p)
     done;
+    t.mask_pos <- -1
+  end;
   t.n_present <- !np;
-  t.present_for <- c;
-  !logq
+  t.present_for <- c
+
+let draw t c rng = draw_sub t c ~pos:0 ~detail:false rng
+let draw_prob t c rng = draw_sub t c ~pos:0 ~detail:true rng
 
 let n_present t = t.n_present
 let mask_hash t = Hash64.mask_words t.words ~bits:t.mask_bits
@@ -462,6 +424,51 @@ let iter_present t (c : Csr.t) f =
   for i = 0 to t.n_present - 1 do
     f t.present.(i)
   done
+
+(* The draws do no probability arithmetic: an estimator that weights a
+   world asks for its probability only once it knows it will read it.
+   Both readers read the packed mask, so they need a detail draw. *)
+let check_mask t (c : Csr.t) ~from_zero what =
+  check_drawn t.present_for c;
+  if t.mask_pos < 0 || (from_zero && t.mask_pos > 0) then
+    invalid_arg
+      (Printf.sprintf "Kernel.%s: the last draw packed no mask%s" what
+         (if from_zero then " from position 0" else ""))
+
+(* [Xprob.world_prob] asks for each position once, in increasing order,
+   so a bit cursor over the mask words answers it without a division. *)
+let drawn_prob t (c : Csr.t) =
+  check_mask t c ~from_zero:true "drawn_prob";
+  let words = t.words and last_bit = Hash64.word_bits - 1 in
+  let w = ref 0 and bit = ref 0 in
+  Xprob.world_prob c.Csr.ep ~n:c.Csr.m ~present:(fun _ ->
+      let present = (words.(!w) lsr !bit) land 1 = 1 in
+      if !bit = last_bit then begin
+        bit := 0;
+        incr w
+      end
+      else incr bit;
+      present)
+
+let drawn_log_q t (c : Csr.t) =
+  check_mask t c ~from_zero:false "drawn_log_q";
+  let ep = c.Csr.ep and words = t.words and word_bits = Hash64.word_bits in
+  let logq = ref 0. in
+  let pos = ref t.mask_pos and w = ref 0 in
+  let m = t.mask_pos + t.mask_bits in
+  while !pos < m do
+    let word = words.(!w) and base = !pos in
+    for p = base to min m (base + word_bits) - 1 do
+      let pe = ep.(p) in
+      if (word lsr (p - base)) land 1 = 1 then begin
+        if pe < 1. then logq := !logq +. Float.log pe
+      end
+      else logq := !logq +. Float.log1p (-.pe)
+    done;
+    pos := base + word_bits;
+    incr w
+  done;
+  !logq
 
 let connected_terminals t (c : Csr.t) terminals =
   round_begin t ~elems:c.Csr.n;

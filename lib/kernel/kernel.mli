@@ -4,9 +4,10 @@
     connectivity". A draw allocates nothing per edge — {!Prng} reads
     each probability out of the snapshot's array itself
     ({!Prng.bernoulli_at}, {!Prng.Bitbatch.draw_at}), so no float is
-    boxed to cross the module boundary — and a connectivity round or
-    {!world_prob} a constant number of words per call
-    ([test/test_alloc.ml] holds these bounds).
+    boxed to cross the module boundary — and a connectivity round or a
+    probability reader ({!drawn_prob}, {!drawn_log_q}, {!world_prob})
+    a constant number of words per call ([test/test_alloc.ml] holds
+    these bounds).
 
     Three pieces:
 
@@ -24,9 +25,11 @@
       bit-identical (the draw-order contract, DESIGN.md section 10).
       Drawn-present positions are appended to a scratch buffer as they
       are drawn; the detail variants additionally pack the outcome bits
-      62-per-word for {!Hash64.mask_words} (no [bool array] re-scan)
-      and fold the probability in the same float-operation order as the
-      reference implementations.
+      62-per-word for {!Hash64.mask_words} (no [bool array] re-scan).
+      A draw does no probability arithmetic: the readers {!drawn_prob}
+      and {!drawn_log_q} compute the last draw's probability afterwards,
+      in the reference implementations' float-operation order, for the
+      worlds an estimator actually weights.
 
     - An early-exit union–find over the drawn-present buffer:
       generation-stamped (no O(elements) reset per sample) and counting
@@ -70,7 +73,8 @@ module Csr : sig
       processing order, with an empty adjacency ([off], [adj_pos] and
       [adj_other] are [[||]]), for callers that only stream the edges.
       Its result is accepted by the draws ({!draw}, {!draw_prob},
-      {!draw_sub}, {!draw_bitsliced}), by {!world_prob} and by the
+      {!draw_sub}, {!draw_bitsliced}), by the probability readers
+      ({!drawn_prob}, {!drawn_log_q}, {!world_prob}) and by the
       union–find rounds ({!union_drawn}, {!connected_terminals}); the
       two functions that read the adjacency, {!iter_incident} and
       {!connected_lanes}, raise [Invalid_argument] on it. *)
@@ -131,25 +135,23 @@ val scratch : unit -> t
 (** {2 Draw loops}
 
     All variants draw every remaining edge in position order, one
-    {!Prng.bernoulli} per edge. *)
+    {!Prng.bernoulli} per edge, and append each drawn position and pack
+    each mask bit without branching on the outcome. None computes a
+    probability; {!drawn_prob} and {!drawn_log_q} read it afterwards. *)
 
 val draw : t -> Csr.t -> Prng.t -> unit
 (** MC draw: fill the present buffer only. *)
 
-val draw_prob : t -> Csr.t -> Prng.t -> Xprob.t
-(** HT draw: additionally packs the mask words for {!mask_hash} and
-    returns the possible graph's probability, {!Xprob.world_prob} over
-    the drawn mask — bit for bit the [Xprob.scale p] /
-    [Xprob.scale (1 - p)] fold in draw order. *)
+val draw_prob : t -> Csr.t -> Prng.t -> unit
+(** HT draw: {!draw} that also packs the mask words, for {!mask_hash}
+    and {!drawn_prob}; [draw_sub ~pos:0 ~detail:true]. *)
 
-val draw_sub : t -> Csr.t -> pos:int -> detail:bool -> Prng.t -> float
+val draw_sub : t -> Csr.t -> pos:int -> detail:bool -> Prng.t -> unit
 (** Descent draw: positions [pos .. m - 1] (the start-position offset of
     a resumed S2BDD descent), one {!Prng.bernoulli} per position from
-    the given stream. With [~detail:true] also packs the mask
-    words (bit [i] = outcome of position [pos + i]) and returns the
-    completion's log-probability, accumulated as [log p] for existent
-    edges with [p < 1] and [log1p (-p)] for non-existent ones; with
-    [~detail:false] returns [0.]. *)
+    the given stream. With [~detail:true] also packs the mask words
+    (bit [i] = outcome of position [pos + i]) for {!mask_hash} and
+    {!drawn_log_q}. *)
 
 val n_present : t -> int
 (** Number of present edges in the last draw. *)
@@ -161,6 +163,27 @@ val iter_present : t -> Csr.t -> (int -> unit) -> unit
     breadth-first searches of [Reach]) reads it.
     @raise Invalid_argument as {!union_drawn}, if that draw ran against
     a different {!Csr.t} than [c]. *)
+
+val drawn_prob : t -> Csr.t -> Xprob.t
+(** The possible-graph probability of the last flat draw,
+    {!Xprob.world_prob} over its mask — bit for bit the
+    [Xprob.scale p] / [Xprob.scale (1 - p)] fold in position order, the
+    reference float-operation order. O(m): flat HT calls it only for
+    the first occurrence of a connected world, the only worlds it
+    weights.
+    @raise Invalid_argument if the last flat draw ran against a
+    different {!Csr.t} than [c], or was not a detail draw from
+    position 0 ({!draw_prob}, or {!draw_sub} [~pos:0 ~detail:true]). *)
+
+val drawn_log_q : t -> Csr.t -> float
+(** The log-probability of the last detail draw over its positions
+    [pos .. m - 1]: the sum in position order of [log p] for present
+    edges with [p < 1] and [log1p (-p)] for absent ones, the value
+    [Fstate.descend_union] accumulates as it draws. O(m - pos): the
+    pro-ht descents call it only for the first occurrence of a
+    connected completion.
+    @raise Invalid_argument if the last flat draw ran against a
+    different {!Csr.t} than [c], or was not a detail draw. *)
 
 val mask_hash : t -> int
 (** 62-bit content hash ({!Hash64.mask_words}) of the last

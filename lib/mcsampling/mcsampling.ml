@@ -228,11 +228,12 @@ let mc_chunk_bitsliced depth csr term_arr rng len =
    [Chunked.ht_estimate] is deterministic by construction rather than by
    hash-table layout. The flat kernel checks connectivity once per
    chunk-distinct mask; the bit-sliced one reads each lane's bit of the
-   batch verdict word, and prices only distinct connected worlds. Both
-   kernels produce the same shape, so the merge and the weighted
-   fold are mode-independent; the world hashes agree across modes on
-   equal masks (both replay the Hash64.mask digest), so dedup semantics
-   are identical and only the sampled worlds differ. *)
+   batch verdict word. Both price only distinct connected worlds, the
+   only ones whose probability [Chunked.ht_estimate] reads. Both
+   kernels produce the same shape, so the merge and the weighted fold
+   are mode-independent; the world hashes agree across modes on equal
+   masks (both replay the Hash64.mask digest), so dedup semantics are
+   identical and only the sampled worlds differ. *)
 type ht_chunk = {
   hc_tab : (int, Xprob.t * bool) Hashtbl.t;
   hc_order : int array;
@@ -245,11 +246,12 @@ let ht_chunk_flat depth csr term_arr rng len =
   let order = Array.make len 0 in
   let n_order = ref 0 in
   for _ = 1 to len do
-    let prob = Kernel.draw_prob sc csr rng in
+    Kernel.draw_prob sc csr rng;
     let h = Kernel.mask_hash sc in
     if not (Hashtbl.mem seen h) then begin
       let connected = Kernel.connected_terminals sc csr term_arr in
       depth_record depth sc;
+      let prob = if connected then Kernel.drawn_prob sc csr else Xprob.zero in
       Hashtbl.add seen h (prob, connected);
       order.(!n_order) <- h;
       incr n_order
@@ -270,8 +272,6 @@ let ht_chunk_bitsliced depth csr term_arr rng len =
     for lane = 0 to batch - 1 do
       let h = Kernel.world_hash sc ~lane in
       if not (Hashtbl.mem seen h) then begin
-        (* [Chunked.ht_estimate] reads a world's probability only when
-           the world connects the terminals. *)
         let connected = (verdict lsr lane) land 1 = 1 in
         let prob =
           if connected then Kernel.world_prob sc csr ~lane else Xprob.zero

@@ -64,10 +64,11 @@ let t_per_edge_draws () =
       (words_per_call ~reps:10 f /. float_of_int m)
   in
   per_edge "draw" (fun () -> K.draw sc c g);
-  per_edge "draw_prob" (fun () -> ignore (K.draw_prob sc c g));
+  per_edge "draw_prob" (fun () -> K.draw_prob sc c g);
   per_edge "draw_bitsliced" (fun () -> K.draw_bitsliced sc c g);
-  per_edge "draw_sub" (fun () ->
-      ignore (K.draw_sub sc c ~pos:0 ~detail:true g))
+  per_edge "draw_sub" (fun () -> K.draw_sub sc c ~pos:0 ~detail:true g);
+  per_edge "draw_sub, no detail" (fun () ->
+      K.draw_sub sc c ~pos:0 ~detail:false g)
 
 let t_per_call_rounds () =
   let c = Lazy.force csr and sc = K.create () and g = rng () in
@@ -83,7 +84,12 @@ let t_per_call_rounds () =
   check_below "world_prob per call" ~limit:64.
     (words_per_call ~reps:Prng.Bitbatch.lanes (fun () ->
          ignore (K.world_prob sc c ~lane:!lane);
-         lane := (!lane + 1) mod Prng.Bitbatch.lanes))
+         lane := (!lane + 1) mod Prng.Bitbatch.lanes));
+  K.draw_prob sc c g;
+  check_below "drawn_prob per call" ~limit:64.
+    (words_per_call ~reps:100 (fun () -> ignore (K.drawn_prob sc c)));
+  check_below "drawn_log_q per call" ~limit:64.
+    (words_per_call ~reps:100 (fun () -> ignore (K.drawn_log_q sc c)))
 
 (* The extension technique works over flat arrays sized by the graph,
    which the runtime places in the major heap, so its minor-heap words

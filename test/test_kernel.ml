@@ -146,10 +146,48 @@ let prop_draw_prob_matches_reference =
         g;
       let c = K.Csr.of_graph g in
       let sc = K.create () in
-      let prob = K.draw_prob sc c r2 in
-      prob = !prob_ref
+      K.draw_prob sc c r2;
+      K.drawn_prob sc c = !prob_ref
       && K.mask_hash sc = Hash64.mask present m
       && streams_synced r1 r2)
+
+(* The readers answer only for the draw they can price: the last flat
+   draw's snapshot, with the mask the value needs packed. *)
+let t_readers_reject () =
+  let c = K.Csr.of_graph (fig1 ()) in
+  let other = K.Csr.of_graph (fig1 ()) in
+  let sc = K.create () and r = rng () in
+  let no_draw =
+    Invalid_argument "Kernel: no draw against this Csr in scratch (draw first)"
+  in
+  Alcotest.check_raises "drawn_prob before any draw" no_draw (fun () ->
+      ignore (K.drawn_prob sc c));
+  K.draw_prob sc c r;
+  Alcotest.check_raises "drawn_prob of a foreign snapshot" no_draw (fun () ->
+      ignore (K.drawn_prob sc other));
+  Alcotest.check_raises "drawn_log_q of a foreign snapshot" no_draw (fun () ->
+      ignore (K.drawn_log_q sc other));
+  ignore (K.drawn_prob sc c);
+  ignore (K.drawn_log_q sc c);
+  let no_mask = Invalid_argument "Kernel.drawn_log_q: the last draw packed no mask"
+  and no_mask0 =
+    Invalid_argument "Kernel.drawn_prob: the last draw packed no mask from position 0"
+  in
+  K.draw sc c r;
+  Alcotest.check_raises "drawn_prob after draw" no_mask0 (fun () ->
+      ignore (K.drawn_prob sc c));
+  Alcotest.check_raises "drawn_log_q after draw" no_mask (fun () ->
+      ignore (K.drawn_log_q sc c));
+  K.draw_sub sc c ~pos:0 ~detail:false r;
+  Alcotest.check_raises "drawn_log_q after a plain descent draw" no_mask
+    (fun () -> ignore (K.drawn_log_q sc c));
+  K.draw_sub sc c ~pos:2 ~detail:true r;
+  Alcotest.check_raises "drawn_prob after a resumed detail draw" no_mask0
+    (fun () -> ignore (K.drawn_prob sc c));
+  ignore (K.drawn_log_q sc c);
+  (* A bit-sliced draw writes the slab, not the flat buffers. *)
+  K.draw_bitsliced sc other r;
+  ignore (K.drawn_log_q sc c)
 
 (* ---- early-exit connectivity vs the full union-find pass ---- *)
 
@@ -221,6 +259,14 @@ let prop_samplers_match_reference =
 let viable g ts =
   List.length ts >= 2 && List.for_all (fun t -> Ugraph.degree g t > 0) ts
 
+(* [descend_union]'s triple from the kernel descent: the verdict, then
+   for a detail descent the mask hash and the log-q reader; otherwise
+   the reference's empty-stream digest and 0. *)
+let kernel_triple ctx sc ~detail ~pos st rng =
+  let connected = F.descend_kernel ctx ~scratch:sc ~detail ~pos st rng in
+  if detail then (connected, K.mask_hash sc, F.descent_log_q ctx ~scratch:sc)
+  else (connected, Hash64.mask_words [||] ~bits:0, 0.)
+
 let prop_descend_kernel_matches_union =
   QCheck.Test.make ~name:"descend_kernel = descend_union (both details)"
     ~count:200
@@ -240,9 +286,7 @@ let prop_descend_kernel_matches_union =
             F.descend_union ctx ~dsu ~detail ~pos:0 F.initial
               ~bernoulli:(fun p -> Prng.bernoulli r1 p)
           in
-          let b =
-            F.descend_kernel ctx ~scratch:sc ~detail ~pos:0 F.initial r2
-          in
+          let b = kernel_triple ctx sc ~detail ~pos:0 F.initial r2 in
           a = b && streams_synced r1 r2)
         [ false; true ])
 
@@ -287,9 +331,7 @@ let prop_descend_kernel_resume =
               F.descend_union ctx ~dsu ~detail ~pos st
                 ~bernoulli:(fun p -> Prng.bernoulli r1 p)
             in
-            let b =
-              F.descend_kernel ctx ~scratch:sc ~detail ~pos st r2
-            in
+            let b = kernel_triple ctx sc ~detail ~pos st r2 in
             a = b && streams_synced r1 r2)
           [ false; true ])
 
@@ -298,6 +340,8 @@ let suite =
     [
       Alcotest.test_case "csr matches graph" `Quick t_csr_matches_graph;
       Alcotest.test_case "csr of_order layout" `Quick t_csr_of_order;
+      Alcotest.test_case "probability readers: snapshot and mask checks"
+        `Quick t_readers_reject;
     ]
     @ qtests
         [
