@@ -1273,11 +1273,12 @@ let large cfg =
   banner "Large graphs: mmap-able binary container + CSR-direct sampling"
     "Synthetic 10^5-edge (quick) to 10^6-edge graphs are packed into the\n\
      binary container (lib/bingraph), reopened with Unix.map_file and\n\
-     sampled straight from the packed arrays (Kernel.Csr.of_arrays +\n\
-     monte_carlo_csr). `= text` asserts the binary-path estimate\n\
-     bit-identical to the Ugraph text path per kernel; mmap open + CSR\n\
-     build time lands in run.seconds of the load-mmap rows, kernel\n\
-     throughput in sampling.kernel.samples_per_sec of the mc rows.\n\
+     sampled straight from the packed arrays (Kernel.Csr.of_arrays), by\n\
+     MC and HT on both kernels. `= text` asserts the binary-path estimate\n\
+     bit-identical to the Ugraph text path per estimator and kernel;\n\
+     mmap open + CSR build time lands in run.seconds of the load-mmap\n\
+     rows, kernel throughput in sampling.kernel.samples_per_sec of the\n\
+     mc and ht rows.\n\
      The preprocess rows time the extension technique alone, the pro\n\
      rows a whole Pro(MC) estimate at w = 1,000, s = 200 (its value\n\
      asserted inside its proven bounds).";
@@ -1302,6 +1303,9 @@ let large cfg =
              ~radius:(sqrt (10. /. (Float.pi *. 200_000.)))) ]
   in
   let s = if cfg.quick then 200 else 2_000 in
+  (* HT prices each distinct connected world with an O(m) fold on top of
+     the draw, so it runs the perfbench sample-large HT budget. *)
+  let s_ht = 62 in
   let k = 5 in
   let stats_docs = ref [] in
   let tr = section_trace cfg in
@@ -1322,27 +1326,30 @@ let large cfg =
           in
           let (bg, csr), load_t = Relstats.time load_csr in
           Printf.printf
-            "--- %s (n = %d, m = %d, s = %d, k = %d, jobs = 1) ---\n" name
-            (Bingraph.n_vertices bg) (Bingraph.n_edges bg) s k;
+            "--- %s (n = %d, m = %d, s = %d, HT s = %d, k = %d, jobs = 1) ---\n"
+            name (Bingraph.n_vertices bg) (Bingraph.n_edges bg) s s_ht k;
           Printf.printf "mmap open + CSR build: %s\n"
             (Relstats.format_seconds load_t);
           Printf.printf "%-15s %14s %10s %11s %7s\n" "Method" "R" "time"
             "samples/s" "= text";
-          let row label kern =
-            let text_e =
-              Mcsampling.monte_carlo ~seed:cfg.seed ~jobs:1 ~kernel:kern g
-                ~terminals:ts ~samples:s
-            in
-            let e, t =
-              Relstats.time (fun () ->
-                  Mcsampling.monte_carlo_csr ~seed:cfg.seed ~jobs:1
-                    ~kernel:kern csr ~terminals:ts ~samples:s)
-            in
+          (* [sample None] runs on the text path's own snapshot,
+             [sample (Some csr)] on the binary path's. *)
+          let mc kernel csr ~obs ~trace =
+            Mcsampling.monte_carlo ~obs ~trace ~seed:cfg.seed ~jobs:1 ~kernel
+              ?csr g ~terminals:ts ~samples:s
+          and ht kernel csr ~obs ~trace =
+            Mcsampling.horvitz_thompson ~obs ~trace ~seed:cfg.seed ~jobs:1
+              ~kernel ?csr g ~terminals:ts ~samples:s_ht
+          in
+          let row label ~samples sample =
+            let run csr = sample csr ~obs:Obs.disabled ~trace:Trace.disabled in
+            let text_e = run None in
+            let e, t = Relstats.time (fun () -> run (Some csr)) in
             let same = e = text_e in
             Printf.printf "%-15s %14.8f %10s %11.0f %7b\n" label
               e.Mcsampling.value
               (Relstats.format_seconds t)
-              (if t > 0. then float_of_int s /. t else 0.)
+              (if t > 0. then float_of_int samples /. t else 0.)
               same;
             if not same then
               failwith
@@ -1350,8 +1357,10 @@ let large cfg =
                    "large: %s %s binary-path estimate diverged from the \
                     text path" name label)
           in
-          row "MC(flat)" Mcsampling.Flat;
-          row "MC(bitsliced)" Mcsampling.Bitsliced;
+          row "MC(flat)" ~samples:s (mc Mcsampling.Flat);
+          row "MC(bitsliced)" ~samples:s (mc Mcsampling.Bitsliced);
+          row "HT(flat)" ~samples:s_ht (ht Mcsampling.Flat);
+          row "HT(bitsliced)" ~samples:s_ht (ht Mcsampling.Bitsliced);
           let add docs =
             if cfg.json then
               List.iter (fun doc -> stats_docs := doc :: !stats_docs) docs
@@ -1368,13 +1377,11 @@ let large cfg =
                    SD.result_value
                      ~value:(float_of_int (Bingraph.n_edges bg))
                      ~exact:true));
-            let mode_doc method_name ~kernel ~expect =
+            let mode_doc method_name ~samples ~expect sample =
               let docs =
-                stats_runs cfg ~method_name ~graph:name ~ts ~s ~w:0 ~trace:tr
-                  (fun ~obs ~trace ->
-                    SD.result_of_estimate
-                      (Mcsampling.monte_carlo_csr ~obs ~trace ~seed:cfg.seed
-                         ~jobs:1 ~kernel csr ~terminals:ts ~samples:s))
+                stats_runs cfg ~method_name ~graph:name ~ts ~s:samples ~w:0
+                  ~trace:tr (fun ~obs ~trace ->
+                    SD.result_of_estimate (sample (Some csr) ~obs ~trace))
               in
               List.iter
                 (fun doc ->
@@ -1383,9 +1390,12 @@ let large cfg =
                 docs;
               add docs
             in
-            mode_doc "mc-flat" ~kernel:Mcsampling.Flat ~expect:"flat";
-            mode_doc "mc-bitsliced" ~kernel:Mcsampling.Bitsliced
-              ~expect:"bitsliced"
+            mode_doc "mc-flat" ~samples:s ~expect:"flat" (mc Mcsampling.Flat);
+            mode_doc "mc-bitsliced" ~samples:s ~expect:"bitsliced"
+              (mc Mcsampling.Bitsliced);
+            mode_doc "ht-flat" ~samples:s_ht ~expect:"flat" (ht Mcsampling.Flat);
+            mode_doc "ht-bitsliced" ~samples:s_ht ~expect:"bitsliced"
+              (ht Mcsampling.Bitsliced)
           end;
           (* The preprocess and pro rows are the section's slowest: when
              documents are collected the printed row is the first
