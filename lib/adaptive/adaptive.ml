@@ -322,7 +322,7 @@ let neyman_weight plan i =
 
 (* One subproblem's plan through the loop. Its width is the
    [plan_interval] width: [upper - lower] before any draw. *)
-let stratified ?pool ~ao ~trace ~sub ~ci_width ~max_samples plan =
+let stratified ~jobs ~ao ~trace ~sub ~ci_width ~max_samples plan =
   let lower, upper = S2bdd.plan_bounds plan in
   let k = S2bdd.n_strata plan in
   let mass = Array.init k (S2bdd.stratum_mass plan) in
@@ -363,7 +363,7 @@ let stratified ?pool ~ao ~trace ~sub ~ci_width ~max_samples plan =
        stream, counters and scratch). *)
     let draw () =
       ignore
-        (Par.run ?pool (Array.length targets) (fun j ->
+        (Par.run ~jobs (Array.length targets) (fun j ->
              let i = targets.(j) in
              S2bdd.draw_stratum plan i ~n:alloc.(i)))
     in
@@ -409,8 +409,6 @@ let reliability ?(obs = Obs.disabled) ?(trace = Trace.disabled)
     ?orders ?(max_samples = default_max_samples) g ~terminals ~ci_width =
   validate ~ci_width ~max_samples;
   if jobs < 1 then invalid_arg "Adaptive.reliability: jobs < 1";
-  let ejobs = Par.effective_jobs jobs in
-  let pool = if ejobs > 1 then Some (Par.Pool.shared ~jobs:ejobs) else None in
   let ao = Obs.sub obs "adaptive" in
   let r =
     (* As in {!Reliability.estimate}: [prep] replays a cached pipeline
@@ -440,7 +438,7 @@ let reliability ?(obs = Obs.disabled) ?(trace = Trace.disabled)
                exact_result ~target_width:width ~lower:r.S2bdd.lower
                  ~upper:r.S2bdd.upper r.S2bdd.value
              | S2bdd.Sampling plan ->
-               stratified ?pool ~ao ~trace ~sub:i ~ci_width:width
+               stratified ~jobs ~ao ~trace ~sub:i ~ci_width:width
                  ~max_samples:cap plan)
            subproblems)
   in

@@ -145,10 +145,8 @@ let estimate ?(obs = Obs.disabled) ?(trace = Trace.disabled)
     ?(config = S2bdd.default_config) ?(extension = true) ?(jobs = 1) ?prep
     ?orders g ~terminals =
   if jobs < 1 then invalid_arg "Reliability.estimate: jobs < 1";
-  let ejobs = Par.effective_jobs jobs in
-  let pool = if ejobs > 1 then Some (Par.Pool.shared ~jobs:ejobs) else None in
   let run ~obs ~trace sp =
-    S2bdd.estimate ?pool ~obs ~trace ~config:sp.config sp.graph
+    S2bdd.estimate ~jobs ~obs ~trace ~config:sp.config sp.graph
       ~terminals:sp.terminals
   in
   emit_report trace
@@ -166,12 +164,12 @@ let estimate ?(obs = Obs.disabled) ?(trace = Trace.disabled)
        in subproblem order, keeping the stats and the trace stream
        deterministic under any domain schedule. *)
     let sub_obs = Array.map (fun _ -> Obs.fresh_like obs) subproblems in
-    let lanes = Par.run_lanes ?pool () in
+    let lanes = Par.effective_jobs jobs in
     let sub_trace =
       Array.mapi (fun i _ -> Trace.task trace ~lane:(i mod lanes)) subproblems
     in
     let subresults =
-      Par.run ?pool (Array.length subproblems) (fun i ->
+      Par.run ~jobs (Array.length subproblems) (fun i ->
           let sp = subproblems.(i) in
           Trace.span sub_trace.(i) "subproblem"
             ~args:

@@ -505,7 +505,7 @@ let build ~name ~obs ~trace cfg g ~terminals ~unit_of =
     Obs.add co "sampled_nodes" (Array.length units);
     Built (ctx, c, units)
 
-let estimate ?pool ?(obs = Obs.disabled) ?(trace = Trace.disabled)
+let estimate ?(jobs = 1) ?(obs = Obs.disabled) ?(trace = Trace.disabled)
     ?(config = default_config) g ~terminals =
   let cfg = config in
   (* Each consumed node becomes a stratum with its descent count. Nodes
@@ -534,16 +534,16 @@ let estimate ?pool ?(obs = Obs.disabled) ?(trace = Trace.disabled)
   | Built (ctx, c, strata) ->
     let samples_drawn = Array.fold_left (fun acc (n, _) -> acc + n) 0 strata in
     (* Stratified descents: every stratum is an independent task; run
-       them on the pool (or inline) and fold the per-task contributions
+       them on [jobs] domains and fold the per-task contributions
        [weight * R^_n] in consumption order. *)
     let so = Obs.sub obs "sampling" in
     Obs.text so "estimator"
       (match cfg.estimator with Monte_carlo -> "mc" | Horvitz_thompson -> "ht");
     Obs.add so "descent_tasks" (Array.length strata);
     Obs.add so "samples" samples_drawn;
-    let lanes = Par.run_lanes ?pool () in
+    let lanes = Par.effective_jobs jobs in
     let contribs =
-      Par.run ?pool (Array.length strata) (fun i ->
+      Par.run ~jobs (Array.length strata) (fun i ->
           let tr = Trace.task trace ~lane:(i mod lanes) in
           let ts = Trace.now tr in
           let t0 = Obs.now obs in

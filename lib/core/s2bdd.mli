@@ -127,7 +127,7 @@ type result = {
 }
 
 val estimate :
-  ?pool:Par.Pool.t -> ?obs:Obs.t -> ?trace:Trace.t -> ?config:config ->
+  ?jobs:int -> ?obs:Obs.t -> ?trace:Trace.t -> ?config:config ->
   Ugraph.t -> terminals:int list -> result
 (** Estimate [R[G, T]] with an S2BDD over the graph as given (no
     extension technique; see {!Reliability.estimate} for the full
@@ -151,18 +151,18 @@ val estimate :
     [deleted]) plus a [width] counter, a [construction] span over the
     whole loop carrying the stop reason, and one [descent] span per
     stratified task, recorded into per-task buffers on lane
-    [task mod lanes] ({!Par.run_lanes}) and merged back in consumption
-    order — the trace stream, like the result, is jobs-independent in
-    content.
+    [task mod lanes] ([lanes] = {!Par.effective_jobs}[ jobs]) and
+    merged back in consumption order — the trace stream, like the
+    result, is jobs-independent in content.
 
-    When [pool] is given, the stratified DP descents of deleted and
-    leftover nodes run on it: construction stays sequential (each layer
-    depends on the previous), but every sampled node's descents are an
-    independent task recorded in consumption order and executed after
-    construction. Each task draws from its own {!Prng.split} stream
-    assigned at enqueue time and the per-task contributions fold in
-    consumption order, so the result is {b bit-identical} with and
-    without a pool, at any pool size. *)
+    [jobs] (default 1) sets how many domains run the stratified DP
+    descents of deleted and leftover nodes ({!Par.run}): construction
+    stays sequential (each layer depends on the previous), but every
+    sampled node's descents are an independent task recorded in
+    consumption order and executed after construction. Each task draws
+    from its own {!Prng.split} stream assigned at enqueue time and the
+    per-task contributions fold in consumption order, so the result is
+    {b bit-identical} at every [jobs] value. *)
 
 val bounds : ?config:config -> Ugraph.t -> terminals:int list -> result
 (** The construction of {!estimate} alone, under the same [config]:

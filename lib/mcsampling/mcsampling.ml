@@ -364,7 +364,7 @@ module Chunked = struct
     let base = t.chunks in
     let t_kernel = Obs.now t.o in
     let results =
-      Par.run_jobs ~jobs:t.jobs n (fun i ->
+      Par.run ~jobs:t.jobs n (fun i ->
           let tr = Trace.task t.trace ~lane:(i mod lanes) in
           let ts = Trace.now tr in
           let t0 = Obs.now t.o in

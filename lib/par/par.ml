@@ -71,8 +71,6 @@ module Pool = struct
     mutable stop : bool;
   }
 
-  let jobs t = Array.length t.workers + 1
-
   (* Workers block on [work_available] until a task arrives or the pool
      shuts down. Tasks run outside the lock. *)
   let rec worker_loop t =
@@ -221,23 +219,7 @@ module Pool = struct
     t
 end
 
-let run_lanes ?pool () =
-  match pool with
-  | Some t -> Pool.jobs t
-  | None -> (
-    match forced_domains () with Some j when j > 1 -> j | _ -> 1)
-
-let run ?pool n f =
-  match pool with
-  | Some t -> Pool.map t n f
-  | None -> (
-    match forced_domains () with
-    | Some j when j > 1 -> Pool.map (Pool.shared ~jobs:j) n f
-    | _ ->
-      count_batch n;
-      Array.init n f)
-
-let run_jobs ~jobs n f =
+let run ~jobs n f =
   let jobs = effective_jobs jobs in
   if jobs <= 1 then begin
     count_batch n;

@@ -46,16 +46,16 @@ type counters = { batches : int; tasks : int }
 
 val counters : unit -> counters
 (** Process-wide execution totals: [batches] entries into a Par mapping
-    ({!run}, {!run_jobs} or {!Pool.map}, including their sequential
-    fast paths) and [tasks] elements mapped, both monotone over the
+    ({!run} or {!Pool.map}, including the sequential fast path of
+    {!run}) and [tasks] elements mapped, both monotone over the
     process lifetime. Report sites snapshot before and after the work
     they account for; the counters are informational and never affect
     results. *)
 
 val set_batch_hook : (int -> unit) option -> unit
 (** Installs (or clears) a process-wide dispatch probe, called with the
-    batch size at every entry into a Par mapping — {!run}, {!run_jobs}
-    or {!Pool.map}, including their sequential fast paths — on the
+    batch size at every entry into a Par mapping — {!run} or
+    {!Pool.map}, including the sequential fast path of {!run} — on the
     submitting agent, before any task of the batch runs.  Nested
     batches are submitted from worker domains, so the hook must be
     thread-safe.  Used by [Trace.install_par_hook] to stream task-
@@ -81,9 +81,6 @@ module Pool : sig
 
   val create : jobs:int -> t
   (** @raise Invalid_argument if [jobs < 1] or [jobs > max_jobs]. *)
-
-  val jobs : t -> int
-  (** Worker domains plus one (the participating caller). *)
 
   val map : t -> int -> (int -> 'a) -> 'a array
   (** [map t n f] computes [[| f 0; ...; f (n-1) |]], executing the
@@ -111,22 +108,11 @@ module Pool : sig
       @raise Invalid_argument as {!create}. *)
 end
 
-val run_lanes : ?pool:Pool.t -> unit -> int
-(** The number of domain lanes a {!run} with the same [?pool] argument
-    occupies: the pool's size when given, the forced-domain count when
-    [NETREL_FORCE_DOMAINS] redirects the sequential fallback, and [1]
-    otherwise.  Call sites that assign per-task trace lanes use this as
-    the modulus, so lane assignment matches the domain budget actually
-    in effect. *)
-
-val run : ?pool:Pool.t -> int -> (int -> 'a) -> 'a array
-(** [run ?pool n f]: {!Pool.map} on [pool] when given, otherwise a
-    plain sequential [Array.init n f] — except that when
-    {!forced_domains} is set, the sequential fallback is redirected to
-    a forced shared pool. The deterministic-reduction contract makes
-    the three execution modes indistinguishable from results. *)
-
-val run_jobs : jobs:int -> int -> (int -> 'a) -> 'a array
-(** [run_jobs ~jobs n f]: sequential when {!effective_jobs}[ jobs]
-    is 1, otherwise {!Pool.map} on the {!Pool.shared} pool of that
-    size. @raise Invalid_argument if [jobs < 1]. *)
+val run : jobs:int -> int -> (int -> 'a) -> 'a array
+(** [run ~jobs n f] computes [[| f 0; ...; f (n-1) |]]: sequentially on
+    the calling domain when {!effective_jobs}[ jobs] is 1, otherwise
+    {!Pool.map} on the {!Pool.shared} pool of that size. A task may
+    itself call [run] (nested batches share the pool). Every parallel
+    surface of the library runs through it; a call site that assigns
+    per-task trace lanes uses {!effective_jobs}[ jobs] as the lane
+    modulus. @raise Invalid_argument if [jobs < 1]. *)

@@ -24,8 +24,9 @@
     {!Obs.fresh_like}/{!Obs.merge}: each task records into its own
     bounded buffer created with {!task} (single writer, no
     synchronisation), bound to lane [i mod lanes] where [i] is the
-    task index and [lanes] is {!Par.run_lanes} (the domain budget in
-    effect); the caller then folds the buffers back with {!merge} in
+    task index and [lanes] is {!Par.effective_jobs} of the [jobs] the
+    tasks run under ({!Par.run}, the domain budget in effect); the
+    caller then folds the buffers back with {!merge} in
     task order.  Consequently the merged stream's {e content and
     order} depend only on the problem and the seed — never on the
     domain schedule — and only the [lane] field varies with the

@@ -79,7 +79,7 @@ let test_pool_basic () =
 let test_pool_jobs_exceed_tasks () =
   (* jobs > samples: the pool must not hang waiting for work that does
      not exist, and every index must be computed exactly once. *)
-  let got = Par.run_jobs ~jobs:8 3 (fun i -> 10 + i) in
+  let got = Par.run ~jobs:8 3 (fun i -> 10 + i) in
   Alcotest.(check (array int)) "jobs > tasks" [| 10; 11; 12 |] got
 
 let test_pool_exception () =
