@@ -27,7 +27,8 @@ let tests seed =
   let t_descend =
     Test.make ~name:"fig3/4: descend-union tokyo"
       (Staged.stage @@ fun () ->
-       F.descend_union ctx ~dsu ~detail:false ~pos:0 F.initial
+       Check.Reference.descend_union ctx tokyo ~terminals:tokyo_ts ~dsu
+         ~detail:false ~pos:0 F.initial
          ~bernoulli:(fun p -> Prng.bernoulli rng p))
   in
   (* The same descent through the flat kernel (early-exit union-find):

@@ -790,14 +790,14 @@ let kernels cfg =
       in
       row "Sampling(MC)"
         (fun () ->
-          Mcsampling.Reference.monte_carlo ~seed:cfg.seed g ~terminals:ts
+          Check.Reference.monte_carlo ~seed:cfg.seed g ~terminals:ts
             ~samples:s)
         (fun () ->
           Mcsampling.monte_carlo ~seed:cfg.seed ~jobs:1 g ~terminals:ts
             ~samples:s);
       row "Sampling(HT)"
         (fun () ->
-          Mcsampling.Reference.horvitz_thompson ~seed:cfg.seed g ~terminals:ts
+          Check.Reference.horvitz_thompson ~seed:cfg.seed g ~terminals:ts
             ~samples:s)
         (fun () ->
           Mcsampling.horvitz_thompson ~seed:cfg.seed ~jobs:1 g ~terminals:ts
@@ -831,14 +831,14 @@ let kernels cfg =
              ~w:0 ~trace:tr
              (fun ~obs:_ ~trace:_ ->
                SD.result_of_estimate
-                 (Mcsampling.Reference.monte_carlo ~seed:cfg.seed g
+                 (Check.Reference.monte_carlo ~seed:cfg.seed g
                     ~terminals:ts ~samples:s)));
         add
           (stats_runs cfg ~method_name:"reference-ht" ~graph:d.D.abbr ~ts ~s
              ~w:0 ~trace:tr
              (fun ~obs:_ ~trace:_ ->
                SD.result_of_estimate
-                 (Mcsampling.Reference.horvitz_thompson ~seed:cfg.seed g
+                 (Check.Reference.horvitz_thompson ~seed:cfg.seed g
                     ~terminals:ts ~samples:s)))
       end)
     datasets;

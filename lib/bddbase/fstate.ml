@@ -309,83 +309,17 @@ let heuristic_log2 ctx ~rem st ~log2_pn =
   in
   log2_pn +. Float.log2 factor
 
-let descend ctx ~eager ~pos st ~bernoulli =
-  let m = n_positions ctx in
-  let rec go pos st =
-    if pos >= m then
-      invalid_arg "Fstate.descend: reached the end without sinking"
-    else
-      let e = edge_at ctx pos in
-      let exists = bernoulli e.Ugraph.p in
-      match step ctx ~eager ~pos st ~exists with
-      | Sink1 -> true
-      | Sink0 -> false
-      | Live st' -> go (pos + 1) st'
-  in
-  go pos st
-
-(* Fast descent: complete the possible graph directly and run one
-   union-find connectivity check. The node's explicit components are
-   anchored to virtual DSU elements [n + comp_id]; implicit singletons
-   need no anchor. The terminals to connect are the flagged components
-   plus terminals that have not entered the frontier yet. *)
-let descend_union ctx ~dsu ~detail ~pos st ~bernoulli =
-  let g = ctx.g in
-  let n = Ugraph.n_vertices g in
-  if Dsu.size dsu < n + Array.length st.tc then
-    invalid_arg "Fstate.descend_union: DSU too small";
-  Dsu.reset dsu;
-  let m = n_positions ctx in
-  (* Completion identity for the HT dedup: a full-avalanche 62-bit hash
-     of the drawn edge outcomes (Hash64). The per-bool FNV-1a that used
-     to live here had the same upward-only bit diffusion flaw as the old
-     Mcsampling.mask_hash, so structured completions could collide and
-     be merged by the descent dedup table. *)
-  let hs = Hash64.Stream.create () in
-  let logq = ref 0. in
-  let eu = ctx.csr.Kernel.Csr.eu
-  and ev = ctx.csr.Kernel.Csr.ev
-  and ep = ctx.csr.Kernel.Csr.ep in
-  if detail then
-    (* HT needs the completion's identity and conditional probability. *)
-    for p = pos to m - 1 do
-      let pe = ep.(p) in
-      let exists = bernoulli pe in
-      Hash64.Stream.add_bit hs exists;
-      if exists then begin
-        if pe < 1. then logq := !logq +. Float.log pe;
-        ignore (Dsu.union dsu eu.(p) ev.(p))
-      end
-      else logq := !logq +. Float.log1p (-.pe)
-    done
-  else
-    for p = pos to m - 1 do
-      if bernoulli ep.(p) then ignore (Dsu.union dsu eu.(p) ev.(p))
-    done;
-  Array.iteri (fun i v -> ignore (Dsu.union dsu v (n + st.comp_of.(i)))) st.verts;
-  let anchor = ref (-1) in
-  let connected = ref true in
-  let require x =
-    if !anchor < 0 then anchor := Dsu.find dsu x
-    else if Dsu.find dsu x <> !anchor then connected := false
-  in
-  Array.iteri (fun c t -> if t > 0 then require (n + c)) st.tc;
-  Array.iter (fun t -> if ctx.first_pos.(t) >= pos then require t) ctx.terminal_arr;
-  (!connected, Hash64.Stream.finish hs, !logq)
-
-(* Kernel fast path for [descend_union]: same draw order, same
-   verdict, and after a [detail] descent the same completion hash
-   ([Kernel.mask_hash]) and log-probability ([descent_log_q]), drawing
-   through the flat kernel (present-position buffer, packed mask words)
-   and checking connectivity with the early-exit union-find instead of
-   unioning every present edge into a full-reset [Dsu.t].
-
-   Element layout mirrors [descend_union]: vertices [0 .. n-1], virtual
-   anchors [n + comp_id] for the state's explicit components. Anchors
-   are unioned before the terminal marks — safe, because an anchor
-   union only ever touches roots with [tcnt = 0], so [live] stays
-   untouched; the marks must precede [union_drawn], which early-exits
-   on the live count. *)
+(* Complete the possible graph from a node: draw the remaining
+   positions through the flat kernel (present-position buffer, packed
+   mask words when [detail]) and check connectivity with the early-exit
+   union-find. The node's explicit components are anchored to virtual
+   elements [n + comp_id] (vertices are [0 .. n-1]); implicit
+   singletons need no anchor. The terminals to connect are the flagged
+   components plus terminals that have not entered the frontier yet.
+   Anchors are unioned before the terminal marks — safe, because an
+   anchor union only ever touches roots with [tcnt = 0], so [live]
+   stays untouched; the marks must precede [union_drawn], which
+   early-exits on the live count. *)
 let descend_kernel ctx ~scratch ~detail ~pos st rng =
   let n = Ugraph.n_vertices ctx.g in
   let nc = Array.length st.tc in
@@ -421,9 +355,10 @@ module Key_table = Hashtbl.Make (struct
   let hash a =
     (* FNV-1a over every element; Hashtbl.hash would only inspect a
        bounded prefix, which collides badly on wide frontiers. Unlike
-       the content hashes above this one only buckets — keys are
-       compared by structural equality on collision — so FNV's weak
-       diffusion costs at most table balance, never correctness. *)
+       the completion hashes of the descents (Hash64) this one only
+       buckets — keys are compared by structural equality on
+       collision — so FNV's weak diffusion costs at most table
+       balance, never correctness. *)
     let h = ref 0x811C9DC5 in
     for i = 0 to Array.length a - 1 do
       h := (!h lxor (a.(i) + 0x9E3779B9)) * 0x01000193 land max_int

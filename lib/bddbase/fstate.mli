@@ -12,9 +12,11 @@
     from a per-vertex table its caller keeps).
 
     Because the state is sufficient for the future, it also drives the
-    paper's dynamic-programming sampling: {!descend} completes an
-    intermediate graph into a possible graph by sampling the remaining
-    edges and stepping this same machine to a sink. *)
+    paper's dynamic-programming sampling: {!descend_kernel} completes
+    an intermediate graph into a possible graph by sampling the
+    remaining edges and deciding terminal connectivity from the
+    state's components; its differential oracles live in
+    [Check.Reference]. *)
 
 type state
 (** Canonical frontier state. Equal states are interchangeable: they
@@ -88,43 +90,6 @@ val heuristic_log2 : ctx -> rem:int array -> state -> log2_pn:float -> float
     no terminal-bearing frontier component rank lowest at equal [p_n]
     (factor [1 / (2k * (1 + width))]). *)
 
-val descend :
-  ctx -> eager:bool -> pos:int -> state ->
-  bernoulli:(float -> bool) -> bool
-(** Complete the intermediate graph represented by a state at layer
-    [pos] into a random possible graph: draws every remaining edge with
-    [bernoulli p] and steps to a sink. Returns [true] on [Sink1].
-    Unbiased conditional sample given the node.
-    @raise Invalid_argument if the machine reaches the end without
-    sinking (impossible when every terminal has positive degree and
-    [k >= 2], which {!make} enforces). *)
-
-val descend_union :
-  ctx ->
-  dsu:Dsu.t ->
-  detail:bool ->
-  pos:int ->
-  state ->
-  bernoulli:(float -> bool) ->
-  bool * int * float
-(** Fast equivalent of {!descend}: completes the possible graph by
-    sampling every remaining edge and checks terminal connectivity with
-    one union–find pass instead of stepping the state machine —
-    [O(remaining edges)] per sample, like the plain Monte Carlo
-    sampler. Returns [(connected, completion_hash, log_probability)];
-    the latter two feed the Horvitz–Thompson estimator and are only
-    computed when [detail] is [true] (the empty-stream digest and [0.]
-    otherwise — the Monte Carlo estimator skips that work).
-
-    [dsu] must have size at least
-    [n_vertices + component_count state]; size [2 * n_vertices] always
-    suffices. It is reset on entry.
-
-    This is the retained {e reference} implementation; production
-    descents run {!descend_kernel}, which is kept bit-for-bit
-    compatible (same draws, same hash, same log-probability, same
-    verdict) and checked against this one by [test/test_kernel.ml]. *)
-
 val descend_kernel :
   ctx ->
   scratch:Kernel.t ->
@@ -133,19 +98,18 @@ val descend_kernel :
   state ->
   Prng.t ->
   bool
-(** Kernel fast path for {!descend_union}: draws the completion through
+(** The DP descent: completes the intermediate graph of a state at
+    layer [pos] into a random possible graph, drawing through
     {!Kernel.draw_sub} (flat position buffer; packed mask words when
-    [detail]) and checks connectivity with the early-exit generation-
-    stamped union–find — the union loop stops as soon as the required
-    components have merged instead of unioning every present edge.
-    Returns the verdict. After a [detail] descent, {!Kernel.mask_hash}
-    of [scratch] is the completion hash and {!descent_log_q} its
-    log-probability; neither is computed until asked for.
-    Bit-identical to {!descend_union} when its [bernoulli] draws
-    [Prng.bernoulli] from a copy of the same stream:
-    same number of draws in the same order, same completion hash, same
-    log-probability, same verdict. [scratch] is re-initialised on
-    entry (a shared per-domain scratch from {!Kernel.scratch} is the
+    [detail]), and returns whether it connects the terminals, checked
+    with the early-exit generation-stamped union–find. After a
+    [detail] descent, {!Kernel.mask_hash} of [scratch] is the
+    completion hash and {!descent_log_q} its log-probability; neither
+    is computed until asked for. Bit-identical to
+    [Check.Reference.descend_union] when its [bernoulli] draws
+    [Prng.bernoulli] from a copy of the same stream: same draws, hash,
+    log-probability and verdict. [scratch] is re-initialised on entry
+    (a shared per-domain scratch from {!Kernel.scratch} is the
     intended argument). *)
 
 val descent_log_q : ctx -> scratch:Kernel.t -> float

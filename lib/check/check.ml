@@ -1,4 +1,5 @@
 module Shapes = Shapes
+module Reference = Reference
 module J = Obs.Json
 module S2bdd = Netrel.S2bdd
 module Reliability = Netrel.Reliability
@@ -269,9 +270,8 @@ let oracle_case t trace ~jobs (c : Shapes.case) ~seed ~rex =
           Printf.sprintf "kernel value = %.17g vs reference %.17g"
             e0.Mcsampling.value r.Mcsampling.value)
   in
-  kernel_vs_reference ~tag:"mc" mc_results Mcsampling.Reference.monte_carlo;
-  kernel_vs_reference ~tag:"ht" ht_results
-    Mcsampling.Reference.horvitz_thompson;
+  kernel_vs_reference ~tag:"mc" mc_results Reference.monte_carlo;
+  kernel_vs_reference ~tag:"ht" ht_results Reference.horvitz_thompson;
   (* Binary-container round trip: serializing through lib/bingraph and
      parsing the bytes back must preserve the graph bit for bit — the
      header digest equals a recomputation over the round-tripped graph,

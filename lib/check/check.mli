@@ -24,11 +24,20 @@
 
     A violation carries the full reproducer (graph text, terminals,
     seed) so every failure is a replayable artifact. The driver behind
-    [netrel selfcheck] and the budgeted [dune runtest] rule. *)
+    [netrel selfcheck] and the budgeted [dune runtest] rule.
+
+    The library also holds the differential oracles of the production
+    kernels, {!Reference}: the pre-kernel samplers and S2BDD descents,
+    which the oracle section's [kernel-matches-reference] checks, the
+    kernel tests and the bench [kernels] rows compare against bit for
+    bit. *)
 
 module Shapes : module type of Shapes
 (** The corpus the oracle and metamorphic sections run over, re-exported
     (the library's only public module is [Check]). *)
+
+module Reference : module type of Reference
+(** The retained reference samplers and descents, re-exported. *)
 
 type violation = {
   section : string;   (** ["oracle"] / ["metamorphic"] / ["calibration"] *)

@@ -35,12 +35,13 @@ let chunk_target_for ~edges =
 
 (* Which draw kernel the samplers run on. [Flat] is the scalar draw
    (one bernoulli per edge per sample, the pre-kernel stream —
-   bit-identical to [Reference]); [Bitsliced] draws 62 worlds per pass
-   through [Kernel.draw_bitsliced]. Each mode is bit-identical to
-   itself at every [jobs] value (same chunk streams, same ordered
-   reduction), but the two modes consume the chunk streams differently
-   and so draw different possible graphs from the same seed: estimates
-   agree statistically, not bitwise, across modes. *)
+   bit-identical to [Check.Reference]); [Bitsliced] draws 62 worlds
+   per pass through [Kernel.draw_bitsliced]. Each mode is
+   bit-identical to itself at every [jobs] value (same chunk streams,
+   same ordered reduction), but the two modes consume the chunk
+   streams differently and so draw different possible graphs from the
+   same seed: estimates agree statistically, not bitwise, across
+   modes. *)
 type kernel_mode = Flat | Bitsliced
 
 let kernel_mode_name = function Flat -> "flat" | Bitsliced -> "bitsliced"
@@ -76,30 +77,6 @@ let trivial_estimate ~jobs value =
   { value; samples_used = 0; hits = 0; distinct = 0; variance_estimate = 0.;
     jobs_used = Par.effective_jobs jobs; chunk_samples = [||] }
 
-(* Draw one possible graph into [present]; returns its probability.
-   Reference path only — the hot loops draw through Kernel. *)
-let draw_sample rng g present =
-  let prob = ref Xprob.one in
-  Ugraph.iter_edges
-    (fun eid (e : Ugraph.edge) ->
-      if Prng.bernoulli rng e.p then begin
-        present.(eid) <- true;
-        prob := Xprob.scale e.p !prob
-      end
-      else begin
-        present.(eid) <- false;
-        prob := Xprob.scale (1. -. e.p) !prob
-      end)
-    g;
-  !prob
-
-(* The 62-bit content hash that identifies a sampled possible graph for
-   the HT dedup. Packed-word mixing (Hash64) replaced a per-bool FNV-1a
-   whose 32-bit prime only diffused bits upward; the old hash admitted
-   structured collision pairs that silently merged distinct possible
-   graphs (see the regression test in test_core.ml). *)
-let mask_hash present m = Hash64.mask present m
-
 (* pi_i = 1 - (1 - q)^s, and the HT weight q / pi_i, computed stably
    from log q (natural log), which survives probabilities far below
    float range. For q -> 0 the weight tends to 1/s; it is 1 at q = 1.
@@ -116,12 +93,6 @@ let ht_weight ~logq ~n =
 
 let ln2 = Float.log 2.
 let ht_weight_x q_x s = ht_weight ~logq:(Xprob.log2 q_x *. ln2) ~n:s
-
-(* The per-chunk master streams, split in chunk order from the seed:
-   stream [i] belongs to chunk [i] no matter which domain runs it. *)
-let chunk_streams ~seed n =
-  let master = Prng.create seed in
-  Array.init n (fun _ -> Prng.split master)
 
 (* The 95% interval an estimate carries. Wald
    (value ± 1.96 sqrt(variance)) collapsed to a zero-width interval
@@ -151,11 +122,11 @@ let emit_estimate trace (e : estimate) =
 
 (* Per-chunk sampling loops, one per kernel mode. The flat bodies are
    the original inner loops verbatim (the bit-identity contract with
-   [Reference] rests on them); the bit-sliced bodies draw batches of
-   [Prng.Bitbatch.lanes] worlds per pass, masking the ragged last
-   batch to its live lanes — the full-width draw always runs, so a
-   chunk's stream consumption is independent of how the batch
-   boundaries land. *)
+   [Check.Reference] rests on them); the bit-sliced bodies draw
+   batches of [Prng.Bitbatch.lanes] worlds per pass, masking the
+   ragged last batch to its live lanes — the full-width draw always
+   runs, so a chunk's stream consumption is independent of how the
+   batch boundaries land. *)
 
 (* Worker-local instrumentation for one chunk: an early-exit-depth
    histogram filled on the worker and merged exactly (bucket-count
@@ -292,7 +263,7 @@ let ht_chunk_bitsliced depth csr term_arr rng len =
 (* Every sampler draws through this module. A stream retains the master
    generator and splits one fresh stream per chunk as rounds are
    scheduled, in global chunk order — so a single round of [n] chunks
-   uses exactly the streams [chunk_streams ~seed n] would, and a
+   uses the first [n] streams split from [Prng.create seed], and a
    fixed-budget run is a one-round stream. Sequential stopping
    (lib/adaptive) draws rounds until a CI target is met; its chunk
    boundaries follow the round schedule rather than one balanced
@@ -533,10 +504,10 @@ end
 
 (* A fixed-budget run is one [Chunked] round followed by its estimate:
    same chunk layout, same streams (split in chunk order from a fresh
-   master, as [chunk_streams] does), same ordered fold — so the result
-   is the incremental stream's, bit for bit. The wrapper adds what a
-   stream has no use for: the up-front budget validation, the k < 2
-   answer and the [total] timer. *)
+   master), same ordered fold — so the result is the incremental
+   stream's, bit for bit. The wrapper adds what a stream has no use
+   for: the up-front budget validation, the k < 2 answer and the
+   [total] timer. *)
 let fixed ~obs ~trace ~jobs ~kernel ~estimator csr ~terminals ~samples run =
   validate ~samples ~n:(Kernel.Csr.n_vertices csr) ~jobs terminals;
   let o = sampling_obs obs ~estimator ~kernel in
@@ -546,24 +517,21 @@ let fixed ~obs ~trace ~jobs ~kernel ~estimator csr ~terminals ~samples run =
   end
   else Obs.time o "total" (fun () -> run o)
 
-let monte_carlo_csr ?(obs = Obs.disabled) ?(trace = Trace.disabled) ?(seed = 1)
-    ?(jobs = 1) ?(kernel = Flat) csr ~terminals ~samples =
-  fixed ~obs ~trace ~jobs ~kernel ~estimator:"mc" csr ~terminals ~samples
-  @@ fun o ->
-  let t = Chunked.start ~o ~trace ~seed ~jobs ~kernel csr ~terminals 0 in
-  Chunked.mc_draw t ~samples;
-  Chunked.mc_estimate t
-
 (* The graph entry points keep the graph's own terminal messages.
    [?csr] lets a caller holding a prebuilt snapshot (the engine's
    per-graph cache) skip reconstruction; the Csr is a pure function of
    [g], so a cached snapshot cannot change any estimate. *)
 let csr_of ?csr g = match csr with Some c -> c | None -> Kernel.Csr.of_graph g
 
-let monte_carlo ?obs ?trace ?seed ?jobs ?kernel ?csr g ~terminals ~samples =
+let monte_carlo ?(obs = Obs.disabled) ?(trace = Trace.disabled) ?(seed = 1)
+    ?(jobs = 1) ?(kernel = Flat) ?csr g ~terminals ~samples =
   Ugraph.validate_terminals g terminals;
-  monte_carlo_csr ?obs ?trace ?seed ?jobs ?kernel (csr_of ?csr g) ~terminals
-    ~samples
+  let csr = csr_of ?csr g in
+  fixed ~obs ~trace ~jobs ~kernel ~estimator:"mc" csr ~terminals ~samples
+  @@ fun o ->
+  let t = Chunked.start ~o ~trace ~seed ~jobs ~kernel csr ~terminals 0 in
+  Chunked.mc_draw t ~samples;
+  Chunked.mc_estimate t
 
 let horvitz_thompson ?(obs = Obs.disabled) ?(trace = Trace.disabled)
     ?(seed = 1) ?(jobs = 1) ?(kernel = Flat) ?csr g ~terminals ~samples =
@@ -579,135 +547,3 @@ let horvitz_thompson ?(obs = Obs.disabled) ?(trace = Trace.disabled)
   Obs.add o "distinct" e.distinct;
   Obs.add o "connectivity_checks" e.distinct;
   e
-
-(* ------------------------------------------------------------------ *)
-(* Retained reference implementation                                   *)
-(* ------------------------------------------------------------------ *)
-
-(* The pre-kernel sampling path, kept as the differential oracle for
-   the flat kernels: boxed-edge iteration into a [bool array] mask,
-   full-reset union-find over every present edge
-   (Connectivity.terminals_connected_dsu), bool-array mask hashing, and
-   the list-accumulating HT merge. Sequential (chunk loop on the
-   calling domain) but chunked and split-streamed exactly like the
-   kernel path, so for a fixed seed the estimates must be BIT-IDENTICAL
-   to monte_carlo / horvitz_thompson at every jobs value. The kernel
-   equivalence qcheck suite (test_kernel.ml), the bench `kernels`
-   section, and the selfcheck oracle sweep all compare against this
-   module. *)
-module Reference = struct
-  let monte_carlo ?(seed = 1) g ~terminals ~samples =
-    validate ~samples ~n:(Ugraph.n_vertices g) ~jobs:1 terminals;
-    if List.length terminals < 2 then trivial_estimate ~jobs:1 1.
-    else begin
-      let m = Ugraph.n_edges g in
-      let n = Ugraph.n_vertices g in
-      let chunks = Par.chunks ~total:samples ~target:(chunk_target_for ~edges:m) in
-      let rngs = chunk_streams ~seed (Array.length chunks) in
-      let present = Array.make m false in
-      let dsu = Dsu.create n in
-      let hits = ref 0 in
-      Array.iteri
-        (fun i (_, len) ->
-          let rng = rngs.(i) in
-          for _ = 1 to len do
-            Ugraph.iter_edges
-              (fun eid (e : Ugraph.edge) ->
-                present.(eid) <- Prng.bernoulli rng e.p)
-              g;
-            if Graphalgo.Connectivity.terminals_connected_dsu dsu g ~present
-                 terminals
-            then incr hits
-          done)
-        chunks;
-      let hits = !hits in
-      let value = float_of_int hits /. float_of_int samples in
-      {
-        value;
-        samples_used = samples;
-        hits;
-        distinct = 0;
-        variance_estimate = value *. (1. -. value) /. float_of_int samples;
-        jobs_used = Par.effective_jobs 1;
-        chunk_samples = Array.map snd chunks;
-      }
-    end
-
-  let horvitz_thompson ?(seed = 1) g ~terminals ~samples =
-    validate ~samples ~n:(Ugraph.n_vertices g) ~jobs:1 terminals;
-    if List.length terminals < 2 then trivial_estimate ~jobs:1 1.
-    else begin
-      let m = Ugraph.n_edges g in
-      let n = Ugraph.n_vertices g in
-      let chunks = Par.chunks ~total:samples ~target:(chunk_target_for ~edges:m) in
-      let rngs = chunk_streams ~seed (Array.length chunks) in
-      let present = Array.make m false in
-      let dsu = Dsu.create n in
-      let chunk_tables =
-        Array.mapi
-          (fun i (_, len) ->
-            let rng = rngs.(i) in
-            let seen : (int, Xprob.t * bool) Hashtbl.t = Hashtbl.create len in
-            let order = ref [] in
-            for _ = 1 to len do
-              let prob = draw_sample rng g present in
-              let h = mask_hash present m in
-              if not (Hashtbl.mem seen h) then begin
-                let connected =
-                  Graphalgo.Connectivity.terminals_connected_dsu dsu g ~present
-                    terminals
-                in
-                Hashtbl.add seen h (prob, connected);
-                order := h :: !order
-              end
-            done;
-            (seen, List.rev !order))
-          chunks
-      in
-      let entries =
-        let merged : (int, unit) Hashtbl.t = Hashtbl.create samples in
-        let entries = ref [] in
-        Array.iter
-          (fun (tab, order) ->
-            List.iter
-              (fun h ->
-                if not (Hashtbl.mem merged h) then begin
-                  Hashtbl.add merged h ();
-                  entries := Hashtbl.find tab h :: !entries
-                end)
-              order)
-          chunk_tables;
-        List.rev !entries
-      in
-      let hits =
-        List.fold_left
-          (fun acc (_, connected) -> if connected then acc + 1 else acc)
-          0 entries
-      in
-      let value =
-        List.fold_left
-          (fun acc (q, connected) ->
-            if connected then acc +. ht_weight_x q samples else acc)
-          0. entries
-      in
-      let s_f = float_of_int samples in
-      let correction =
-        List.fold_left
-          (fun acc (q, connected) ->
-            if connected then
-              acc +. ((s_f -. 1.) *. Xprob.to_float_approx (Xprob.mul q q))
-            else acc)
-          0. entries
-      in
-      let v = (value *. (1. -. value) /. s_f) -. (correction /. (2. *. s_f)) in
-      {
-        value;
-        samples_used = samples;
-        hits;
-        distinct = List.length entries;
-        variance_estimate = Float.max 0. v;
-        jobs_used = Par.effective_jobs 1;
-        chunk_samples = Array.map snd chunks;
-      }
-    end
-end

@@ -23,9 +23,9 @@
     kernel ({!Kernel}): a CSR snapshot of the graph plus one reusable
     per-domain scratch holding the drawn-present buffer, the packed mask
     words, and the early-exit union–find. The kernel consumes the exact
-    same Prng stream in the exact same order as the retained
-    {!Reference} implementations, so moving the hot loops onto it
-    changed throughput, not results.
+    same Prng stream in the exact same order as the retained pre-kernel
+    implementations ([Check.Reference], the differential oracle), so
+    moving the hot loops onto it changed throughput, not results.
 
     {2 Instrumentation}
 
@@ -83,7 +83,8 @@ type estimate = {
 
 type kernel_mode =
   | Flat  (** scalar draw: one [Prng.bernoulli] per edge per sample —
-              the pre-kernel stream, bit-identical to {!Reference} *)
+              the pre-kernel stream, bit-identical to
+              [Check.Reference] *)
   | Bitsliced
       (** word-parallel draw: 62 worlds per {!Prng.Bitbatch.draw} pass
           through [Kernel.draw_bitsliced]. MC and HT both decide
@@ -132,12 +133,6 @@ val interval : estimate -> float * float
     sampling noise). The trivial [k < 2] estimate ([samples_used = 0])
     is exact and reports the point interval [(value, value)]. *)
 
-val mask_hash : bool array -> int -> int
-(** [mask_hash present m] is the non-negative 62-bit content hash of the
-    first [m] mask bits ({!Hash64.mask}) identifying a sampled possible
-    graph in the HT dedup tables. Exposed for the collision regression
-    tests. *)
-
 val ht_weight : logq:float -> n:int -> float
 (** The Horvitz–Thompson weight [q / pi] with [pi = 1 - (1 - q)^n],
     computed stably from [logq = ln q] (so probabilities far below
@@ -155,8 +150,9 @@ val monte_carlo :
     above. [kernel] (default {!Flat}) selects the draw kernel; the
     chosen mode is recorded in the [sampling.kernel.mode] Obs text.
     [csr] supplies a prebuilt {!Kernel.Csr.t} snapshot of [g] (the
-    engine's per-graph cache); the Csr is a pure function of the graph,
-    so passing one never changes the estimate. MC draws with
+    engine's per-graph cache, or [Kernel.Csr.of_arrays] over a binary
+    graph's packed arrays); the Csr is a pure function of the graph, so
+    passing one never changes the estimate. MC draws with
     replacement and never deduplicates, so [distinct = 0] (not
     measured). @raise Invalid_argument on invalid terminals,
     [samples <= 0], or [jobs <= 0]. *)
@@ -170,7 +166,7 @@ val horvitz_thompson :
     [pi_i = 1 - (1 - Pr[Gp_i])^s].
 
     Sampled graphs are deduplicated by a 62-bit content hash of the
-    edge mask ({!mask_hash}, full-avalanche packed-word mixing). A hash
+    edge mask ({!Hash64.mask}, full-avalanche packed-word mixing). A hash
     collision {e merges} the colliding masks: the later mask is treated
     as a duplicate of the earlier one, so its probability and indicator
     are dropped from the sum — a bias of order [2^-62] per sample pair,
@@ -190,35 +186,6 @@ val horvitz_thompson :
     twice (same result) but counted once.
 
     @raise Invalid_argument as for {!monte_carlo}. *)
-
-val monte_carlo_csr :
-  ?obs:Obs.t -> ?trace:Trace.t -> ?seed:int -> ?jobs:int ->
-  ?kernel:kernel_mode -> Kernel.Csr.t ->
-  terminals:int list -> samples:int -> estimate
-(** {!monte_carlo} on a bare snapshot — the binary-graph fast path,
-    where the Csr came from [Kernel.Csr.of_arrays] and no [Ugraph.t]
-    ever existed. Terminals are validated against the snapshot's
-    vertex count. For a snapshot built by [Kernel.Csr.of_graph g] the
-    result is bit-identical to [monte_carlo g] (same chunk layout,
-    same streams). *)
-
-(** The pre-kernel sampling paths, retained verbatim as the
-    differential oracle for the flat kernels: boxed-edge iteration into
-    a [bool array] mask, full-reset union–find connectivity, bool-array
-    mask hashing, and the list-accumulating HT merge. Sequential, but
-    chunked and split-streamed identically to the kernel path — for a
-    fixed seed the estimates are bit-identical to {!monte_carlo} /
-    {!horvitz_thompson} at every [jobs] value. Exercised by
-    [test/test_kernel.ml], the bench [kernels] section, and the
-    [netrel selfcheck] oracle sweep; not instrumented and not meant for
-    production use. *)
-module Reference : sig
-  val monte_carlo :
-    ?seed:int -> Ugraph.t -> terminals:int list -> samples:int -> estimate
-
-  val horvitz_thompson :
-    ?seed:int -> Ugraph.t -> terminals:int list -> samples:int -> estimate
-end
 
 (** The one chunk loop every sampler runs on. A stream retains the
     master generator and splits one fresh stream per chunk as rounds

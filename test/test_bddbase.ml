@@ -181,7 +181,7 @@ let t_descend_estimates_reliability () =
   let s = 40_000 in
   let hits = ref 0 in
   for _ = 1 to s do
-    if Fstate.descend ctx ~eager:true ~pos:0 Fstate.initial
+    if Check.Reference.descend ctx ~eager:true ~pos:0 Fstate.initial
          ~bernoulli:(fun p -> Prng.bernoulli r p)
     then incr hits
   done;
@@ -205,7 +205,8 @@ let t_descend_from_intermediate () =
     let s = 40_000 in
     let hits = ref 0 in
     for _ = 1 to s do
-      if Fstate.descend ctx ~eager:true ~pos st ~bernoulli:(fun p -> Prng.bernoulli r p)
+      if Check.Reference.descend ctx ~eager:true ~pos st
+           ~bernoulli:(fun p -> Prng.bernoulli r p)
       then incr hits
     done;
     float_of_int !hits /. float_of_int s

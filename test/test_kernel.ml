@@ -2,8 +2,8 @@
    The kernel's contract is bit-identity with the retained reference
    paths — same Prng consumption, same hashes, same float-operation
    order — so almost everything here is an exact equality check against
-   [Mcsampling.Reference], [Fstate.descend_union], or the bool-array
-   originals, not a tolerance comparison. *)
+   [Check.Reference] (the pre-kernel samplers and [descend_union]) or
+   the bool-array originals, not a tolerance comparison. *)
 
 open Testutil
 module K = Kernel
@@ -237,10 +237,10 @@ let prop_samplers_match_reference =
       let samples = 700 in
       let seed = 5 + n in
       let mc_ref =
-        Mcsampling.Reference.monte_carlo ~seed g ~terminals:ts ~samples
+        Check.Reference.monte_carlo ~seed g ~terminals:ts ~samples
       in
       let ht_ref =
-        Mcsampling.Reference.horvitz_thompson ~seed g ~terminals:ts ~samples
+        Check.Reference.horvitz_thompson ~seed g ~terminals:ts ~samples
       in
       List.for_all
         (fun jobs ->
@@ -283,7 +283,8 @@ let prop_descend_kernel_matches_union =
         (fun detail ->
           let r1 = Prng.create seed and r2 = Prng.create seed in
           let a =
-            F.descend_union ctx ~dsu ~detail ~pos:0 F.initial
+            Check.Reference.descend_union ctx g ~terminals:ts ~dsu ~detail
+              ~pos:0 F.initial
               ~bernoulli:(fun p -> Prng.bernoulli r1 p)
           in
           let b = kernel_triple ctx sc ~detail ~pos:0 F.initial r2 in
@@ -328,7 +329,8 @@ let prop_descend_kernel_resume =
           (fun detail ->
             let r1 = Prng.create seed and r2 = Prng.create seed in
             let a =
-              F.descend_union ctx ~dsu ~detail ~pos st
+              Check.Reference.descend_union ctx g ~terminals:ts ~dsu ~detail
+                ~pos st
                 ~bernoulli:(fun p -> Prng.bernoulli r1 p)
             in
             let b = kernel_triple ctx sc ~detail ~pos st r2 in

@@ -232,13 +232,13 @@ let t_mask_hash_collision () =
   Alcotest.(check int) "old hash collides" (old_mask_hash ma 62)
     (old_mask_hash mb 62);
   Alcotest.(check bool) "new hash separates the pair" true
-    (Mcsampling.mask_hash ma 62 <> Mcsampling.mask_hash mb 62);
+    (Hash64.mask ma 62 <> Hash64.mask mb 62);
   (* An HT-style dedup table keyed on the new hash counts both
      completions; under the old hash the second was silently dropped. *)
   let seen = Hashtbl.create 16 in
   List.iter
     (fun m ->
-      let h = Mcsampling.mask_hash m 62 in
+      let h = Hash64.mask m 62 in
       if not (Hashtbl.mem seen h) then Hashtbl.add seen h ())
     [ ma; mb; ma ];
   Alcotest.(check int) "dedup counts both masks" 2 (Hashtbl.length seen)
@@ -248,29 +248,34 @@ let t_mask_hash_basic () =
   for _ = 1 to 200 do
     let m = 1 + Prng.int r 200 in
     let a = Array.init m (fun _ -> Prng.bool r) in
-    let h = Mcsampling.mask_hash a m in
-    Alcotest.(check int) "deterministic" h (Mcsampling.mask_hash a m);
+    let h = Hash64.mask a m in
+    Alcotest.(check int) "deterministic" h (Hash64.mask a m);
     Alcotest.(check bool) "nonnegative" true (h >= 0);
     let i = Prng.int r m in
     let b = Array.copy a in
     b.(i) <- not b.(i);
     Alcotest.(check bool) "single bit flip separates" true
-      (h <> Mcsampling.mask_hash b m)
+      (h <> Hash64.mask b m)
   done;
   (* The length is folded in, so a prefix never aliases the full mask. *)
   let a = Array.make 64 false in
   Alcotest.(check bool) "length matters" true
-    (Mcsampling.mask_hash a 62 <> Mcsampling.mask_hash a 63)
+    (Hash64.mask a 62 <> Hash64.mask a 63)
 
 (* Same regression at the Fstate layer: the detailed descent hashes the
    completion it samples, one bernoulli per position, so scripting the
    two colliding masks onto a 62-edge path (identity order keeps stream
    position = edge id) reproduces the exact completions the HT descent
-   table used to conflate. *)
+   table used to conflate. The reference descent takes the script as
+   its [bernoulli]; the production descent draws from a stream, so it
+   runs on a path whose edge probabilities are the mask bits (1.0 or
+   0.0), which every stream draws as exactly that mask. *)
 let t_descent_hash_collision () =
-  let n = 63 in
-  let g = graph ~n (List.init 62 (fun i -> (i, i + 1, 0.5))) in
-  let ctx = Fstate.make g ~order:(Array.init 62 Fun.id) ~terminals:[ 0; 62 ] in
+  let n = 63 and terminals = [ 0; 62 ] in
+  let path p = graph ~n (List.init 62 (fun i -> (i, i + 1, p i))) in
+  let order = Array.init 62 Fun.id in
+  let g = path (fun _ -> 0.5) in
+  let ctx = Fstate.make g ~order ~terminals in
   let dsu = Dsu.create (2 * n) in
   let descend mask =
     let i = ref 0 in
@@ -280,15 +285,30 @@ let t_descent_hash_collision () =
       b
     in
     let _, h, _ =
-      Fstate.descend_union ctx ~dsu ~detail:true ~pos:0 Fstate.initial
-        ~bernoulli:bern
+      Check.Reference.descend_union ctx g ~terminals ~dsu ~detail:true ~pos:0
+        Fstate.initial ~bernoulli:bern
     in
     h
   in
   let ma = mask_of coll_a and mb = mask_of coll_b in
   Alcotest.(check int) "same completion, same hash" (descend ma) (descend ma);
   Alcotest.(check bool) "collision pair separates" true
-    (descend ma <> descend mb)
+    (descend ma <> descend mb);
+  let sc = Kernel.create () in
+  let kernel_hash mask =
+    let g = path (fun i -> if mask.(i) then 1.0 else 0.0) in
+    let ctx = Fstate.make g ~order ~terminals in
+    ignore
+      (Fstate.descend_kernel ctx ~scratch:sc ~detail:true ~pos:0 Fstate.initial
+         (Prng.create 1));
+    Kernel.mask_hash sc
+  in
+  Alcotest.(check int) "kernel descent hash, mask a" (Hash64.mask ma 62)
+    (kernel_hash ma);
+  Alcotest.(check int) "kernel descent hash, mask b" (Hash64.mask mb 62)
+    (kernel_hash mb);
+  Alcotest.(check bool) "kernel descent separates the pair" true
+    (kernel_hash ma <> kernel_hash mb)
 
 (* ---- shared Horvitz–Thompson weight ---- *)
 
