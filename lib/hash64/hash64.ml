@@ -1,7 +1,8 @@
 (* splitmix64 finalizer: xor-shift-multiply twice, then a final shift.
    Bijective on 64-bit words, full avalanche (every input bit flips each
-   output bit with probability ~1/2). *)
-let mix64 (z : int64) : int64 =
+   output bit with probability ~1/2). Inlined, so the digest loops below
+   keep their int64 state unboxed instead of boxing one per word. *)
+let[@inline] mix64 (z : int64) : int64 =
   let open Int64 in
   let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in

@@ -85,7 +85,16 @@ let t_per_call_rounds () =
     (words_per_call ~reps:Prng.Bitbatch.lanes (fun () ->
          ignore (K.world_prob sc c ~lane:!lane);
          lane := (!lane + 1) mod Prng.Bitbatch.lanes));
+  (* The world digests fold one packed word per 62 edges (162 here):
+     a boxed int64 per word would cost about 970 words per call. *)
+  K.transpose_worlds sc;
+  check_below "world_hash per call" ~limit:64.
+    (words_per_call ~reps:Prng.Bitbatch.lanes (fun () ->
+         ignore (K.world_hash sc ~lane:!lane);
+         lane := (!lane + 1) mod Prng.Bitbatch.lanes));
   K.draw_prob sc c g;
+  check_below "mask_hash per call" ~limit:64.
+    (words_per_call ~reps:100 (fun () -> ignore (K.mask_hash sc)));
   check_below "drawn_prob per call" ~limit:64.
     (words_per_call ~reps:100 (fun () -> ignore (K.drawn_prob sc c)));
   check_below "drawn_log_q per call" ~limit:64.
