@@ -987,6 +987,16 @@ let benchdiff_cmd =
     Arg.(value & flag & info [ "json" ] ~doc)
   in
   let run old_file new_file tolerance mad_mult json = guarded @@ fun () ->
+    (* A nan or infinite multiplier passes every row, switching the gate
+       off; a negative one has no meaning. *)
+    List.iter
+      (fun (flag, v) ->
+        if not (Float.is_finite v && v >= 0.) then
+          or_die
+            (Error
+               (Printf.sprintf "%s must be a finite number >= 0 (got %g)" flag
+                  v)))
+      [ ("--tolerance", tolerance); ("--mad-mult", mad_mult) ];
     let parse path =
       let ic = open_in path in
       let s =
