@@ -30,11 +30,12 @@ bench-smoke:
 	dune exec bench/main.exe -- --force --only parallel --quick --json \
 	  $(if $(BENCH_TRACE),--trace)
 
-# Flat-kernel throughput vs the retained reference samplers (karate,
-# jobs = 1, `= ref` bit-identity column), emitting the self-validated
-# BENCH_kernels.json at the repo root — the tracked kernel-speedup
-# artifact (compare its kernel-mc samples/s against the sampling-mc
-# seconds in BENCH_parallel.json). Also runs under `dune runtest`.
+# Flat-kernel throughput vs the retained reference samplers
+# (Check.Reference in lib/check; karate, jobs = 1, `= ref` bit-identity
+# column), emitting the self-validated BENCH_kernels.json at the repo
+# root — the tracked kernel-speedup artifact (compare its kernel-mc
+# samples/s against the sampling-mc seconds in BENCH_parallel.json).
+# Also runs under `dune runtest`.
 bench-kernels:
 	dune exec bench/main.exe -- --force --only kernels --quick --json \
 	  $(if $(BENCH_TRACE),--trace)

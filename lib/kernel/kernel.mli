@@ -4,10 +4,10 @@
     connectivity". A draw allocates nothing per edge — {!Prng} reads
     each probability out of the snapshot's array itself
     ({!Prng.bernoulli_at}, {!Prng.Bitbatch.draw_at}), so no float is
-    boxed to cross the module boundary — and a connectivity round or a
+    boxed to cross the module boundary — and a connectivity round, a
     probability reader ({!drawn_prob}, {!drawn_log_q}, {!world_prob})
-    a constant number of words per call ([test/test_alloc.ml] holds
-    these bounds).
+    or a world digest ({!mask_hash}, {!world_hash}) a constant number
+    of words per call ([test/test_alloc.ml] holds these bounds).
 
     Three pieces:
 
@@ -42,9 +42,10 @@
 
     The kernel never draws fewer Prng values than the reference (the
     draw always scans every remaining edge); only the union work is cut
-    short. Differential oracles: [Mcsampling.Reference] and
-    [Fstate.descend_union], kept bit-for-bit compatible and checked by
-    [test/test_kernel.ml] and the [netrel selfcheck] sweep. *)
+    short. Differential oracles: the pre-kernel samplers and the
+    union–find descent in [Check.Reference] (library [check]), kept
+    bit-for-bit compatible and checked by [test/test_kernel.ml] and
+    the [netrel selfcheck] sweep. *)
 
 (** Immutable CSR-style graph snapshot. *)
 module Csr : sig
@@ -179,7 +180,7 @@ val drawn_log_q : t -> Csr.t -> float
 (** The log-probability of the last detail draw over its positions
     [pos .. m - 1]: the sum in position order of [log p] for present
     edges with [p < 1] and [log1p (-p)] for absent ones, the value
-    [Fstate.descend_union] accumulates as it draws. O(m - pos): the
+    [Check.Reference.descend_union] accumulates as it draws. O(m - pos): the
     pro-ht descents call it only for the first occurrence of a
     connected completion.
     @raise Invalid_argument if the last flat draw ran against a
