@@ -154,14 +154,14 @@ let section_trace cfg = if cfg.trace then Trace.create () else Trace.disabled
 
 (* One instrumented run: execute [f ~obs ~trace], time it on the
    observer's clock, and assemble the Statsdoc document. *)
-let stats_run cfg ~method_name ~graph ~ts ~s ~w ~trace f =
+let stats_run cfg ?(jobs = 1) ~method_name ~graph ~ts ~s ~w ~trace f =
   let obs = Obs.create () in
   let t0 = Obs.now obs in
   let result = f ~obs ~trace in
   let seconds = Obs.now obs -. t0 in
   let run_meta =
     { SD.command = "bench"; method_ = method_name; graph; terminals = ts;
-      seed = cfg.seed; jobs = 1; samples = s; width = w }
+      seed = cfg.seed; jobs; samples = s; width = w }
   in
   SD.build ~obs ~run:run_meta ~seconds ~result
 
@@ -169,9 +169,9 @@ let stats_run cfg ~method_name ~graph ~ts ~s ~w ~trace f =
    computed results are bit-identical (determinism contract), only the
    wall-clock and GC readings vary, which is exactly the repeat noise
    benchdiff's median/MAD thresholds feed on. *)
-let stats_runs cfg ~method_name ~graph ~ts ~s ~w ~trace f =
+let stats_runs cfg ?jobs ~method_name ~graph ~ts ~s ~w ~trace f =
   List.init (max 1 cfg.repeats) (fun _ ->
-      stats_run cfg ~method_name ~graph ~ts ~s ~w ~trace f)
+      stats_run cfg ?jobs ~method_name ~graph ~ts ~s ~w ~trace f)
 
 let terminals cfg ~search g ~k =
   G.random_terminals ~seed:(cfg.seed + (1000 * search)) g ~k
@@ -967,14 +967,6 @@ let assert_adaptive_counters ~method_name doc =
             (Printf.sprintf "stats doc for %s missing adaptive.%s" method_name k))
       [ "rounds"; "samples_planned"; "samples_used"; "ci_width"; "target_width" ]
 
-let adaptive_result_doc (r : Adaptive.result) =
-  SD.result_of_adaptive ~value:r.Adaptive.value ~lower:r.Adaptive.lower
-    ~upper:r.Adaptive.upper ~exact:r.Adaptive.exact
-    ~ci_width:r.Adaptive.ci_width ~target_width:r.Adaptive.target_width
-    ~samples_used:r.Adaptive.samples_used
-    ~samples_planned:r.Adaptive.samples_planned ~rounds:r.Adaptive.rounds
-    ~stop:(Adaptive.stop_name r.Adaptive.stop)
-
 let adaptive cfg =
   banner "Adaptive: sequential stopping vs fixed sample budgets"
     "Each method draws in rounds until the 95% Wilson interval is no wider\n\
@@ -1041,7 +1033,8 @@ let adaptive cfg =
           let docs =
             stats_runs cfg ~method_name ~graph:d.D.abbr ~ts ~s:cap ~w:0
               ~trace:tr
-              (fun ~obs ~trace -> adaptive_result_doc (run ~obs ~trace))
+              (fun ~obs ~trace ->
+                Engine.result_json (Engine.Stopped (run ~obs ~trace)))
           in
           List.iter (assert_adaptive_counters ~method_name) docs;
           add docs
@@ -1252,6 +1245,9 @@ let large cfg =
      mmap open + CSR build time lands in run.seconds of the load-mmap\n\
      rows, kernel throughput in sampling.kernel.samples_per_sec of the\n\
      mc and ht rows.\n\
+     The jobs = 2 rows run the serve benchmark's one-chunk budgets,\n\
+     which a round cuts into one piece per domain; `= j1` asserts each\n\
+     bit-identical to the jobs = 1 estimate.\n\
      The preprocess rows time the extension technique alone, the pro\n\
      rows a whole Pro(MC) estimate at w = 1,000, s = 200 (its value\n\
      asserted inside its proven bounds).";
@@ -1282,6 +1278,10 @@ let large cfg =
   let k = 5 in
   let stats_docs = ref [] in
   let tr = section_trace cfg in
+  (* The jobs = 2 rows run after every graph's jobs = 1 rows, so that
+     those run as they always have, in a process whose domain pool has
+     not yet spawned a worker. *)
+  let split_rows = ref [] in
   List.iter
     (fun (name, gen) ->
       let g = Workload.Probability.uniform ~seed:(cfg.seed + 2) (gen ()) in
@@ -1307,11 +1307,11 @@ let large cfg =
             "samples/s" "= text";
           (* [sample None] runs on the text path's own snapshot,
              [sample (Some csr)] on the binary path's. *)
-          let mc kernel csr ~obs ~trace =
-            Mcsampling.monte_carlo ~obs ~trace ~seed:cfg.seed ~jobs:1 ~kernel
-              ?csr g ~terminals:ts ~samples:s
-          and ht kernel csr ~obs ~trace =
-            Mcsampling.horvitz_thompson ~obs ~trace ~seed:cfg.seed ~jobs:1
+          let mc ?(jobs = 1) ?(samples = s) kernel csr ~obs ~trace =
+            Mcsampling.monte_carlo ~obs ~trace ~seed:cfg.seed ~jobs ~kernel
+              ?csr g ~terminals:ts ~samples
+          and ht ?(jobs = 1) kernel csr ~obs ~trace =
+            Mcsampling.horvitz_thompson ~obs ~trace ~seed:cfg.seed ~jobs
               ~kernel ?csr g ~terminals:ts ~samples:s_ht
           in
           let row label ~samples sample =
@@ -1338,6 +1338,19 @@ let large cfg =
             if cfg.json then
               List.iter (fun doc -> stats_docs := doc :: !stats_docs) docs
           in
+          let mode_doc ?jobs method_name ~samples ~expect sample =
+            let docs =
+              stats_runs cfg ?jobs ~method_name ~graph:name ~ts ~s:samples
+                ~w:0 ~trace:tr (fun ~obs ~trace ->
+                  SD.result_of_estimate (sample (Some csr) ~obs ~trace))
+            in
+            List.iter
+              (fun doc ->
+                assert_kernel_counters ~method_name doc;
+                assert_kernel_mode ~method_name ~expect doc)
+              docs;
+            add docs
+          in
           if cfg.json || cfg.trace then begin
             (* run.seconds of these rows is the mmap open + CSR build
                cost; the result value records the edge count so the
@@ -1350,19 +1363,6 @@ let large cfg =
                    SD.result_value
                      ~value:(float_of_int (Bingraph.n_edges bg))
                      ~exact:true));
-            let mode_doc method_name ~samples ~expect sample =
-              let docs =
-                stats_runs cfg ~method_name ~graph:name ~ts ~s:samples ~w:0
-                  ~trace:tr (fun ~obs ~trace ->
-                    SD.result_of_estimate (sample (Some csr) ~obs ~trace))
-              in
-              List.iter
-                (fun doc ->
-                  assert_kernel_counters ~method_name doc;
-                  assert_kernel_mode ~method_name ~expect doc)
-                docs;
-              add docs
-            in
             mode_doc "mc-flat" ~samples:s ~expect:"flat" (mc Mcsampling.Flat);
             mode_doc "mc-bitsliced" ~samples:s ~expect:"bitsliced"
               (mc Mcsampling.Bitsliced);
@@ -1370,6 +1370,44 @@ let large cfg =
             mode_doc "ht-bitsliced" ~samples:s_ht ~expect:"bitsliced"
               (ht Mcsampling.Bitsliced)
           end;
+          (* The serve benchmark's budgets, one chunk each at this size,
+             which jobs = 2 runs as two pieces. *)
+          split_rows :=
+            (fun () ->
+              Printf.printf "--- %s, jobs = 2 ---\n" name;
+              Printf.printf "%-15s %14s %10s %11s %7s\n" "Method" "R" "time"
+                "samples/s" "= j1";
+              List.iter
+                (fun (label, method_name, samples, expect, sample) ->
+                  let run jobs =
+                    sample ~jobs (Some csr) ~obs:Obs.disabled
+                      ~trace:Trace.disabled
+                  in
+                  let e1 = run 1 in
+                  let e, t = Relstats.time (fun () -> run 2) in
+                  let same = { e with Mcsampling.jobs_used = 1 } = e1 in
+                  Printf.printf "%-15s %14.8f %10s %11.0f %7b\n" label
+                    e.Mcsampling.value
+                    (Relstats.format_seconds t)
+                    (if t > 0. then float_of_int samples /. t else 0.)
+                    same;
+                  if not same then
+                    failwith
+                      (Printf.sprintf
+                         "large: %s %s at jobs 2 diverged from jobs 1" name
+                         label);
+                  if cfg.json || cfg.trace then
+                    mode_doc ~jobs:2 method_name ~samples ~expect
+                      (sample ~jobs:2))
+                [ ("MC(flat)", "mc-flat-j2", s_ht, "flat",
+                   fun ~jobs -> mc ~jobs ~samples:s_ht Mcsampling.Flat);
+                  ("HT(flat)", "ht-flat-j2", s_ht, "flat",
+                   fun ~jobs -> ht ~jobs Mcsampling.Flat);
+                  ("MC(bitsliced)", "mc-bitsliced-j2", 3 * s_ht, "bitsliced",
+                   fun ~jobs ->
+                     mc ~jobs ~samples:(3 * s_ht) Mcsampling.Bitsliced) ];
+              print_newline ())
+            :: !split_rows;
           (* The preprocess and pro rows are the section's slowest: when
              documents are collected the printed row is the first
              instrumented run instead of one more run of its own. *)
@@ -1422,6 +1460,7 @@ let large cfg =
             pro.R.upper pro.R.samples_drawn;
           print_newline ()))
     graphs;
+  List.iter (fun rows -> rows ()) (List.rev !split_rows);
   emit_json cfg ~section:"large" ~trace:tr (List.rev !stats_docs)
 
 let all_sections =

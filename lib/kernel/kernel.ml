@@ -276,6 +276,13 @@ let draw_sub t (c : Csr.t) ~pos ~detail rng =
 let draw t c rng = draw_sub t c ~pos:0 ~detail:false rng
 let draw_prob t c rng = draw_sub t c ~pos:0 ~detail:true rng
 
+(* [Prng.bernoulli] draws nothing at [p >= 1] or [p <= 0]; the same
+   two tests count the positions it draws for. *)
+let draw_outputs (c : Csr.t) =
+  Array.fold_left
+    (fun n p -> if p >= 1. || p <= 0. then n else n + 1)
+    0 c.Csr.ep
+
 let n_present t = t.n_present
 let mask_hash t = Hash64.mask_words t.words ~bits:t.mask_bits
 

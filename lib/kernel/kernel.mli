@@ -154,6 +154,13 @@ val draw_sub : t -> Csr.t -> pos:int -> detail:bool -> Prng.t -> unit
     (bit [i] = outcome of position [pos + i]) for {!mask_hash} and
     {!drawn_log_q}. *)
 
+val draw_outputs : Csr.t -> int
+(** Generator outputs one whole-snapshot flat draw ({!draw},
+    {!draw_prob}) consumes: one per position with [0 < p < 1], since
+    {!Prng.bernoulli} draws nothing at [p <= 0] or [p >= 1]. So
+    [Prng.advance g (k * draw_outputs c)] leaves [g] where [k] such
+    draws would. *)
+
 val n_present : t -> int
 (** Number of present edges in the last draw. *)
 

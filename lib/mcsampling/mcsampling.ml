@@ -120,8 +120,9 @@ let emit_estimate trace (e : estimate) =
   end;
   e
 
-(* Per-chunk sampling loops, one per kernel mode. The flat bodies are
-   the original inner loops verbatim (the bit-identity contract with
+(* Sampling loops over one piece of a chunk (a chunk that is not cut
+   is one piece), one per kernel mode. The flat bodies are the
+   original inner loops verbatim (the bit-identity contract with
    [Check.Reference] rests on them); the bit-sliced bodies draw
    batches of [Prng.Bitbatch.lanes] worlds per pass, masking the
    ragged last batch to its live lanes — the full-width draw always
@@ -143,14 +144,15 @@ let depth_record depth sc =
   | Some h -> Metrics.Histogram.record h (Kernel.union_steps sc)
 
 (* Fold one chunk's instrumentation into the sampling observer (main
-   thread, chunk order). *)
-let chunk_obs o dt depth gd =
+   thread, chunk order). [gds] are its pieces' GC deltas, which the
+   [gc] cells add up. *)
+let chunk_obs o dt depth gds =
   Obs.record_span o "chunk" dt;
   Obs.hist_seconds o "hist.chunk_ns" dt;
   (match depth with
   | None -> ()
   | Some h -> Obs.hist_merge o "hist.early_exit_depth" h);
-  Obs.record_gc o "gc" gd
+  Array.iter (Obs.record_gc o "gc") gds
 
 let sampling_obs obs ~estimator ~kernel =
   let o = Obs.sub obs "sampling" in
@@ -204,31 +206,39 @@ let mc_chunk_bitsliced depth csr term_arr rng len =
    kernels produce the same shape, so the merge and the weighted fold
    are mode-independent; the world hashes agree across modes on equal
    masks (both replay the Hash64.mask digest), so dedup semantics are
-   identical and only the sampled worlds differ. *)
+   identical and only the sampled worlds differ.
+
+   The flat kernel's early-exit depths ride along per entry in
+   [hc_depth] (empty when unobserved) instead of going straight into
+   the histogram: a piece cannot see its chunk's earlier pieces, so it
+   checks again a mask one of them drew, and only the entries that
+   survive [ht_join] may be counted. *)
 type ht_chunk = {
   hc_tab : (int, Xprob.t * bool) Hashtbl.t;
   hc_order : int array;
   hc_n_order : int;
+  hc_depth : int array;
 }
 
 let ht_chunk_flat depth csr term_arr rng len =
   let sc = Kernel.scratch () in
   let seen : (int, Xprob.t * bool) Hashtbl.t = Hashtbl.create len in
   let order = Array.make len 0 in
+  let depths = if Option.is_some depth then Array.make len 0 else [||] in
   let n_order = ref 0 in
   for _ = 1 to len do
     Kernel.draw_prob sc csr rng;
     let h = Kernel.mask_hash sc in
     if not (Hashtbl.mem seen h) then begin
       let connected = Kernel.connected_terminals sc csr term_arr in
-      depth_record depth sc;
+      if Option.is_some depth then depths.(!n_order) <- Kernel.union_steps sc;
       let prob = if connected then Kernel.drawn_prob sc csr else Xprob.zero in
       Hashtbl.add seen h (prob, connected);
       order.(!n_order) <- h;
       incr n_order
     end
   done;
-  { hc_tab = seen; hc_order = order; hc_n_order = !n_order }
+  { hc_tab = seen; hc_order = order; hc_n_order = !n_order; hc_depth = depths }
 
 let ht_chunk_bitsliced depth csr term_arr rng len =
   let sc = Kernel.scratch () in
@@ -254,7 +264,44 @@ let ht_chunk_bitsliced depth csr term_arr rng len =
     done;
     remaining := !remaining - batch
   done;
-  { hc_tab = seen; hc_order = order; hc_n_order = !n_order }
+  { hc_tab = seen; hc_order = order; hc_n_order = !n_order; hc_depth = [||] }
+
+(* A chunk's piece tables, in piece order, folded into the table one
+   pass over the chunk builds: a hash keeps its first occurrence, and
+   its probability, verdict and depth are those of the mask it names.
+   The surviving entries' depths go into the chunk's histogram here,
+   and the joined table drops them. *)
+let ht_join depth hcs =
+  let hc =
+    if Array.length hcs = 1 then hcs.(0)
+    else begin
+      let bound = Array.fold_left (fun acc hc -> acc + hc.hc_n_order) 0 hcs in
+      let tab = Hashtbl.create bound and order = Array.make bound 0 in
+      let keep_depth = Array.length hcs.(0).hc_depth > 0 in
+      let depths = if keep_depth then Array.make bound 0 else [||] in
+      let n = ref 0 in
+      Array.iter
+        (fun hc ->
+          for j = 0 to hc.hc_n_order - 1 do
+            let h = hc.hc_order.(j) in
+            if not (Hashtbl.mem tab h) then begin
+              Hashtbl.add tab h (Hashtbl.find hc.hc_tab h);
+              order.(!n) <- h;
+              if keep_depth then depths.(!n) <- hc.hc_depth.(j);
+              incr n
+            end
+          done)
+        hcs;
+      { hc_tab = tab; hc_order = order; hc_n_order = !n; hc_depth = depths }
+    end
+  in
+  match depth with
+  | Some h when Array.length hc.hc_depth > 0 ->
+    for j = 0 to hc.hc_n_order - 1 do
+      Metrics.Histogram.record h hc.hc_depth.(j)
+    done;
+    { hc with hc_depth = [||] }
+  | _ -> hc
 
 (* ------------------------------------------------------------------ *)
 (* The chunk loop: incremental rounds                                   *)
@@ -270,8 +317,12 @@ let ht_chunk_bitsliced depth csr term_arr rng len =
    partition. A run is therefore replayable from [(seed, round
    schedule)], and since the schedule is itself a deterministic function
    of the observed hit counts, from [(seed, ci_width, max_samples)]
-   alone; [jobs] only places chunks on domains and never affects which
-   streams exist or the fold order. *)
+   alone. [jobs] never affects which streams exist, which worlds they
+   draw or the fold order: it places chunks on domains and, when a
+   round has fewer chunks than domains, cuts each chunk into pieces
+   whose streams are the chunk's, advanced past the earlier pieces'
+   draws ([cut], [skip]); the pieces fold back into their chunk before
+   anything is recorded. *)
 module Chunked = struct
   (* ['acc] is what rounds fold into: the hit count for MC, the
      per-chunk dedup tables (most recent first) for HT. *)
@@ -317,13 +368,80 @@ module Chunked = struct
       ~o:(sampling_obs obs ~estimator ~kernel)
       ~trace ~seed ~jobs ~kernel csr ~terminals acc
 
-  (* One round, parameterised by the chunk body: split the new chunks'
-     streams off the retained master (in chunk order, before any chunk
-     runs), dispatch on the pool, then fold results, instrumentation and
-     per-task trace buffers back in chunk order. [fold] sees chunk
-     results in sample order, so every reduction — integer hits or HT's
+  (* Piece [index] of chunk [chunk]: its worlds [off, off + len), drawn
+     from [rng]. *)
+  type piece = { chunk : int; index : int; off : int; len : int; rng : Prng.t }
+
+  (* With fewer chunks than [lanes], each chunk is cut into contiguous
+     pieces so every domain draws: at any world under the flat kernel,
+     on batch boundaries under the bit-sliced one. The lanes are dealt
+     over the chunks, earlier chunks taking the remainder, so a round
+     runs at most max(chunks, lanes) tasks; within a chunk the earlier
+     pieces take the spare world or batch, since the later ones pay a
+     longer skip. A piece that starts its chunk draws from the chunk's
+     stream; the others get copies taken here, before dispatch, while
+     no piece is drawing from it. *)
+  let cut t ~lanes chunks rngs =
+    let n = Array.length chunks in
+    let unit =
+      match t.kernel with Flat -> 1 | Bitsliced -> Prng.Bitbatch.lanes
+    in
+    Array.mapi
+      (fun i (_, len) ->
+        let units = (len + unit - 1) / unit in
+        let k =
+          min units (max 1 ((lanes / n) + Bool.to_int (i < lanes mod n)))
+        in
+        let base = units / k and extra = units mod k in
+        Array.init k (fun j ->
+            let first = (j * base) + min j extra in
+            let stop = first + base + Bool.to_int (j < extra) in
+            let off = first * unit in
+            {
+              chunk = i;
+              index = j;
+              off;
+              len = min len (stop * unit) - off;
+              rng = (if j = 0 then rngs.(i) else Prng.copy rngs.(i));
+            }))
+      chunks
+
+  (* Bring a piece's stream to where the chunk's stands after [off]
+     worlds. A flat world draws exactly [outputs] generator outputs
+     ([Kernel.draw_outputs]). A bit-sliced batch draws as many as its
+     words need, so the earlier batches are replayed, each at full
+     width as the chunk draws it. *)
+  let skip t ~outputs p =
+    match t.kernel with
+    | Flat -> Prng.advance p.rng (p.off * outputs)
+    | Bitsliced ->
+      let sc = Kernel.scratch () in
+      for _ = 1 to p.off / Prng.Bitbatch.lanes do
+        Kernel.draw_bitsliced sc t.csr p.rng
+      done
+
+  (* One piece's result and instrumentation, kept until its chunk's
+     last piece joins them. *)
+  type 'r part = {
+    r : 'r;
+    ts : float;
+    t0 : float;
+    depth : Metrics.Histogram.t option;
+    gd : Metrics.Gcstat.delta;
+  }
+
+  (* One round, parameterised by the chunk body and by [join], which
+     folds a chunk's piece results (in piece order, with the chunk's
+     depth histogram) into the chunk's. Split the new chunks' streams
+     off the retained master (in chunk order, before any chunk runs),
+     cut the pieces, dispatch them on the pool. The piece that
+     finishes its chunk last joins it and records the chunk's trace
+     span, from its earliest piece's start, on the chunk's lane. The
+     calling thread then folds each chunk's result, instrumentation
+     and trace buffer in chunk order. [fold] sees chunk results in
+     sample order, so every reduction — integer hits or HT's
      first-occurrence merge — is deterministic by construction. *)
-  let round t ~samples ~name ~body ~args ~init ~fold =
+  let round t ~samples ~name ~body ~join ~args ~init ~fold =
     if samples <= 0 then invalid_arg "Mcsampling.Chunked: samples <= 0";
     let chunks =
       Par.chunks ~total:samples
@@ -333,31 +451,63 @@ module Chunked = struct
     let rngs = Array.init n (fun _ -> Prng.split t.master) in
     let lanes = Par.effective_jobs t.jobs in
     let base = t.chunks in
+    let cuts = cut t ~lanes chunks rngs in
+    let pieces = Array.concat (Array.to_list cuts) in
+    (* Counted here, not in a task: every piece reads it. *)
+    let outputs =
+      if Array.length pieces > n && t.kernel = Flat then
+        Kernel.draw_outputs t.csr
+      else 0
+    in
+    let left = Array.map (fun ps -> Atomic.make (Array.length ps)) cuts in
+    let parts = Array.map (fun ps -> Array.make (Array.length ps) None) cuts in
+    let trs = Array.init n (fun i -> Trace.task t.trace ~lane:(i mod lanes)) in
+    let close i =
+      let ps = Array.map Option.get parts.(i) in
+      let depth = ps.(0).depth in
+      Array.iteri
+        (fun j p ->
+          match (depth, p.depth) with
+          | Some into, Some h when j > 0 -> Metrics.Histogram.merge ~into h
+          | _ -> ())
+        ps;
+      let r = join depth (Array.map (fun p -> p.r) ps) in
+      let t0 = Array.fold_left (fun a p -> Float.min a p.t0) infinity ps in
+      let ts = Array.fold_left (fun a p -> Float.min a p.ts) infinity ps in
+      let _, len = chunks.(i) in
+      Trace.complete trs.(i) ~ts name
+        ~args:
+          (("chunk", Trace.Int (base + i))
+          :: ("samples", Trace.Int len)
+          :: args r len);
+      (r, Obs.now t.o -. t0, depth, Array.map (fun p -> p.gd) ps, trs.(i))
+    in
     let t_kernel = Obs.now t.o in
-    let results =
-      Par.run ~jobs:t.jobs n (fun i ->
-          let tr = Trace.task t.trace ~lane:(i mod lanes) in
-          let ts = Trace.now tr in
+    let closed =
+      Par.run ~jobs:t.jobs (Array.length pieces) (fun k ->
+          let p = pieces.(k) in
+          let ts = Trace.now trs.(p.chunk) in
           let t0 = Obs.now t.o in
           let depth = chunk_depth t.o in
           let g0 = Obs.gc_begin t.o in
-          let _, len = chunks.(i) in
-          let r = body depth t.csr t.terms rngs.(i) len in
-          Trace.complete tr ~ts name
-            ~args:
-              (("chunk", Trace.Int (base + i))
-              :: ("samples", Trace.Int len)
-              :: args r len);
-          (r, Obs.now t.o -. t0, depth, Obs.gc_end g0, tr))
+          skip t ~outputs p;
+          let r = body depth t.csr t.terms p.rng p.len in
+          parts.(p.chunk).(p.index) <-
+            Some { r; ts; t0; depth; gd = Obs.gc_end g0 };
+          if Atomic.fetch_and_add left.(p.chunk) (-1) = 1 then
+            Some (close p.chunk)
+          else None)
     in
     Obs.record_span t.o "kernel.elapsed" (Obs.now t.o -. t_kernel);
     let acc =
       Array.fold_left
-        (fun acc (r, dt, depth, gd, tr) ->
-          chunk_obs t.o dt depth gd;
-          Trace.merge ~into:t.trace tr;
-          fold acc r)
-        init results
+        (fun acc -> function
+          | None -> acc
+          | Some (r, dt, depth, gds, tr) ->
+            chunk_obs t.o dt depth gds;
+            Trace.merge ~into:t.trace tr;
+            fold acc r)
+        init closed
     in
     t.samples <- t.samples + samples;
     t.chunks <- t.chunks + n;
@@ -388,6 +538,7 @@ module Chunked = struct
     in
     let hits =
       round t ~samples ~name:"mc.chunk" ~body
+        ~join:(fun _ -> Array.fold_left ( + ) 0)
         ~args:(fun h _ -> [ ("hits", Trace.Int h) ])
         ~init:0 ~fold:( + )
     in
@@ -418,7 +569,7 @@ module Chunked = struct
       match t.kernel with Flat -> ht_chunk_flat | Bitsliced -> ht_chunk_bitsliced
     in
     t.acc <-
-      round t ~samples ~name:"ht.chunk" ~body
+      round t ~samples ~name:"ht.chunk" ~body ~join:ht_join
         ~args:(fun hc len ->
           [
             ("unique", Trace.Int (Hashtbl.length hc.hc_tab));

@@ -19,7 +19,14 @@
     the chunks: {b for a fixed [seed] and round schedule the returned
     estimate is bit-identical at every [jobs] value} (including the
     sequential [jobs = 1] fast path, which runs the same chunked code
-    on the calling domain). Each domain draws through the flat sampling
+    on the calling domain). A round with fewer chunks than domains cuts
+    each chunk into contiguous pieces, one per spare domain, each
+    drawing from a copy of the chunk's stream moved past the earlier
+    pieces' worlds ({!Prng.advance} over {!Kernel.draw_outputs} per
+    flat world; replayed batch draws under the bit-sliced kernel). The
+    pieces fold back into their chunk before anything is recorded, so
+    the worlds drawn and every instrument except the pool's task count
+    are the same as one task per chunk. Each domain draws through the flat sampling
     kernel ({!Kernel}): a CSR snapshot of the graph plus one reusable
     per-domain scratch holding the drawn-present buffer, the packed mask
     words, and the early-exit union–find. The kernel consumes the exact

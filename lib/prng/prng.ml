@@ -69,6 +69,28 @@ let[@inline] next_top g shift = Int64.to_int (Int64.shift_right_logical (next g)
 let bits64 g = next g
 let split g = of_seed64 (next g)
 
+(* [n] steps of [next] without their outputs. The four words stay in
+   locals for the whole loop and are stored back once; stepping
+   through the buffer would load and store all four every step. *)
+let advance g n =
+  if n < 0 then invalid_arg "Prng.advance: n < 0";
+  let open Int64 in
+  let s0 = ref (get64 g 0) and s1 = ref (get64 g 8) in
+  let s2 = ref (get64 g 16) and s3 = ref (get64 g 24) in
+  for _ = 1 to n do
+    let t = shift_left !s1 17 in
+    let x2 = logxor !s2 !s0 in
+    let x3 = logxor !s3 !s1 in
+    s1 := logxor !s1 x2;
+    s0 := logxor !s0 x3;
+    s2 := logxor x2 t;
+    s3 := rotl x3 45
+  done;
+  set64 g 0 !s0;
+  set64 g 8 !s1;
+  set64 g 16 !s2;
+  set64 g 24 !s3
+
 (* Top 53 bits -> [0,1). *)
 let[@inline] float g = Float.of_int (next_top g 11) *. 0x1.0p-53
 

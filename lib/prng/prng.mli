@@ -12,7 +12,7 @@
     A state is one private 32-byte buffer holding the four 64-bit
     xoshiro words, read and written with the unboxed int64 bytes
     primitives, so a generator step allocates nothing. {!bernoulli},
-    {!bernoulli_at}, {!bool}, {!int}, {!Bitbatch.draw} and
+    {!bernoulli_at}, {!bool}, {!int}, {!advance}, {!Bitbatch.draw} and
     {!Bitbatch.draw_at} allocate nothing at all;
     {!float}, {!uniform} and {!bits64} box only the value they return.
     {!create}, {!split} and {!copy} allocate the new 32-byte state. *)
@@ -34,6 +34,12 @@ val copy : t -> t
 
 val bits64 : t -> int64
 (** Next raw 64 random bits. *)
+
+val advance : t -> int -> unit
+(** [advance g n] leaves [g] in the state [n] calls of {!bits64} would,
+    allocating nothing and costing a fraction of a draw per step: how
+    a sampler starts partway through a stream whose draw count it
+    knows. @raise Invalid_argument if [n < 0]. *)
 
 val float : t -> float
 (** Uniform in [[0, 1)] with 53 random bits. *)

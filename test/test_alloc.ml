@@ -34,7 +34,11 @@ let t_prng_draws () =
   check_below "Prng.int per call" ~limit:1.
     (words_per_call ~reps:10_000 (fun () -> ignore (Prng.int g 10)));
   check_below "Prng.bool per call" ~limit:1.
-    (words_per_call ~reps:10_000 (fun () -> ignore (Prng.bool g)))
+    (words_per_call ~reps:10_000 (fun () -> ignore (Prng.bool g)));
+  (* A call allocates whole words or none, so under one word averaged
+     over 10^4 calls is none. *)
+  check_below "Prng.advance per call" ~limit:1.
+    (words_per_call ~reps:10_000 (fun () -> Prng.advance g 100))
 
 (* A fixed 10^4-edge snapshot: random endpoints over 2,000 vertices,
    probabilities spread over [0, 1] including both degenerate ends. *)

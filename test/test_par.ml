@@ -137,6 +137,70 @@ let prop_reliability_jobs_equivalent =
            (fun jobs -> R.estimate ~config ~jobs g ~terminals:ts)
            jobs_values))
 
+(* A round with fewer chunks than domains cuts each chunk into pieces
+   whose streams are the chunk's, advanced past the earlier pieces'
+   draws. On small graphs every budget up to 4096 is one chunk, so
+   these runs cut it. The extra edges make sure p = 0 and p = 1
+   positions, which draw nothing, sit among the drawn ones: a skip
+   that counted them would shift every later world. Budgets avoid
+   multiples of 62, so bit-sliced chunks end on a ragged batch. *)
+let arb_pieces =
+  QCheck.pair
+    (Test_bddbase.arb_graph_ts ~max_n:8 ~max_m:12 ~max_k:4)
+    (QCheck.make ~print:string_of_int
+       QCheck.Gen.(
+         map (fun b -> if b mod 62 = 0 then b - 1 else b) (int_range 1 400)))
+
+let piece_jobs = [ 1; 2; 3; 4 ]
+
+(* The sampling histograms of a run under a constant clock: what is
+   left depends only on the seed and the chunk layout. *)
+let sampling_hists obs =
+  let module J = Obs.Json in
+  Option.bind (J.member "sampling" (Obs.to_json obs)) (J.member "hist")
+  |> Option.fold ~none:"" ~some:J.to_string
+
+(* Runs [run ~obs jobs] at each of [piece_jobs]: the answers and the
+   histograms must agree (flat HT must count a world's connectivity
+   check once per chunk, though a later piece checks it again), and
+   each run must dispatch one task per piece, as many as the domains
+   or the chunk's cut points ([units]) allow. *)
+let pieces_agree ~eq ~units run =
+  let runs =
+    List.map
+      (fun jobs ->
+        let obs = Obs.create ~clock:(fun () -> 0.) () in
+        let before = (Par.counters ()).Par.tasks in
+        let x = run ~obs jobs in
+        let tasks = (Par.counters ()).Par.tasks - before in
+        ((x, sampling_hists obs), tasks = min units (Par.effective_jobs jobs)))
+      piece_jobs
+  in
+  all_equal
+    ~eq:(fun (x, h) (y, h') -> eq x y && String.equal h h')
+    (List.map fst runs)
+  && List.for_all snd runs
+
+let prop_pieces_bit_identical =
+  QCheck.Test.make
+    ~name:"single-chunk pieces bit-identical at jobs 1/2/3/4" ~count:40
+    arb_pieces
+    (fun ((n, es, ts), samples) ->
+      let g = graph ~n (((0, n - 1, 0.) :: es) @ [ (n - 1, 0, 1.) ]) in
+      List.for_all
+        (fun (kernel, units) ->
+          pieces_agree ~eq:same_estimate ~units (fun ~obs jobs ->
+              Mcsampling.monte_carlo ~obs ~seed:42 ~jobs ~kernel g
+                ~terminals:ts ~samples)
+          && pieces_agree ~eq:same_estimate ~units (fun ~obs jobs ->
+                 Mcsampling.horvitz_thompson ~obs ~seed:42 ~jobs ~kernel g
+                   ~terminals:ts ~samples)
+          && pieces_agree ~eq:( = ) ~units (fun ~obs jobs ->
+                 Adaptive.monte_carlo ~obs ~seed:42 ~jobs ~kernel g
+                   ~terminals:ts ~ci_width:0.05 ~max_samples:samples))
+        [ (Mcsampling.Flat, samples);
+          (Mcsampling.Bitsliced, (samples + 61) / 62) ])
+
 let test_mc_three_chunks () =
   (* Fixed-size check on a named graph: 10_000 samples = 3 chunks. *)
   let g = fig1 () in
@@ -222,4 +286,5 @@ let suite =
           prop_mc_jobs_equivalent;
           prop_ht_jobs_equivalent;
           prop_reliability_jobs_equivalent;
+          prop_pieces_bit_identical;
         ] )

@@ -22,6 +22,26 @@ let t_copy () =
   let b = Prng.copy a in
   Alcotest.(check int64) "copies agree" (Prng.bits64 a) (Prng.bits64 b)
 
+(* [advance g n] must land where [n] draws do, n = 0 included: the
+   samplers start a piece mid-chunk with it, so one step off moves
+   every world the piece draws. *)
+let t_advance () =
+  List.iter
+    (fun n ->
+      let drawn = rng () and skipped = rng () in
+      for _ = 1 to n do
+        ignore (Prng.bits64 drawn)
+      done;
+      Prng.advance skipped n;
+      for i = 0 to 7 do
+        Alcotest.(check int64)
+          (Printf.sprintf "n = %d, next draw %d" n i)
+          (Prng.bits64 drawn) (Prng.bits64 skipped)
+      done)
+    [ 0; 1; 2; 3; 17; 1_000; 123_457 ];
+  Alcotest.check_raises "n < 0" (Invalid_argument "Prng.advance: n < 0")
+    (fun () -> Prng.advance (rng ()) (-1))
+
 let t_split_independent () =
   let a = rng () in
   let b = Prng.split a in
@@ -214,6 +234,7 @@ let suite =
       Alcotest.test_case "known answers" `Quick t_known_answers;
       Alcotest.test_case "seed sensitivity" `Quick t_seed_sensitivity;
       Alcotest.test_case "copy" `Quick t_copy;
+      Alcotest.test_case "advance = n draws" `Quick t_advance;
       Alcotest.test_case "split independence" `Quick t_split_independent;
       Alcotest.test_case "float range" `Quick t_float_range;
       Alcotest.test_case "float mean" `Quick t_float_mean;
