@@ -85,16 +85,23 @@ bench-large:
 	dune exec bench/main.exe -- --force --only large --quick --json \
 	  $(if $(BENCH_TRACE),--trace)
 
-# Regenerate every tracked BENCH_*.json in one pass: the seven
-# JSON-emitting sections in quick mode, 3 repeats per (dataset, method)
-# pair so `netrel benchdiff` gets real median/MAD noise bands, --force
-# because the committed baselines already sit at the repo root. Run
-# this (and commit the results) after performance-relevant changes;
+# Regenerate every tracked BENCH_*.json: the seven JSON-emitting
+# sections in quick mode, 3 repeats per (dataset, method) pair so
+# `netrel benchdiff` gets real median/MAD noise bands, --force because
+# the committed baselines already sit at the repo root. Each section
+# runs in its own process, as `make bench-<section>` and the runtest
+# smoke rules do, so no section is measured beside a worker domain
+# that an earlier section's pool left idle. Run this (and commit the
+# results) after performance-relevant changes;
 # `netrel benchdiff OLD.json NEW.json` gates the comparison.
+BENCH_SECTIONS = table5 parallel kernels bitsliced adaptive batch large
+
 bench-all:
-	dune exec bench/main.exe -- --force --repeats 3 --json \
-	  --only table5,parallel,kernels,bitsliced,adaptive,batch,large --quick \
-	  $(if $(BENCH_TRACE),--trace)
+	dune build bench/main.exe
+	for s in $(BENCH_SECTIONS); do \
+	  dune exec bench/main.exe -- --force --repeats 3 --json --only $$s \
+	    --quick $(if $(BENCH_TRACE),--trace) || exit 1; \
+	done
 
 clean:
 	dune clean

@@ -29,13 +29,14 @@ let dataset_names = "karate, am-rv, dblp1, dblp2, tokyo, nyc, hit-d"
 (* [--graph FILE] sniffs the 8-byte Bingraph magic, so binary
    containers work everywhere a text edge list does. For binary files
    the header digest rides along (third component) — the engine
-   commands pass it to [Engine.query] and skip the O(m) re-hash. *)
+   commands pass it to [Engine.query] and skip the O(m) re-hash.
+   [Bingraph.to_graph] checks the mapped edges as it builds the graph,
+   so each load reads them once. *)
 let load_graph_full ~file ~dataset ~seed ~scale =
   match (file, dataset) with
   | Some path, None ->
     if Bingraph.is_binary_file path then begin
       let bg = Bingraph.load path in
-      Bingraph.validate bg;
       Ok (Bingraph.to_graph bg, Filename.basename path, Some (Bingraph.digest bg))
     end
     else Ok (Ugraph.of_file path, Filename.basename path, None)
@@ -579,10 +580,7 @@ let convert_cmd =
     in
     let bg =
       match from_fmt with
-      | `Bin ->
-        let bg = Bingraph.load input in
-        Bingraph.validate bg;
-        bg
+      | `Bin -> Bingraph.load input
       | `Text -> Bingraph.of_graph (Ugraph.of_file input)
       | `Snap -> Bingraph.Snap.of_file ~default_prob:prob input
     in
@@ -591,8 +589,12 @@ let convert_cmd =
       | `Auto -> if Filename.check_suffix output ".nrb" then `Bin else `Text
       | (`Text | `Bin) as f -> f
     in
+    (* A mapped input is checked once: by [validate] when it is copied
+       as it is, by [to_graph] when it is rewritten as text. *)
     (match to_fmt with
-    | `Bin -> Bingraph.to_file output bg
+    | `Bin ->
+      if from_fmt = `Bin then Bingraph.validate bg;
+      Bingraph.to_file output bg
     | `Text -> Ugraph.to_file output (Bingraph.to_graph bg));
     Printf.printf "wrote %s (%s, %d vertices, %d edges, digest %016x)\n"
       output

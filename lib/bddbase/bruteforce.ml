@@ -15,14 +15,14 @@ let reliability g ~terminals =
     for mask = 0 to (1 lsl m) - 1 do
       let prob = ref 1. in
       for i = 0 to m - 1 do
-        let e = Ugraph.edge g i in
+        let p = g.Ugraph.ep.(i) in
         if mask land (1 lsl i) <> 0 then begin
           present.(i) <- true;
-          prob := !prob *. e.Ugraph.p
+          prob := !prob *. p
         end
         else begin
           present.(i) <- false;
-          prob := !prob *. (1. -. e.Ugraph.p)
+          prob := !prob *. (1. -. p)
         end
       done;
       if !prob > 0.

@@ -18,7 +18,6 @@
 type state = { verts : int array; comp_of : int array; tc : int array }
 
 type ctx = {
-  g : Ugraph.t;
   k : int;
   order : int array;
   first_pos : int array;
@@ -27,11 +26,11 @@ type ctx = {
   is_terminal : bool array;
   (* Edge endpoints and probabilities laid out in processing order
      (position [i] = edge [order.(i)]): descents stream through these
-     flat arrays sequentially (the permuted accesses through [order]
-     into the boxed edge records would dominate the per-sample cost
-     otherwise), and [step] reads its edge's endpoints here. A
-     positions-only snapshot (Kernel.Csr.positions): nothing reads an
-     adjacency, so none is built. *)
+     flat arrays sequentially (permuted accesses through [order] would
+     dominate the per-sample cost otherwise), and [step] and [edge_at]
+     read their edge here. A positions-only snapshot
+     (Kernel.Csr.positions): nothing reads an adjacency, so none is
+     built. *)
   csr : Kernel.Csr.t;
 }
 
@@ -43,7 +42,9 @@ type outcome =
   | Live of state
 
 let n_positions ctx = Array.length ctx.order
-let edge_at ctx pos = Ugraph.edge ctx.g ctx.order.(pos)
+let edge_at ctx pos =
+  let c = ctx.csr in
+  { Ugraph.u = c.Kernel.Csr.eu.(pos); v = c.Kernel.Csr.ev.(pos); p = c.Kernel.Csr.ep.(pos) }
 
 let make g ~order ~terminals =
   Ugraph.validate_terminals g terminals;
@@ -58,7 +59,6 @@ let make g ~order ~terminals =
   let is_terminal = Array.make (Ugraph.n_vertices g) false in
   List.iter (fun t -> is_terminal.(t) <- true) terminals;
   {
-    g;
     k;
     order = Array.copy order;
     first_pos;
@@ -321,7 +321,7 @@ let heuristic_log2 ctx ~rem st ~log2_pn =
    stays untouched; the marks must precede [union_drawn], which
    early-exits on the live count. *)
 let descend_kernel ctx ~scratch ~detail ~pos st rng =
-  let n = Ugraph.n_vertices ctx.g in
+  let n = ctx.csr.Kernel.Csr.n in
   let nc = Array.length st.tc in
   Kernel.draw_sub scratch ctx.csr ~pos ~detail rng;
   Kernel.round_begin scratch ~elems:(n + nc);

@@ -27,9 +27,9 @@ type state
     cluster boundary rather than the frontier width. *)
 
 type ctx
-(** Immutable per-instance context: graph, edge order, each vertex's
-    first and last position, terminal bookkeeping, and the edges'
-    endpoints and probabilities in processing order. *)
+(** Immutable per-instance context: edge order, each vertex's first
+    and last position, terminal bookkeeping, and the edges' endpoints
+    and probabilities in processing order. *)
 
 val make :
   Ugraph.t -> order:int array -> terminals:int list -> ctx
@@ -43,7 +43,8 @@ val make :
 
 val n_positions : ctx -> int
 val edge_at : ctx -> int -> Ugraph.edge
-(** The edge processed at a position (layer). *)
+(** The edge processed at a position (layer), read from the context's
+    processing-order arrays into a fresh record. *)
 
 val initial : state
 (** The empty state before processing position 0 (the BDD root). *)

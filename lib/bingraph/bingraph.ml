@@ -46,13 +46,12 @@ module Digest = struct
 
   let[@inline] fold acc w = mix (Int64.add (Int64.mul acc 0x9E3779B97F4A7C15L) w)
 
-  let of_graph g =
-    let acc = ref (mix (Int64.of_int (Ugraph.n_vertices g))) in
-    for i = 0 to Ugraph.n_edges g - 1 do
-      let e = Ugraph.edge g i in
-      acc := fold !acc (Int64.of_int e.Ugraph.u);
-      acc := fold !acc (Int64.of_int e.Ugraph.v);
-      acc := fold !acc (Int64.bits_of_float e.Ugraph.p)
+  let of_graph (g : Ugraph.t) =
+    let acc = ref (mix (Int64.of_int g.n)) in
+    for i = 0 to g.m - 1 do
+      acc := fold !acc (Int64.of_int g.eu.(i));
+      acc := fold !acc (Int64.of_int g.ev.(i));
+      acc := fold !acc (Int64.bits_of_float g.ep.(i))
     done;
     Int64.to_int (Int64.logand !acc mask62)
 
@@ -69,29 +68,32 @@ end
 let alloc_int32 m = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout m
 let alloc_float64 m = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout m
 
-let int32_max = 0x7FFF_FFFF
-
-let of_graph g =
-  let n = Ugraph.n_vertices g and m = Ugraph.n_edges g in
-  if n > int32_max then
+let of_graph (g : Ugraph.t) =
+  let n = g.n and m = g.m in
+  if n > Ugraph.max_vertices then
     invalid_arg (Printf.sprintf "Bingraph.of_graph: %d vertices exceed int32 range" n);
   let eu = alloc_int32 m and ev = alloc_int32 m and ep = alloc_float64 m in
-  Ugraph.iter_edges
-    (fun i (e : Ugraph.edge) ->
-      eu.{i} <- Int32.of_int e.Ugraph.u;
-      ev.{i} <- Int32.of_int e.Ugraph.v;
-      ep.{i} <- e.Ugraph.p)
-    g;
+  for i = 0 to m - 1 do
+    eu.{i} <- Int32.of_int g.eu.(i);
+    ev.{i} <- Int32.of_int g.ev.(i);
+    ep.{i} <- g.ep.(i)
+  done;
   { n; m; eu; ev; ep; digest = Digest.of_packed ~n ~m eu ev ep }
 
-let to_graph t =
-  Ugraph.create ~n:t.n (List.init t.m (edge t))
-
 let to_arrays t =
-  let eu = Array.init t.m (fun i -> Int32.to_int t.eu.{i}) in
-  let ev = Array.init t.m (fun i -> Int32.to_int t.ev.{i}) in
-  let ep = Array.init t.m (fun i -> t.ep.{i}) in
+  let eu = Array.make t.m 0 and ev = Array.make t.m 0 and ep = Array.make t.m 0. in
+  for i = 0 to t.m - 1 do
+    eu.(i) <- Int32.to_int t.eu.{i};
+    ev.(i) <- Int32.to_int t.ev.{i};
+    ep.(i) <- t.ep.{i}
+  done;
   (eu, ev, ep)
+
+(* The arrays become the graph's own; [Ugraph.of_arrays] checks them,
+   the load's one pass over the edges. *)
+let to_graph t =
+  let eu, ev, ep = to_arrays t in
+  Ugraph.of_arrays ~n:t.n ~eu ~ev ~ep
 
 let validate t =
   for i = 0 to t.m - 1 do
@@ -131,6 +133,10 @@ let check_header ~what b ~total_len =
          what);
   if n < 0 || m < 0 then
     invalid_arg (Printf.sprintf "Bingraph.%s: negative counts n=%d m=%d" what n m);
+  if n > Ugraph.max_vertices then
+    invalid_arg
+      (Printf.sprintf "Bingraph.%s: vertex count %d outside [0,%d]" what n
+         Ugraph.max_vertices);
   if total_len <> file_bytes m then
     invalid_arg
       (Printf.sprintf

@@ -22,8 +22,12 @@
     binary-loaded graph can skip the O(m) re-hash.
 
     [load] maps the three arrays with [Unix.map_file]: opening a
-    million-edge graph is O(1) page-table work, not O(m) parsing.
-    Every structural error raises [Invalid_argument] with a precise
+    million-edge graph is O(1) page-table work, not O(m) parsing, and
+    [to_graph] turns the mapping into the [Ugraph.t] struct of arrays
+    with one copy of each array and one pass of checks; no edge record
+    is built. A header whose vertex count is outside
+    [[0, Ugraph.max_vertices]] is refused before anything is sized by
+    it. Every structural error raises [Invalid_argument] with a precise
     message (the CLI turns these into exit 2). *)
 
 type t
@@ -36,23 +40,29 @@ val digest : t -> int
     Equal to {!Digest.of_graph} of the corresponding [Ugraph.t]. *)
 
 val edge : t -> int -> Ugraph.edge
-(** Edge [i] in canonical order. Bounds-checked. *)
+(** Edge [i] in canonical order, as a fresh record. Bounds-checked. *)
 
 val of_graph : Ugraph.t -> t
 (** Copy a graph into the packed representation (computes the digest).
     Raises [Invalid_argument] if a vertex id exceeds int32 range. *)
 
 val to_graph : t -> Ugraph.t
-(** Materialize the adjacency-list representation (validates edges). *)
+(** The graph: {!to_arrays} handed to [Ugraph.of_arrays], which checks
+    every edge as {!validate} does and builds the adjacency, so a
+    mapped file needs no separate {!validate} before it. About 7 words
+    per edge plus one per vertex, all in the graph's own arrays.
+    @raise Invalid_argument on an endpoint or probability out of
+    range, or a vertex array that cannot be allocated. *)
 
 val to_arrays : t -> int array * int array * float array
-(** [(eu, ev, ep)] as plain OCaml arrays in canonical edge order — the
-    direct feed for [Kernel.Csr.of_arrays], no [Ugraph.t] in between. *)
+(** [(eu, ev, ep)] as fresh OCaml arrays in canonical edge order (the
+    feed of [Kernel.Csr.of_arrays]); unchecked. *)
 
 val validate : t -> unit
 (** Range-check every edge (endpoints in [[0,n)], probabilities in
-    [[0,1]], not NaN). [load] trusts the mmap'd bytes until this is
-    called; the CLI calls it on every binary open. *)
+    [[0,1]], not NaN). [load] trusts the mmap'd bytes until this or
+    {!to_graph} reads them; [netrel convert] calls it before copying a
+    binary file as it is. *)
 
 val to_bytes : t -> bytes
 (** Serialize to the on-disk layout (header + arrays). *)

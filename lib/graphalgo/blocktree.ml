@@ -8,17 +8,16 @@ type t = {
   terminal_count : int array;
 }
 
-let build g ~terminals =
+let build (g : Ugraph.t) ~terminals =
   Ugraph.validate_terminals g terminals;
   let is_bridge = Bridges.bridges g in
   let comp_of_vertex, n_comps = Bridges.components g ~is_bridge in
   (* Tree edges as CSR slots per supernode: count, prefix-sum, place. *)
   let tree_off = Array.make (n_comps + 1) 0 in
-  let m = Ugraph.n_edges g in
+  let m = g.m in
   for eid = 0 to m - 1 do
     if is_bridge.(eid) then begin
-      let e = Ugraph.edge g eid in
-      let cu = comp_of_vertex.(e.Ugraph.u) + 1 and cv = comp_of_vertex.(e.Ugraph.v) + 1 in
+      let cu = comp_of_vertex.(g.eu.(eid)) + 1 and cv = comp_of_vertex.(g.ev.(eid)) + 1 in
       tree_off.(cu) <- tree_off.(cu) + 1;
       tree_off.(cv) <- tree_off.(cv) + 1
     end
@@ -36,8 +35,7 @@ let build g ~terminals =
   in
   for eid = 0 to m - 1 do
     if is_bridge.(eid) then begin
-      let e = Ugraph.edge g eid in
-      let cu = comp_of_vertex.(e.Ugraph.u) and cv = comp_of_vertex.(e.Ugraph.v) in
+      let cu = comp_of_vertex.(g.eu.(eid)) and cv = comp_of_vertex.(g.ev.(eid)) in
       put cu cv eid;
       put cv cu eid
     end

@@ -77,14 +77,11 @@ let bridge_eids g =
   done;
   !acc
 
-let components g ~is_bridge =
-  let n = Ugraph.n_vertices g in
+let components (g : Ugraph.t) ~is_bridge =
+  let n = g.n in
   let dsu = Dsu.create n in
-  for eid = 0 to Ugraph.n_edges g - 1 do
-    if not is_bridge.(eid) then begin
-      let e = Ugraph.edge g eid in
-      ignore (Dsu.union dsu e.Ugraph.u e.Ugraph.v)
-    end
+  for eid = 0 to g.m - 1 do
+    if not is_bridge.(eid) then ignore (Dsu.union dsu g.eu.(eid) g.ev.(eid))
   done;
   let comp = Array.make n (-1) in
   let count = ref 0 in
@@ -100,16 +97,15 @@ let components g ~is_bridge =
 
 let two_edge_components g = components g ~is_bridge:(bridges g)
 
-let naive_bridges g =
-  let m = Ugraph.n_edges g in
+let naive_bridges (g : Ugraph.t) =
+  let m = g.m in
   let out = Array.make m false in
   let present = Array.make m true in
   for eid = 0 to m - 1 do
-    let e = Ugraph.edge g eid in
-    if e.Ugraph.u <> e.Ugraph.v then begin
+    let u = g.eu.(eid) and v = g.ev.(eid) in
+    if u <> v then begin
       present.(eid) <- false;
-      out.(eid) <-
-        not (Connectivity.terminals_connected g ~present [ e.Ugraph.u; e.Ugraph.v ]);
+      out.(eid) <- not (Connectivity.terminals_connected g ~present [ u; v ]);
       present.(eid) <- true
     end
   done;

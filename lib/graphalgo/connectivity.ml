@@ -78,12 +78,12 @@ let terminals_connected g ~present ts =
      with Exit -> ());
     !missing = 0
 
-let terminals_connected_dsu dsu g ~present ts =
+let terminals_connected_dsu dsu (g : Ugraph.t) ~present ts =
   check_present g present;
-  if Dsu.size dsu <> Ugraph.n_vertices g then
+  if Dsu.size dsu <> g.n then
     invalid_arg "Connectivity.terminals_connected_dsu: DSU size mismatch";
   Dsu.reset dsu;
-  Ugraph.iter_edges
-    (fun eid (e : Ugraph.edge) -> if present.(eid) then ignore (Dsu.union dsu e.u e.v))
-    g;
+  for eid = 0 to g.m - 1 do
+    if present.(eid) then ignore (Dsu.union dsu g.eu.(eid) g.ev.(eid))
+  done;
   Dsu.all_connected dsu ts

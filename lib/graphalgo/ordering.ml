@@ -165,8 +165,8 @@ module Frontier = struct
     max_width : int;
   }
 
-  let first_last g order =
-    let n = Ugraph.n_vertices g and m = Ugraph.n_edges g in
+  let first_last (g : Ugraph.t) order =
+    let n = g.n and m = g.m in
     if Array.length order <> m then
       invalid_arg "Ordering.Frontier.plan: order length mismatch";
     let seen = Bytes.make m '\000' in
@@ -176,8 +176,7 @@ module Frontier = struct
       if eid < 0 || eid >= m || Bytes.get seen eid <> '\000' then
         invalid_arg "Ordering.Frontier.plan: order is not a permutation";
       Bytes.set seen eid '\001';
-      let e = Ugraph.edge g eid in
-      let u = e.Ugraph.u and v = e.Ugraph.v in
+      let u = g.eu.(eid) and v = g.ev.(eid) in
       if first_pos.(u) < 0 then first_pos.(u) <- pos;
       last_pos.(u) <- pos;
       if first_pos.(v) < 0 then first_pos.(v) <- pos;

@@ -14,87 +14,39 @@ module Csr = struct
     adj_other : int array;
   }
 
-  (* Two-pass CSR fill: degree count, prefix sums, then scatter. A
-     self-loop contributes one endpoint slot, matching Ugraph. *)
-  let build_adjacency ~n ~m eu ev =
-    let off = Array.make (n + 1) 0 in
-    for pos = 0 to m - 1 do
-      off.(eu.(pos) + 1) <- off.(eu.(pos) + 1) + 1;
-      if ev.(pos) <> eu.(pos) then off.(ev.(pos) + 1) <- off.(ev.(pos) + 1) + 1
-    done;
-    for v = 1 to n do
-      off.(v) <- off.(v) + off.(v - 1)
-    done;
-    let total = off.(n) in
-    let adj_pos = Array.make (max total 1) 0 in
-    let adj_other = Array.make (max total 1) 0 in
-    let cursor = Array.sub off 0 n in
-    for pos = 0 to m - 1 do
-      let u = eu.(pos) and v = ev.(pos) in
-      let cu = cursor.(u) in
-      adj_pos.(cu) <- pos;
-      adj_other.(cu) <- v;
-      cursor.(u) <- cu + 1;
-      if v <> u then begin
-        let cv = cursor.(v) in
-        adj_pos.(cv) <- pos;
-        adj_other.(cv) <- u;
-        cursor.(v) <- cv + 1
-      end
-    done;
-    (off, adj_pos, adj_other)
+  (* The natural-order snapshot is the graph's own struct of arrays:
+     Ugraph builds its adjacency in exactly this layout, so the view
+     shares every array and copies nothing. *)
+  let of_graph (g : Ugraph.t) =
+    { n = g.Ugraph.n; m = g.Ugraph.m; eu = g.Ugraph.eu; ev = g.Ugraph.ev;
+      ep = g.Ugraph.ep; off = g.Ugraph.off; adj_pos = g.Ugraph.adj_eid;
+      adj_other = g.Ugraph.adj_other }
 
-  let positions g ~order =
-    let n = Ugraph.n_vertices g in
+  let positions (g : Ugraph.t) ~order =
     let m = Array.length order in
-    let eu = Array.make (max m 1) 0
-    and ev = Array.make (max m 1) 0
-    and ep = Array.make (max m 1) 0. in
+    let eu = Array.make m 0 and ev = Array.make m 0 and ep = Array.make m 0. in
     for pos = 0 to m - 1 do
-      let e = Ugraph.edge g order.(pos) in
-      eu.(pos) <- e.Ugraph.u;
-      ev.(pos) <- e.Ugraph.v;
-      ep.(pos) <- e.Ugraph.p
+      let eid = order.(pos) in
+      eu.(pos) <- g.Ugraph.eu.(eid);
+      ev.(pos) <- g.Ugraph.ev.(eid);
+      ep.(pos) <- g.Ugraph.ep.(eid)
     done;
-    { n; m; eu; ev; ep; off = [||]; adj_pos = [||]; adj_other = [||] }
+    { n = g.Ugraph.n; m; eu; ev; ep; off = [||]; adj_pos = [||]; adj_other = [||] }
 
   (* A positions-only snapshot has an empty [off], never [n + 1]
      entries. *)
   let has_adjacency t = Array.length t.off = t.n + 1
 
+  (* The processing-order snapshot is the natural-order view of the
+     graph whose edge ids are the positions. *)
   let of_order g ~order =
     let c = positions g ~order in
-    let off, adj_pos, adj_other = build_adjacency ~n:c.n ~m:c.m c.eu c.ev in
-    { c with off; adj_pos; adj_other }
+    of_graph (Ugraph.of_arrays ~n:c.n ~eu:c.eu ~ev:c.ev ~ep:c.ep)
 
-  let of_graph g = of_order g ~order:(Array.init (Ugraph.n_edges g) Fun.id)
-
-  (* Packed-array constructor: the binary-graph fast path builds the
-     snapshot straight from Bingraph's edge arrays, no adjacency-list
-     Ugraph.t in between. Validation mirrors Ugraph.create so the
-     snapshot invariants hold regardless of where the arrays came
-     from. *)
   let of_arrays ~n ~eu ~ev ~ep =
-    let m = Array.length eu in
-    if Array.length ev <> m || Array.length ep <> m then
-      invalid_arg "Kernel.Csr.of_arrays: eu/ev/ep length mismatch";
-    if n < 0 then invalid_arg "Kernel.Csr.of_arrays: negative vertex count";
-    for pos = 0 to m - 1 do
-      let u = eu.(pos) and v = ev.(pos) and p = ep.(pos) in
-      if u < 0 || u >= n || v < 0 || v >= n then
-        invalid_arg
-          (Printf.sprintf "Kernel.Csr.of_arrays: edge (%d,%d) outside vertex range [0,%d)"
-             u v n);
-      if not (p >= 0. && p <= 1.) then
-        invalid_arg
-          (Printf.sprintf "Kernel.Csr.of_arrays: probability %g outside [0,1]" p)
-    done;
-    let eu = Array.copy eu and ev = Array.copy ev and ep = Array.copy ep in
-    let eu = if m = 0 then [| 0 |] else eu
-    and ev = if m = 0 then [| 0 |] else ev
-    and ep = if m = 0 then [| 0. |] else ep in
-    let off, adj_pos, adj_other = build_adjacency ~n ~m eu ev in
-    { n; m; eu; ev; ep; off; adj_pos; adj_other }
+    of_graph
+      (Ugraph.of_arrays ~n ~eu:(Array.copy eu) ~ev:(Array.copy ev)
+         ~ep:(Array.copy ep))
 
   let n_vertices t = t.n
   let n_edges t = t.m

@@ -15,9 +15,10 @@
       edge endpoints, probabilities, and per-vertex adjacency in unboxed
       [int array]/[float array], indexed by {e position} (edge id for
       {!Csr.of_graph}, processing-order position for {!Csr.of_order}).
-      This extends the [ord_u]/[ord_v]/[ord_p] idea from the frontier
-      machine to the whole pipeline: hot loops stream flat arrays
-      instead of chasing boxed edge records through closures.
+      A [Ugraph.t] already is this struct of arrays in edge-id order,
+      so {!Csr.of_graph} is a view that shares the graph's arrays and
+      copies nothing; the processing-order snapshots ({!Csr.of_order},
+      {!Csr.positions}) are copies.
 
     - Draw loops writing into a reusable scratch ({!t}): one
       {!Prng.bernoulli} per edge {b in position order} — exactly the
@@ -63,7 +64,10 @@ module Csr : sig
   }
 
   val of_graph : Ugraph.t -> t
-  (** Snapshot in natural edge order: position = edge id. *)
+  (** Snapshot in natural edge order: position = edge id. A view: its
+      arrays are the graph's own ([eu == g.Ugraph.eu], ...,
+      [adj_pos == g.Ugraph.adj_eid]), so it allocates one record,
+      whatever the graph's size. *)
 
   val of_order : Ugraph.t -> order:int array -> t
   (** Snapshot in processing order: position [i] holds edge
@@ -81,11 +85,11 @@ module Csr : sig
       {!connected_lanes}, raise [Invalid_argument] on it. *)
 
   val of_arrays : n:int -> eu:int array -> ev:int array -> ep:float array -> t
-  (** Snapshot straight from packed endpoint/probability arrays in
-      natural edge order (position [i] = edge [i]) — the binary-graph
-      fast path, no intermediate [Ugraph.t]. The arrays are copied;
-      endpoints and probabilities are validated as in [Ugraph.create].
-      Raises [Invalid_argument] on length mismatch or range errors. *)
+  (** Snapshot from packed endpoint/probability arrays in natural edge
+      order (position [i] = edge [i]): {!of_graph} of
+      [Ugraph.of_arrays] over copies of the arrays, so it equals
+      {!of_graph} of the same edges field for field.
+      @raise Invalid_argument as [Ugraph.of_arrays]. *)
 
   val n_vertices : t -> int
   val n_edges : t -> int

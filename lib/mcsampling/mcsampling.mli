@@ -156,10 +156,12 @@ val monte_carlo :
     (default 1) sets the domain count; see the determinism contract
     above. [kernel] (default {!Flat}) selects the draw kernel; the
     chosen mode is recorded in the [sampling.kernel.mode] Obs text.
-    [csr] supplies a prebuilt {!Kernel.Csr.t} snapshot of [g] (the
-    engine's per-graph cache, or [Kernel.Csr.of_arrays] over a binary
-    graph's packed arrays); the Csr is a pure function of the graph, so
-    passing one never changes the estimate. MC draws with
+    [csr] supplies a {!Kernel.Csr.t} snapshot of [g] (the engine's
+    per-graph slot, or [Kernel.Csr.of_arrays] over a binary graph's
+    packed arrays); without it the sampler views [g] with
+    [Kernel.Csr.of_graph], which copies nothing. The Csr is a pure
+    function of the graph, so passing one never changes the
+    estimate. MC draws with
     replacement and never deduplicates, so [distinct = 0] (not
     measured). @raise Invalid_argument on invalid terminals,
     [samples <= 0], or [jobs <= 0]. *)

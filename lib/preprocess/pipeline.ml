@@ -58,8 +58,8 @@ type decomposition = {
    order supernodes are numbered in); its vertices are numbered by rank
    and its edges taken in input edge order, all through counting-sorted
    int arrays. *)
-let decompose g (bt : BT.t) keep terminals =
-  let n = Ugraph.n_vertices g and m = Ugraph.n_edges g in
+let decompose (g : Ugraph.t) (bt : BT.t) keep terminals =
+  let n = g.n and m = g.m in
   let comp = bt.BT.comp_of_vertex and nc = bt.BT.n_comps in
   let must_connect = Array.make n false in
   List.iter (fun t -> must_connect.(t) <- true) terminals;
@@ -68,15 +68,15 @@ let decompose g (bt : BT.t) keep terminals =
   let vstart = Array.make (nc + 1) 0 and estart = Array.make (nc + 1) 0 in
   let pb = ref Xprob.one and n_bridges = ref 0 in
   for eid = 0 to m - 1 do
-    let e = Ugraph.edge g eid in
-    let c = comp.(e.Ugraph.u) in
+    let u = g.eu.(eid) and v = g.ev.(eid) in
+    let c = comp.(u) in
     if keep.(c) then
       if not bt.BT.is_bridge.(eid) then estart.(c + 1) <- estart.(c + 1) + 1
-      else if keep.(comp.(e.Ugraph.v)) then begin
+      else if keep.(comp.(v)) then begin
         incr n_bridges;
-        pb := Xprob.mul !pb (Xprob.of_float e.Ugraph.p);
-        must_connect.(e.Ugraph.u) <- true;
-        must_connect.(e.Ugraph.v) <- true
+        pb := Xprob.mul !pb (Xprob.of_float g.ep.(eid));
+        must_connect.(u) <- true;
+        must_connect.(v) <- true
       end
   done;
   for v = 0 to n - 1 do
@@ -102,7 +102,7 @@ let decompose g (bt : BT.t) keep terminals =
   let edges = Array.make estart.(nc) 0 in
   Array.blit estart 0 cursor 0 nc;
   for eid = 0 to m - 1 do
-    let c = comp.((Ugraph.edge g eid).Ugraph.u) in
+    let c = comp.(g.eu.(eid)) in
     if keep.(c) && not bt.BT.is_bridge.(eid) then begin
       edges.(cursor.(c)) <- eid;
       cursor.(c) <- cursor.(c) + 1
@@ -119,15 +119,15 @@ let decompose g (bt : BT.t) keep terminals =
       | _ :: _ :: _ ->
         let first = estart.(c) in
         let mc = estart.(c + 1) - first in
-        let edge j = Ugraph.edge g edges.(first + j) in
+        let eu = Array.make mc 0 and ev = Array.make mc 0 and ep = Array.make mc 0. in
+        for j = 0 to mc - 1 do
+          let eid = edges.(first + j) in
+          eu.(j) <- rank.(g.eu.(eid));
+          ev.(j) <- rank.(g.ev.(eid));
+          ep.(j) <- g.ep.(eid)
+        done;
         raws :=
-          {
-            n = vstart.(c + 1) - vstart.(c);
-            eu = Array.init mc (fun j -> rank.((edge j).Ugraph.u));
-            ev = Array.init mc (fun j -> rank.((edge j).Ugraph.v));
-            ep = Array.init mc (fun j -> (edge j).Ugraph.p);
-            raw_terminals = !ts;
-          }
+          { n = vstart.(c + 1) - vstart.(c); eu; ev; ep; raw_terminals = !ts }
           :: !raws
       | _ -> ()
     end

@@ -293,21 +293,18 @@ let run_arrays ~n ~eu ~ev ~ep ~terminals =
   let old_of_new = Array.make !kept 0 in
   Array.iteri (fun old nw -> if nw >= 0 then old_of_new.(nw) <- old) new_of_old;
   let m' = st.m in
-  let graph =
-    Ugraph.of_arrays ~n:!kept
-      (Array.init m' (fun k ->
-           let i = m' - 1 - k in
-           { Ugraph.u = new_of_old.(st.eu.(i)); v = new_of_old.(st.ev.(i)); p = st.ep.(i) }))
-  in
+  let eu = Array.make m' 0 and ev = Array.make m' 0 and ep = Array.make m' 0. in
+  for k = 0 to m' - 1 do
+    let i = m' - 1 - k in
+    eu.(k) <- new_of_old.(st.eu.(i));
+    ev.(k) <- new_of_old.(st.ev.(i));
+    ep.(k) <- st.ep.(i)
+  done;
+  let graph = Ugraph.of_arrays ~n:!kept ~eu ~ev ~ep in
   let terminals = List.map (fun t -> new_of_old.(t)) terminals in
   { graph; terminals; old_of_new; rounds = !rounds }
 
-let run g ~terminals =
+let run (g : Ugraph.t) ~terminals =
   Ugraph.validate_terminals g terminals;
-  let m = Ugraph.n_edges g in
-  let edge i = Ugraph.edge g i in
-  run_arrays ~n:(Ugraph.n_vertices g)
-    ~eu:(Array.init m (fun i -> (edge i).Ugraph.u))
-    ~ev:(Array.init m (fun i -> (edge i).Ugraph.v))
-    ~ep:(Array.init m (fun i -> (edge i).Ugraph.p))
-    ~terminals
+  run_arrays ~n:g.n ~eu:(Array.copy g.eu) ~ev:(Array.copy g.ev)
+    ~ep:(Array.copy g.ep) ~terminals

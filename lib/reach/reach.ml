@@ -129,12 +129,12 @@ let distance_constrained_exact g ~source ~target ~d =
     new_world b;
     let prob = ref 1. in
     for i = 0 to m - 1 do
-      let e = Ugraph.edge g i in
+      let p = g.Ugraph.ep.(i) in
       if mask land (1 lsl i) <> 0 then begin
         b.present.(i) <- b.world;
-        prob := !prob *. e.Ugraph.p
+        prob := !prob *. p
       end
-      else prob := !prob *. (1. -. e.Ugraph.p)
+      else prob := !prob *. (1. -. p)
     done;
     if !prob > 0. then begin
       search_from b ~sources ~depth:d ~target;

@@ -8,35 +8,68 @@
     paper) create parallel edges when contracting series chains; reliability
     semantics are well defined for both.
 
-    The structure is immutable after construction and carries a CSR-style
-    adjacency index built eagerly, so neighbourhood iteration allocates
-    nothing. *)
+    A graph is one struct of arrays: the edges' endpoints and
+    probabilities in three flat arrays indexed by edge id, and a CSR
+    adjacency index built eagerly with them, so reading an edge or
+    iterating a neighbourhood allocates nothing. It is exactly the
+    layout of [Kernel.Csr]'s natural-order snapshot, which is a view of
+    these arrays, not a copy. The arrays are shared with every view and
+    every graph {!map_probs} derives, so they are read-only: the
+    structure is immutable after construction. Hot loops read the
+    fields ([g.eu.(i)], [g.ep.(i)], ...); the boxed {!edge} record is
+    for cold callers (constructors, checks, generators, tests), and
+    {!edge} allocates one per call. *)
 
 type edge = { u : int; v : int; p : float }
 (** An undirected uncertain edge between [u] and [v] existing with
     probability [p]. The orientation of [(u, v)] carries no meaning. *)
 
-type t
+type t = private {
+  n : int;  (** vertex count *)
+  m : int;  (** edge count *)
+  eu : int array;  (** first endpoint of edge [i] *)
+  ev : int array;  (** second endpoint of edge [i] *)
+  ep : float array;  (** existence probability of edge [i] *)
+  off : int array;
+      (** adjacency offsets, length [n + 1]: vertex [x]'s incidences
+          are the slots [off.(x) .. off.(x + 1) - 1] *)
+  adj_eid : int array;
+      (** incident edge ids per slot, in increasing id per vertex
+          (a self-loop once) *)
+  adj_other : int array;  (** the opposite endpoint per slot *)
+}
+
+val max_vertices : int
+(** [2^31 - 1], the largest vertex count a graph may declare: the
+    binary container stores endpoints as int32. *)
 
 val create : n:int -> edge list -> t
 (** [create ~n edges] builds a graph with [n] vertices.
-    @raise Invalid_argument if an endpoint is outside [[0, n)] or a
-    probability is outside [[0, 1]] or not finite. *)
+    @raise Invalid_argument if [n] is outside [[0, max_vertices]], an
+    endpoint is outside [[0, n)], a probability is outside [[0, 1]] or
+    NaN, or the vertex arrays cannot be allocated. *)
 
-val of_arrays : n:int -> edge array -> t
-(** Like {!create} from an array; the array is copied. *)
+val of_arrays : n:int -> eu:int array -> ev:int array -> ep:float array -> t
+(** [of_arrays ~n ~eu ~ev ~ep] builds the graph whose edge [i] is
+    [(eu.(i), ev.(i), ep.(i))]. The graph takes the three arrays over
+    without copying them, so the caller must not write them afterwards;
+    they are checked as by {!create}.
+    @raise Invalid_argument as {!create}, or on a length mismatch. *)
 
 val n_vertices : t -> int
 val n_edges : t -> int
 
 val edge : t -> int -> edge
-(** [edge g i] is the edge with identifier [i] in [[0, n_edges)]. *)
+(** [edge g i] is the edge with identifier [i] in [[0, n_edges)], as a
+    fresh record: for cold callers, never a loop over a large graph. *)
 
 val edges : t -> edge array
-(** A fresh copy of the edge array, indexed by edge identifier. *)
+(** The edges as records, indexed by edge identifier. *)
 
 val iter_edges : (int -> edge -> unit) -> t -> unit
 val fold_edges : ('a -> int -> edge -> 'a) -> 'a -> t -> 'a
+(** Record readers over every edge in id order; each record is
+    allocated as with {!edge}. *)
 
 val degree : t -> int -> int
 (** Number of incident edge endpoints at a vertex. A self-loop counts
@@ -76,7 +109,8 @@ val avg_degree : t -> float
 val avg_prob : t -> float
 
 val map_probs : (int -> edge -> float) -> t -> t
-(** Rebuild the graph with new edge probabilities. *)
+(** The graph with new edge probabilities; it shares [g]'s endpoint and
+    adjacency arrays. *)
 
 val induced : t -> int array -> t * int array
 (** [induced g vs] is the subgraph induced by the distinct vertices [vs],
@@ -95,8 +129,11 @@ val validate_terminals : t -> int list -> unit
 (** {1 Text I/O}
 
     Format: blank lines and [#]-prefixed comments are ignored; the first
-    data line holds the vertex count; every following data line holds
-    [u v p] (whitespace separated). *)
+    data line holds the vertex count, in [[0, max_vertices]]; every
+    following data line holds [u v p] (whitespace separated). The reader
+    takes a line at a time into growable arrays, so loading costs a few
+    words per edge besides the graph; every field is checked once, as
+    it is read. *)
 
 val to_channel : out_channel -> t -> unit
 val of_channel : in_channel -> t

@@ -180,6 +180,54 @@ let t_search_memory () =
     ~limit:(float_of_int (Ugraph.n_edges g))
     (large -. small)
 
+(* Loading a graph fills its struct of arrays and nothing else: three
+   edge arrays, the adjacency (two slots per edge) and the offsets, about
+   7 words per edge plus one per vertex. A loader's arrays are large
+   enough to skip the minor heap, so these bounds count every word
+   allocated, minor and major ([Gc.allocated_bytes]), over one call
+   after a warm-up call and a full major collection (a cycle left
+   running by an earlier test inflates the count by about two words
+   per edge). Measured on a 1.2e4-edge preferential-
+   attachment graph, the shape of the perfbench [sample-large] graph at
+   a tenth of its size. *)
+let total_words_per_call f =
+  f ();
+  Gc.full_major ();
+  let before = Gc.allocated_bytes () in
+  f ();
+  (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8)
+
+let pa_graph =
+  lazy
+    (Workload.Generators.preferential_attachment_large ~seed:1 ~n:4_000
+       ~edges_per_vertex:3
+    |> Workload.Probability.uniform ~seed:3)
+
+let t_binary_load_words () =
+  let g = Lazy.force pa_graph in
+  let bg = Bingraph.of_graph g in
+  check_below "Bingraph.to_graph words per edge" ~limit:9.
+    (total_words_per_call (fun () -> ignore (Bingraph.to_graph bg))
+    /. float_of_int (Ugraph.n_edges g))
+
+let t_csr_view_words () =
+  List.iter
+    (fun g ->
+      check_below
+        (Printf.sprintf "Kernel.Csr.of_graph words (%d edges)" (Ugraph.n_edges g))
+        ~limit:64.
+        (total_words_per_call (fun () -> ignore (K.Csr.of_graph g))))
+    [ (Workload.Datasets.karate ()).Workload.Datasets.graph; Lazy.force pa_graph ]
+
+let t_text_load_words () =
+  let g = Lazy.force pa_graph in
+  let path = Filename.temp_file "test_alloc_" ".txt" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Ugraph.to_file path g;
+  check_below "Ugraph.of_file words per edge" ~limit:32.
+    (total_words_per_call (fun () -> ignore (Ugraph.of_file path))
+    /. float_of_int (Ugraph.n_edges g))
+
 let suite =
   ( "alloc",
     [
@@ -198,4 +246,10 @@ let suite =
         t_bounds_words;
       Alcotest.test_case "Reach.search: memory flat in samples" `Slow
         t_search_memory;
+      Alcotest.test_case "Bingraph.to_graph: < 9 words per edge" `Quick
+        t_binary_load_words;
+      Alcotest.test_case "Kernel.Csr.of_graph: < 64 words at any size" `Quick
+        t_csr_view_words;
+      Alcotest.test_case "text loader: < 32 words per edge" `Quick
+        t_text_load_words;
     ] )

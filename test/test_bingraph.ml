@@ -67,6 +67,77 @@ let prop_csr_direct_estimates =
          = Mcsampling.monte_carlo ~seed:7 ~jobs:2
              ~kernel:Mcsampling.Bitsliced ~csr g ~terminals:ts ~samples:300)
 
+(* ---- one representation ---- *)
+
+(* Graphs with self-loops, parallel edges, isolated vertices and no
+   edges at all: up to 8 vertices and 14 edges, probabilities including
+   both degenerate ends. *)
+let arb_multigraph =
+  let open QCheck.Gen in
+  let gen =
+    int_range 1 8 >>= fun n ->
+    int_range 0 14 >>= fun m ->
+    let prob =
+      frequency [ (1, return 0.); (1, return 1.); (4, float_range 0. 1.) ]
+    in
+    list_repeat m (triple (int_bound (n - 1)) (int_bound (n - 1)) prob)
+    >|= fun es -> (n, es)
+  in
+  QCheck.make gen
+    ~print:(fun (n, es) ->
+      Printf.sprintf "n=%d [%s]" n
+        (String.concat "; "
+           (List.map (fun (u, v, p) -> Printf.sprintf "(%d,%d,%h)" u v p) es)))
+
+let incidences g v =
+  let acc = ref [] in
+  Ugraph.iter_incident g v (fun ~eid ~other -> acc := (eid, other) :: !acc);
+  List.rev !acc
+
+let bits a = Array.map Int64.bits_of_float a
+
+(* Every reader of [g] and [g'] agrees: the fields, the record readers,
+   the adjacency readers in order, and the derived statistics. *)
+let same_graph (g : Ugraph.t) (g' : Ugraph.t) =
+  g.n = g'.n && g.m = g'.m && g.eu = g'.eu && g.ev = g'.ev
+  && bits g.ep = bits g'.ep
+  && g.off = g'.off && g.adj_eid = g'.adj_eid && g.adj_other = g'.adj_other
+  && Ugraph.edges g = Ugraph.edges g'
+  && List.for_all
+       (fun v ->
+         Ugraph.degree g v = Ugraph.degree g' v
+         && incidences g v = incidences g' v
+         && Ugraph.incident_eids g v = Ugraph.incident_eids g' v
+         && Ugraph.neighbours g v = Ugraph.neighbours g' v)
+       (List.init g.n Fun.id)
+  && Ugraph.has_self_loop g = Ugraph.has_self_loop g'
+  && Ugraph.has_parallel_edge g = Ugraph.has_parallel_edge g'
+  && Int64.bits_of_float (Ugraph.avg_prob g) = Int64.bits_of_float (Ugraph.avg_prob g')
+
+let prop_one_representation =
+  QCheck.Test.make
+    ~name:"ugraph: create = text round trip = .nrb round trip; Csr.of_graph views it"
+    ~count:300 arb_multigraph
+    (fun (n, es) ->
+      let g = graph ~n es in
+      let via_text = Ugraph.of_string (text g) in
+      let via_nrb = B.to_graph (B.of_bytes (B.to_bytes (B.of_graph g))) in
+      let c = Kernel.Csr.of_graph g in
+      (* the incidence order a loader builds: increasing edge id per
+         vertex, a self-loop once *)
+      let expected v =
+        List.filter_map
+          (fun (i, (a, b, _)) ->
+            if a = v then Some (i, b) else if b = v then Some (i, a) else None)
+          (List.mapi (fun i e -> (i, e)) es)
+      in
+      same_graph g via_text && same_graph g via_nrb
+      && List.for_all (fun v -> incidences g v = expected v) (List.init n Fun.id)
+      && c = Kernel.Csr.of_arrays ~n ~eu:g.eu ~ev:g.ev ~ep:g.ep
+      && c.Kernel.Csr.eu == g.eu && c.Kernel.Csr.ev == g.ev && c.Kernel.Csr.ep == g.ep
+      && c.Kernel.Csr.off == g.off && c.Kernel.Csr.adj_pos == g.adj_eid
+      && c.Kernel.Csr.adj_other == g.adj_other)
+
 let with_tmp f =
   let tmp = Filename.temp_file "test_bingraph_" ".nrb" in
   Fun.protect ~finally:(fun () -> if Sys.file_exists tmp then Sys.remove tmp)
@@ -202,4 +273,6 @@ let suite =
       Alcotest.test_case "snap: bad lines raise with line numbers" `Quick
         t_snap_errors;
     ]
-    @ qtests [ prop_roundtrip_bit_identical; prop_csr_direct_estimates ] )
+    @ qtests
+        [ prop_roundtrip_bit_identical; prop_csr_direct_estimates;
+          prop_one_representation ] )

@@ -46,76 +46,6 @@ let prop_bounds_always_valid =
       let b = B.compute ~width:2 g ~terminals:ts in
       b.B.lower <= expect +. 1e-9 && expect <= b.B.upper +. 1e-9)
 
-(* ---- konect loader ---- *)
-
-let sample_konect =
-  "% sample KONECT file\n\
-   # hash comments too\n\
-   1 2\n\
-   2 3 0.5\n\
-   1 2\n\
-   3 3\n\
-   \n\
-   4 1 0.25 1234567\n"
-
-let t_konect_parse_uniform () =
-  let g = Workload.Konect.parse sample_konect ~scheme:(`Uniform 1) in
-  (* Vertices 1,2,3,4 -> 4; edges: (1,2) x2 merged, (2,3), (4,1); the
-     self-loop (3,3) dropped. *)
-  Alcotest.(check int) "vertices" 4 (Ugraph.n_vertices g);
-  Alcotest.(check int) "edges" 3 (Ugraph.n_edges g);
-  Ugraph.iter_edges
-    (fun _ (e : Ugraph.edge) ->
-      Alcotest.(check bool) "p in (0,1)" true (e.p > 0. && e.p < 1.))
-    g
-
-let t_konect_coauthor_multiplicity () =
-  let g = Workload.Konect.parse sample_konect ~scheme:`Coauthor in
-  (* (1,2) has multiplicity 2, others 1; alphaM = 2. *)
-  let p_mult = Float.log 3. /. Float.log 4. in
-  let p_single = Float.log 2. /. Float.log 4. in
-  let e0 = Ugraph.edge g 0 in
-  check_close "merged edge probability" p_mult e0.Ugraph.p;
-  let e1 = Ugraph.edge g 1 in
-  check_close "single edge probability" p_single e1.Ugraph.p
-
-let t_konect_weight () =
-  let g = Workload.Konect.parse "1 2 0.25\n2 3 0.75\n" ~scheme:`Weight in
-  check_close "first weight" 0.25 (Ugraph.edge g 0).Ugraph.p;
-  check_close "second weight" 0.75 (Ugraph.edge g 1).Ugraph.p;
-  Alcotest.check_raises "missing weight"
-    (Invalid_argument "Konect: `Weight scheme but no weight column") (fun () ->
-      ignore (Workload.Konect.parse "1 2\n" ~scheme:`Weight));
-  Alcotest.check_raises "weight out of range"
-    (Invalid_argument "Konect: weight 7 outside [0,1] for an edge") (fun () ->
-      ignore (Workload.Konect.parse "1 2 7\n" ~scheme:`Weight))
-
-let t_konect_errors () =
-  Alcotest.check_raises "garbage" (Invalid_argument "Konect: malformed line 1: \"zap\"")
-    (fun () -> ignore (Workload.Konect.parse "zap\n" ~scheme:`Coauthor));
-  Alcotest.check_raises "empty" (Invalid_argument "Konect: no edges") (fun () ->
-      ignore (Workload.Konect.parse "% nothing\n" ~scheme:`Coauthor))
-
-let t_konect_file_roundtrip () =
-  let path = Filename.temp_file "konect" ".tsv" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let oc = open_out path in
-      output_string oc sample_konect;
-      close_out oc;
-      let g = Workload.Konect.load path ~scheme:(`Uniform 3) in
-      Alcotest.(check int) "edges" 3 (Ugraph.n_edges g))
-
-let t_konect_end_to_end () =
-  (* A loaded KONECT graph flows straight into the estimator. *)
-  let g = Workload.Konect.parse "1 2 0.9\n2 3 0.9\n3 1 0.9\n" ~scheme:`Weight in
-  let rep = Netrel.Reliability.estimate g ~terminals:[ 0; 2 ] in
-  Alcotest.(check bool) "exact" true rep.Netrel.Reliability.exact;
-  check_close ~eps:1e-9 "triangle reliability"
-    (BF.reliability g ~terminals:[ 0; 2 ])
-    rep.Netrel.Reliability.value
-
 let suite =
   ( "bounds-konect",
     [
@@ -123,12 +53,5 @@ let suite =
       Alcotest.test_case "bounds: narrow width still valid" `Quick
         t_bounds_contain_truth_narrow;
       Alcotest.test_case "bounds: threshold decisions" `Quick t_bounds_decides;
-      Alcotest.test_case "konect: parse + uniform scheme" `Quick t_konect_parse_uniform;
-      Alcotest.test_case "konect: coauthor multiplicities" `Quick
-        t_konect_coauthor_multiplicity;
-      Alcotest.test_case "konect: weight scheme" `Quick t_konect_weight;
-      Alcotest.test_case "konect: malformed input" `Quick t_konect_errors;
-      Alcotest.test_case "konect: file loading" `Quick t_konect_file_roundtrip;
-      Alcotest.test_case "konect: end to end" `Quick t_konect_end_to_end;
     ]
     @ qtests [ prop_bounds_always_valid ] )
