@@ -252,9 +252,10 @@ let bad line why =
   invalid_arg
     (Printf.sprintf "Ugraph.of_channel: %s in edge line %S" why (String.trim line))
 
-(* A vertex id in [[0, n)]: plain decimal digits are read in place;
-   anything else (signs, radix prefixes, underscores, overlong digit
-   strings) goes through [int_of_string_opt], as every id once did. *)
+(* A vertex id in [[0, n)]: plain decimal digits are read in place,
+   without allocating; any other token (a sign, a radix prefix,
+   underscores, more than 18 digits) goes through [int_of_string_opt],
+   whose syntax the format accepts. *)
 let vertex line ~n start stop =
   let x = if stop - start <= 18 then digits line start stop 0 else -1 in
   if x >= 0 && x < n then x
