@@ -89,12 +89,6 @@ let to_arrays t =
   done;
   (eu, ev, ep)
 
-(* The arrays become the graph's own; [Ugraph.of_arrays] checks them,
-   the load's one pass over the edges. *)
-let to_graph t =
-  let eu, ev, ep = to_arrays t in
-  Ugraph.of_arrays ~n:t.n ~eu ~ev ~ep
-
 let validate t =
   for i = 0 to t.m - 1 do
     let u = Int32.to_int t.eu.{i} and v = Int32.to_int t.ev.{i} and p = t.ep.{i} in
@@ -106,6 +100,16 @@ let validate t =
       invalid_arg
         (Printf.sprintf "Bingraph.validate: edge %d probability %g outside [0,1]" i p)
   done
+
+(* The arrays become the graph's own; [Ugraph.of_arrays] checks them,
+   the load's one pass over the edges. Only when that check fails does
+   [validate] run, to name the bad edge by its index in the file. *)
+let to_graph t =
+  let eu, ev, ep = to_arrays t in
+  try Ugraph.of_arrays ~n:t.n ~eu ~ev ~ep
+  with Invalid_argument _ as e ->
+    validate t;
+    raise e
 
 (* --- byte codec ------------------------------------------------------ *)
 

@@ -52,7 +52,8 @@ val to_graph : t -> Ugraph.t
     mapped file needs no separate {!validate} before it. About 7 words
     per edge plus one per vertex, all in the graph's own arrays.
     @raise Invalid_argument on an endpoint or probability out of
-    range, or a vertex array that cannot be allocated. *)
+    range (with {!validate}'s message, which names the edge), or a
+    vertex array that cannot be allocated. *)
 
 val to_arrays : t -> int array * int array * float array
 (** [(eu, ev, ep)] as fresh OCaml arrays in canonical edge order (the

@@ -198,7 +198,9 @@ let t_validate_rejects () =
   Bytes.set_int64_le b off_ep (Int64.bits_of_float 1.5);
   let bg = B.of_bytes b in
   check_contains "probability" ~sub:"outside [0,1]"
-    (invalid_msg (fun () -> B.validate bg))
+    (invalid_msg (fun () -> B.validate bg));
+  check_contains "to_graph names the edge" ~sub:"edge 0 probability 1.5"
+    (invalid_msg (fun () -> B.to_graph bg))
 
 (* ---- SNAP / KONECT parser ---- *)
 
