@@ -81,8 +81,9 @@ let exact_lines = function
     ]
 
 (* The four S2BDD entry points under one config. *)
-let s2bdd_lines ?(heuristic = S.Paper_heuristic) ?(ht = true) ~width g ~terminals =
-  let config = { S.default_config with S.width; S.heuristic } in
+let s2bdd_lines ?(heuristic = S.Paper_heuristic) ?(ht = true) ?(merge_flags = true)
+    ?(eager = true) ~width g ~terminals =
+  let config = { S.default_config with S.width; S.heuristic; S.merge_flags; S.eager } in
   let est estimator = S.estimate ~config:{ config with S.estimator } g ~terminals in
   ("mc" :: result_lines (est S.Monte_carlo))
   @ (if ht then "ht" :: result_lines (est S.Horvitz_thompson) else [])
@@ -420,7 +421,314 @@ pd 3fe014d37806b6bf*2^-9
 layers 78 nodes 84280 max 4800|} );
   ]
 
-let t_known_answers () =
+(* The two other frontier machines, each under deletion, where the
+   table's iteration order decides which nodes are deleted and the
+   order in which they are consumed: merging on exact terminal counts
+   ([merge_flags = false]) and resolving sinks only at departures
+   ([eager = false]). On karate [0; 33] and the DBLP1 case both give
+   the default's answers (two terminals, or no component that gathers
+   two of them in the layers built), so the five-terminal karate cases
+   are the ones where each variant moves the answer. *)
+let variant_cases =
+  let dblp1 () = (D.dblp1 ~seed:1 ()).D.graph in
+  let five = [ 0; 5; 16; 24; 33 ] in
+  [
+    ( "karate exact keys w = 8",
+      fun () -> s2bdd_lines ~merge_flags:false ~width:8 (karate ()) ~terminals:[ 0; 33 ] );
+    ( "karate lazy w = 8",
+      fun () -> s2bdd_lines ~eager:false ~width:8 (karate ()) ~terminals:[ 0; 33 ] );
+    ( "DBLP1 exact keys w = 1,000",
+      fun () ->
+        s2bdd_lines ~merge_flags:false ~width:1_000 (dblp1 ()) ~terminals:dblp1_terminals );
+    ( "DBLP1 lazy w = 1,000",
+      fun () -> s2bdd_lines ~eager:false ~width:1_000 (dblp1 ()) ~terminals:dblp1_terminals );
+    ( "karate k = 5 exact keys w = 8",
+      fun () -> s2bdd_lines ~merge_flags:false ~width:8 (karate ()) ~terminals:five );
+    ( "karate k = 5 lazy w = 8",
+      fun () -> s2bdd_lines ~eager:false ~width:8 (karate ()) ~terminals:five );
+  ]
+
+let variant_expected =
+  [
+    ( "karate exact keys w = 8",
+      {|mc
+value 3feff76d50c273c4
+lower 3f94ca6eb838fc10
+upper 3ff0000000000000
+pc 3fe4ca6eb838fc10*2^-5
+pd 0*2^0
+exact false
+s 10000 -> 9796
+drawn 9793 sampled 137 deleted 175
+layers 28 max_width 16 peak_words 384
+aborted true stop converged
+ht
+value 3feff76d50c3562c
+lower 3f94ca6eb838fc10
+upper 3ff0000000000000
+pc 3fe4ca6eb838fc10*2^-5
+pd 0*2^0
+exact false
+s 10000 -> 9796
+drawn 9793 sampled 137 deleted 175
+layers 28 max_width 16 peak_words 384
+aborted true stop converged
+prepare
+sampling
+bounds 3f94ca6eb838fc10 3ff0000000000000
+strata 183 md5 10db72f60c055a2ba11b91193562ceb3
+stratum 4 3faba977a9e25c07
+stratum 4 3fa97d506e8aefeb
+stratum 4 3fa4854ffc25899a
+stratum 4 3fa2e8bc691b34cb
+hits 1
+hits 1
+hits 1
+hits 1
+bounds
+value 3f94ca6eb838fc10
+lower 3f94ca6eb838fc10
+upper 3ff0000000000000
+pc 3fe4ca6eb838fc10*2^-5
+pd 0*2^0
+exact false
+s 10000 -> 9796
+drawn 0 sampled 0 deleted 175
+layers 28 max_width 16 peak_words 384
+aborted true stop converged|} );
+    ( "karate lazy w = 8",
+      {|mc
+value 3feff5ae3e8766b4
+lower 3f24956c6f70dbe5
+upper 3ff0000000000000
+pc 3fe4956c6f70dbe5*2^-12
+pd 0*2^0
+exact false
+s 10000 -> 9998
+drawn 10003 sampled 186 deleted 282
+layers 78 max_width 16 peak_words 396
+aborted false stop completed
+ht
+value 3feff5ae3e887504
+lower 3f24956c6f70dbe5
+upper 3ff0000000000000
+pc 3fe4956c6f70dbe5*2^-12
+pd 0*2^0
+exact false
+s 10000 -> 9998
+drawn 10003 sampled 186 deleted 282
+layers 78 max_width 16 peak_words 396
+aborted false stop completed
+prepare
+sampling
+bounds 3f24956c6f70dbe5 3ff0000000000000
+strata 282 md5 9fca75f5cee37c20bfb6ea84ffb9555a
+stratum 4 3faba977a9e25c07
+stratum 4 3fa97d506e8aefeb
+stratum 4 3fa4854ffc25899a
+stratum 4 3fa2e8bc691b34cb
+hits 1
+hits 1
+hits 1
+hits 1
+bounds
+value 3f24956c6f70dbe5
+lower 3f24956c6f70dbe5
+upper 3ff0000000000000
+pc 3fe4956c6f70dbe5*2^-12
+pd 0*2^0
+exact false
+s 10000 -> 9998
+drawn 0 sampled 0 deleted 282
+layers 78 max_width 16 peak_words 396
+aborted false stop completed|} );
+    ( "DBLP1 exact keys w = 1,000",
+      {|mc
+value 3fc096ba9eab187b
+lower 0
+upper 3fcf07237ff6006c
+pc 0*2^0
+pd 3fe83e3720027fe5*2^0
+exact false
+s 10000 -> 2424
+drawn 626 sampled 626 deleted 27224
+layers 38 max_width 2000 peak_words 24576
+aborted true stop converged
+ht
+value 3fc096ba9eab187b
+lower 0
+upper 3fcf07237ff6006c
+pc 0*2^0
+pd 3fe83e3720027fe5*2^0
+exact false
+s 10000 -> 2424
+drawn 626 sampled 626 deleted 27224
+layers 38 max_width 2000 peak_words 24576
+aborted true stop converged
+prepare
+sampling
+bounds 0 3fcf07237ff6006c
+strata 28224 md5 62d793d4bd33f68c66d7b39fe322dcca
+stratum 11 3f0105416e1dc9aa
+stratum 11 3f0105416e1dc9aa
+stratum 11 3f0105416e1dc9a9
+stratum 11 3f0105416e1dc9aa
+hits 1
+hits 0
+hits 0
+hits 1
+bounds
+value 0
+lower 0
+upper 3fcf07237ff6006c
+pc 0*2^0
+pd 3fe83e3720027fe5*2^0
+exact false
+s 10000 -> 2424
+drawn 0 sampled 0 deleted 27224
+layers 38 max_width 2000 peak_words 24576
+aborted true stop converged|} );
+    ( "DBLP1 lazy w = 1,000",
+      {|mc
+value 3fc096ba9eab187b
+lower 0
+upper 3fcf07237ff6006c
+pc 0*2^0
+pd 3fe83e3720027fe5*2^0
+exact false
+s 10000 -> 2424
+drawn 626 sampled 626 deleted 27224
+layers 38 max_width 2000 peak_words 24576
+aborted true stop converged
+ht
+value 3fc096ba9eab187b
+lower 0
+upper 3fcf07237ff6006c
+pc 0*2^0
+pd 3fe83e3720027fe5*2^0
+exact false
+s 10000 -> 2424
+drawn 626 sampled 626 deleted 27224
+layers 38 max_width 2000 peak_words 24576
+aborted true stop converged
+prepare
+sampling
+bounds 0 3fcf07237ff6006c
+strata 28224 md5 62d793d4bd33f68c66d7b39fe322dcca
+stratum 11 3f0105416e1dc9aa
+stratum 11 3f0105416e1dc9aa
+stratum 11 3f0105416e1dc9a9
+stratum 11 3f0105416e1dc9aa
+hits 1
+hits 0
+hits 0
+hits 1
+bounds
+value 0
+lower 0
+upper 3fcf07237ff6006c
+pc 0*2^0
+pd 3fe83e3720027fe5*2^0
+exact false
+s 10000 -> 2424
+drawn 0 sampled 0 deleted 27224
+layers 38 max_width 2000 peak_words 24576
+aborted true stop converged|} );
+    ( "karate k = 5 exact keys w = 8",
+      {|mc
+value 3fdb1a4532744067
+lower 3f5fe3db8c736fc1
+upper 3fe04df628b2fc2b
+pc 3fefe3db8c736fc1*2^-9
+pd 3fef6413ae9a07aa*2^-1
+exact false
+s 10000 -> 9960
+drawn 2605 sampled 166 deleted 177
+layers 30 max_width 16 peak_words 334
+aborted true stop converged
+ht
+value 3fdb1a4532747af8
+lower 3f5fe3db8c736fc1
+upper 3fe04df628b2fc2b
+pc 3fefe3db8c736fc1*2^-9
+pd 3fef6413ae9a07aa*2^-1
+exact false
+s 10000 -> 9960
+drawn 2605 sampled 166 deleted 177
+layers 30 max_width 16 peak_words 334
+aborted true stop converged
+prepare
+sampling
+bounds 3f5fe3db8c736fc1 3fe04df628b2fc2b
+strata 185 md5 a5c95ebbf0afdf54503dcc44e94caf04
+stratum 4 3f507d897fd34bc9
+stratum 4 3f4d2564ce1660f6
+stratum 4 3f41efa9a3c5f5ef
+stratum 4 3f444bc745097faf
+hits 1
+hits 0
+hits 1
+hits 1
+bounds
+value 3f5fe3db8c736fc1
+lower 3f5fe3db8c736fc1
+upper 3fe04df628b2fc2b
+pc 3fefe3db8c736fc1*2^-9
+pd 3fef6413ae9a07aa*2^-1
+exact false
+s 10000 -> 9960
+drawn 0 sampled 0 deleted 177
+layers 30 max_width 16 peak_words 334
+aborted true stop converged|} );
+    ( "karate k = 5 lazy w = 8",
+      {|mc
+value 3fdb12bd5f9652bd
+lower 0
+upper 3fe04df628b2fc2b
+pc 0*2^0
+pd 3fef6413ae9a07aa*2^-1
+exact false
+s 10000 -> 5095
+drawn 2605 sampled 166 deleted 233
+layers 37 max_width 16 peak_words 408
+aborted true stop converged
+ht
+value 3fdb12bd5f968d4e
+lower 0
+upper 3fe04df628b2fc2b
+pc 0*2^0
+pd 3fef6413ae9a07aa*2^-1
+exact false
+s 10000 -> 5095
+drawn 2605 sampled 166 deleted 233
+layers 37 max_width 16 peak_words 408
+aborted true stop converged
+prepare
+sampling
+bounds 0 3fe04df628b2fc2b
+strata 241 md5 e3f7a434b1a20c0a7825a577b6b91433
+stratum 4 3f507d897fd34bc9
+stratum 4 3f4d2564ce1660f6
+stratum 4 3f41efa9a3c5f5ef
+stratum 4 3f444bc745097faf
+hits 1
+hits 0
+hits 1
+hits 1
+bounds
+value 0
+lower 0
+upper 3fe04df628b2fc2b
+pc 0*2^0
+pd 3fef6413ae9a07aa*2^-1
+exact false
+s 10000 -> 5095
+drawn 0 sampled 0 deleted 233
+layers 37 max_width 16 peak_words 408
+aborted true stop converged|} );
+  ]
+
+let check_cases cases expected () =
   List.iter
     (fun (name, f) ->
       let got = f () in
@@ -434,5 +742,7 @@ let suite =
   ( "s2bdd-known",
     [
       Alcotest.test_case "known answers of the S2BDD and exact BDD" `Quick
-        t_known_answers;
+        (check_cases cases expected);
+      Alcotest.test_case "known answers of the exact-key and lazy S2BDD" `Quick
+        (check_cases variant_cases variant_expected);
     ] )
