@@ -1,4 +1,4 @@
-.PHONY: build test selfcheck bench bench-quick bench-smoke bench-kernels bench-bitsliced bench-adaptive bench-batch bench-large bench-all clean
+.PHONY: build test selfcheck answers bench bench-quick bench-smoke bench-kernels bench-bitsliced bench-adaptive bench-batch bench-large bench-all clean
 
 build:
 	dune build
@@ -11,6 +11,15 @@ test:
 # 5-trial run also rides along under `dune runtest`.
 selfcheck:
 	dune exec bin/netrel_cli.exe -- selfcheck --trials 50 --seed 1
+
+# The answer battery (tools/answers.sh): pro, pro-ht, adaptive pro,
+# pro without the extension, both samplers, bounds and a serve session
+# on karate, DBLP1 and NYC, at --jobs 1 and 2 under NETREL_FAKE_CLOCK=1,
+# as text, --stats json and jsonl traces in DIR. A change that keeps
+# every answer leaves `diff -r` of two builds' directories empty.
+answers:
+	@test -n "$(OUT)" || { echo "usage: make answers OUT=DIR" >&2; exit 2; }
+	tools/answers.sh $(OUT)
 
 bench:
 	dune exec bench/main.exe
