@@ -264,76 +264,83 @@ module Snap = struct
 
   let is_ws c = c = ' ' || c = '\t' || c = '\r'
 
-  (* Parse one whitespace-separated token from the reusable line buffer
-     [buf] starting at [!pos]; returns the [(start, stop)] span or None
-     at end of line. *)
-  let next_token buf pos =
-    let len = Buffer.length buf in
-    while !pos < len && is_ws (Buffer.nth buf !pos) do incr pos done;
+  (* The next whitespace-separated token of line [l] from [!pos]: its
+     [(start, stop)] span, or None at the end of the line. *)
+  let next_token l pos =
+    let len = String.length l in
+    while !pos < len && is_ws l.[!pos] do incr pos done;
     if !pos >= len then None
     else begin
       let start = !pos in
-      while !pos < len && not (is_ws (Buffer.nth buf !pos)) do incr pos done;
+      while !pos < len && not (is_ws l.[!pos]) do incr pos done;
       Some (start, !pos)
     end
 
-  let token_int buf (start, stop) ~line ~what =
+  let token_int l (start, stop) ~line ~what =
     let v = ref 0 and ok = ref (stop > start) in
     for i = start to stop - 1 do
-      match Buffer.nth buf i with
+      match l.[i] with
       | '0' .. '9' as c -> v := (!v * 10) + (Char.code c - Char.code '0')
       | _ -> ok := false
     done;
     if not !ok then
-      bad ~line "unreadable %s %S" what (Buffer.sub buf start (stop - start));
+      bad ~line "unreadable %s %S" what (String.sub l start (stop - start));
     !v
 
-  let token_prob buf (start, stop) ~line =
-    let s = Buffer.sub buf start (stop - start) in
+  let token_prob l (start, stop) ~line =
+    let s = String.sub l start (stop - start) in
     match float_of_string_opt s with
     | None -> bad ~line "unreadable probability %S" s
     | Some p ->
       if not (p >= 0. && p <= 1.) then bad ~line "probability %g outside [0,1]" p;
       p
 
+  (* File ids to compact ids, hashed and compared without a C call. *)
+  module Ids = Hashtbl.Make (struct
+    type t = int
+
+    let equal (a : int) b = a = b
+    let hash x = (x * 0x9E3779B97F4A7C1) lsr 17
+  end)
+
   let parse ?(default_prob = 0.5) ~next_line () =
     if not (default_prob >= 0. && default_prob <= 1.) then
       invalid_arg
         (Printf.sprintf "Bingraph.Snap: default probability %g outside [0,1]"
            default_prob);
-    let buf = Buffer.create 256 in
-    let ids : (int, int) Hashtbl.t = Hashtbl.create 4096 in
+    let ids = Ids.create 4096 in
     let n = ref 0 in
     let compact id =
-      match Hashtbl.find_opt ids id with
+      match Ids.find_opt ids id with
       | Some c -> c
       | None ->
         let c = !n in
-        Hashtbl.add ids id c;
+        Ids.add ids id c;
         incr n;
         c
     in
     let s = store () in
     let line = ref 0 in
     let rec go () =
-      if next_line buf then begin
+      match next_line () with
+      | None -> ()
+      | Some l ->
         incr line;
         let pos = ref 0 in
-        (match next_token buf pos with
+        (match next_token l pos with
          | None -> ()                        (* blank line *)
-         | Some (start, _) when
-             (match Buffer.nth buf start with '#' | '%' -> true | _ -> false) ->
+         | Some (start, _) when (match l.[start] with '#' | '%' -> true | _ -> false) ->
            ()                                (* comment / KONECT header *)
          | Some t1 ->
-           let u = token_int buf t1 ~line:!line ~what:"vertex id" in
-           (match next_token buf pos with
+           let u = token_int l t1 ~line:!line ~what:"vertex id" in
+           (match next_token l pos with
             | None -> bad ~line:!line "expected `u v [p]`, got one field"
             | Some t2 ->
-              let v = token_int buf t2 ~line:!line ~what:"vertex id" in
+              let v = token_int l t2 ~line:!line ~what:"vertex id" in
               let p =
-                match next_token buf pos with
+                match next_token l pos with
                 | None -> default_prob
-                | Some t3 -> token_prob buf t3 ~line:!line
+                | Some t3 -> token_prob l t3 ~line:!line
                 (* further columns (KONECT timestamps) are ignored *)
               in
               (* bind [compact u] first: argument positions evaluate
@@ -342,7 +349,6 @@ module Snap = struct
               let cv = compact v in
               push s cu cv p));
         go ()
-      end
     in
     go ();
     if s.len = 0 then invalid_arg "Bingraph.Snap: no edges in input";
@@ -356,18 +362,12 @@ module Snap = struct
     let n = !n in
     { n; m; eu; ev; ep; digest = Digest.of_packed ~n ~m eu ev ep }
 
-  let channel_lines ic buf =
-    Buffer.clear buf;
-    let rec go got =
-      match input_char ic with
-      | '\n' -> true
-      | c -> Buffer.add_char buf c; go true
-      | exception End_of_file -> got
-    in
-    go false
-
+  (* One line per [input_line]: the newline is dropped, a final line
+     without one is still a line, and a CR stays in the line for
+     [is_ws] to skip. *)
   let of_channel ?default_prob ic =
-    parse ?default_prob ~next_line:(fun buf -> channel_lines ic buf) ()
+    let next_line () = In_channel.input_line ic in
+    parse ?default_prob ~next_line ()
 
   let of_file ?default_prob path =
     let ic = open_in_bin path in
@@ -376,18 +376,17 @@ module Snap = struct
 
   let of_string ?default_prob str =
     let pos = ref 0 in
-    let next_line buf =
-      Buffer.clear buf;
-      if !pos >= String.length str then false
+    let next_line () =
+      if !pos >= String.length str then None
       else begin
         let stop =
           match String.index_from_opt str !pos '\n' with
           | Some i -> i
           | None -> String.length str
         in
-        Buffer.add_substring buf str !pos (stop - !pos);
+        let l = String.sub str !pos (stop - !pos) in
         pos := stop + 1;
-        true
+        Some l
       end
     in
     parse ?default_prob ~next_line ()
