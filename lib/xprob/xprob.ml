@@ -5,11 +5,28 @@ type t = { m : float; e : int }
 
 let zero = { m = 0.; e = 0 }
 
-let norm m e =
+(* [Float.frexp] of a normal double, read from its bits: the exponent is
+   the biased exponent field less 1022, and the fraction keeps the sign
+   and significand bits under the exponent field of 0.5. Both are
+   computed in registers, where [Float.frexp] allocates a tuple and a
+   boxed float. Zero, subnormals, infinities and NaN (field 0 or 0x7ff)
+   are left to [Float.frexp]. *)
+let[@inline] biased_exponent bits =
+  Int64.to_int (Int64.shift_right_logical bits 52) land 0x7ff
+
+let[@inline] fraction bits =
+  Int64.float_of_bits
+    (Int64.logor (Int64.logand bits 0x800F_FFFF_FFFF_FFFFL) 0x3FE0_0000_0000_0000L)
+
+let[@inline] norm m e =
   if m = 0. then zero
   else
-    let frac, ex = Float.frexp m in
-    { m = frac; e = e + ex }
+    let bits = Int64.bits_of_float m in
+    let be = biased_exponent bits in
+    if be = 0 || be = 0x7ff then
+      let frac, ex = Float.frexp m in
+      { m = frac; e = e + ex }
+    else { m = fraction bits; e = e + be - 1022 }
 
 let one = norm 1. 0
 let half = norm 0.5 0
@@ -44,8 +61,12 @@ let scale c x =
     invalid_arg (Printf.sprintf "Xprob.scale: %g" c)
   else if c = 0. || is_zero x then zero
   else
-    let frac, ex = Float.frexp c in
-    norm (frac *. x.m) (x.e + ex)
+    let bits = Int64.bits_of_float c in
+    let be = biased_exponent bits in
+    if be = 0 then
+      let frac, ex = Float.frexp c in
+      norm (frac *. x.m) (x.e + ex)
+    else norm (fraction bits *. x.m) (x.e + be - 1022)
 
 (* The [scale] fold over a world as one running double [x] and an
    exponent offset [e] (value [x * 2^e]) instead of a normalised pair per

@@ -251,6 +251,68 @@ let prop_world_prob_is_scale_fold =
       let ps = Array.of_list (List.map fst world) in
       world_prob_agrees ps (Array.of_list (List.map snd world)))
 
+(* [scale], [mul] and [add] against the [Float.frexp] formulas they
+   normalise with, on [(mantissa, exponent)] pairs: equal bit for bit.
+   Operands span zero, subnormals, normals near both ends of the double
+   range and values far outside it; factors include subnormal ones,
+   which take the [Float.frexp] path. *)
+let frexp_norm m e =
+  if m = 0. then (0., 0)
+  else
+    let frac, ex = Float.frexp m in
+    (frac, e + ex)
+
+let frexp_scale c (m, e) =
+  if c = 0. || m = 0. then (0., 0)
+  else
+    let frac, ex = Float.frexp c in
+    frexp_norm (frac *. m) (e + ex)
+
+let frexp_mul (ma, ea) (mb, eb) =
+  if ma = 0. || mb = 0. then (0., 0) else frexp_norm (ma *. mb) (ea + eb)
+
+let frexp_add ((ma, ea) as a) ((mb, eb) as b) =
+  if ma = 0. then b
+  else if mb = 0. then a
+  else
+    let (mh, eh), (ml, el) = if ea >= eb then (a, b) else (b, a) in
+    let shift = el - eh in
+    if shift < -60 then (mh, eh) else frexp_norm (mh +. Float.ldexp ml shift) eh
+
+let same_pair (m, e) x =
+  let mx, ex = Xprob.mantissa_exponent x in
+  Int64.equal (Int64.bits_of_float m) (Int64.bits_of_float mx) && e = ex
+
+let arb_operands =
+  let gen_float =
+    QCheck.Gen.(
+      frequency
+        [ (1, oneofl (special_probs @ [ 1e300; Float.max_float; 2. ]));
+          (3, float_bound_inclusive 1.);
+          (1, map (fun u -> 10. ** (-320. *. u)) (float_bound_inclusive 1.)) ])
+  in
+  (* A value outside the double range: [x * 2^shift]. *)
+  let gen_x =
+    QCheck.Gen.(
+      map2
+        (fun f shift -> Xprob.mul (Xprob.of_float f) (Xprob.pow_int Xprob.half shift))
+        gen_float
+        (frequency [ (3, return 0); (1, int_bound 5_000) ]))
+  in
+  QCheck.make
+    ~print:(fun (c, a, b) ->
+      Printf.sprintf "(%h, %s, %s)" c (Xprob.to_string a) (Xprob.to_string b))
+    QCheck.Gen.(triple gen_float gen_x gen_x)
+
+let prop_ops_match_frexp =
+  QCheck.Test.make ~name:"scale, mul and add = the Float.frexp formulas, bit for bit"
+    ~count:2000 arb_operands (fun (c, a, b) ->
+      let pa = Xprob.mantissa_exponent a and pb = Xprob.mantissa_exponent b in
+      same_pair (frexp_scale c pa) (Xprob.scale c a)
+      && same_pair (frexp_mul pa pb) (Xprob.mul a b)
+      && same_pair (frexp_add pa pb) (Xprob.add a b)
+      && same_pair (frexp_norm c 0) (Xprob.of_float c))
+
 let suite =
   ( "xprob",
     [
@@ -280,4 +342,5 @@ let suite =
           prop_order_embedding;
           prop_complement_involutive;
           prop_world_prob_is_scale_fold;
+          prop_ops_match_frexp;
         ] )
