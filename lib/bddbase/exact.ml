@@ -39,8 +39,7 @@ let reliability ?order ?(node_budget = default_node_budget) ?(eager = false) g
     let m = Fstate.n_positions ctx in
     let pc = ref Xprob.zero and pd = ref Xprob.zero in
     let current = ref (Fstate.Key_table.create 16) in
-    Fstate.Key_table.replace !current (Fstate.key_exact Fstate.initial)
-      (Fstate.initial, ref Xprob.one);
+    Fstate.Key_table.replace !current Fstate.initial (ref Xprob.one);
     (* The baseline keeps every constructed layer alive; retaining the
        tables models its memory footprint, and their sizes its BDD
        size. *)
@@ -51,7 +50,7 @@ let reliability ?order ?(node_budget = default_node_budget) ?(eager = false) g
     while (not !budget_hit) && !pos < m && Fstate.Key_table.length !current > 0 do
       let e = Fstate.edge_at ctx !pos in
       let next = Fstate.Key_table.create (Fstate.Key_table.length !current * 2) in
-      let expand _key (st, pn) =
+      let expand st pn =
         let branch exists weight =
           if weight > 0. then begin
             let p' = Xprob.scale weight !pn in
@@ -59,10 +58,9 @@ let reliability ?order ?(node_budget = default_node_budget) ?(eager = false) g
             | Fstate.Sink1 -> pc := Xprob.add !pc p'
             | Fstate.Sink0 -> pd := Xprob.add !pd p'
             | Fstate.Live st' -> (
-              let key = Fstate.key_exact st' in
-              match Fstate.Key_table.find_opt next key with
-              | Some (_, acc) -> acc := Xprob.add !acc p'
-              | None -> Fstate.Key_table.replace next key (st', ref p'))
+              match Fstate.Key_table.find_opt next st' with
+              | Some acc -> acc := Xprob.add !acc p'
+              | None -> Fstate.Key_table.replace next st' (ref p'))
           end
         in
         branch true e.Ugraph.p;

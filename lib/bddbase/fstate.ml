@@ -8,6 +8,16 @@
    keeps states tiny even when the frontier itself is huge, which is
    what makes layer processing affordable on non-planar inputs.
 
+   A state is one packed int array, its own merge key:
+
+     [| hash; meta; verts (nv); comp_of (nv); -1; tc (nc) |]
+
+   From index 2 on it is [key_exact]'s layout. [meta] is [2 nv + 1]
+   when the state merges on terminal flags and [2 nv] when it merges on
+   exact counts; [hash] is the FNV-1a hash of the state's merge key
+   ([key_flags] or [key_exact]), computed once, when [step] writes the
+   state.
+
    Invariants of a canonical state:
    - [verts] strictly increasing vertex ids;
    - [comp_of.(i)] is the component of [verts.(i)], ids assigned by
@@ -15,7 +25,39 @@
    - [tc.(c)] terminal count of component [c]; every component is
      non-trivial (size >= 2 or [tc > 0]). *)
 
-type state = { verts : int array; comp_of : int array; tc : int array }
+type state = int array
+
+(* The layout's offsets: the vertex count, the start of [comp_of], the
+   start of [tc], the component count. *)
+let[@inline] nverts (st : state) = st.(1) lsr 1
+let[@inline] comp_base nv = 2 + nv
+let[@inline] tc_base nv = 3 + (2 * nv)
+let[@inline] ncomps (st : state) nv = Array.length st - tc_base nv
+let[@inline] merges_flags (st : state) = st.(1) land 1 = 1
+
+(* One FNV-1a round. The construction's iteration order depends on the
+   hash values, so they must stay those of this fold over the merge
+   key. *)
+let[@inline] fnv h x = (h lxor (x + 0x9E3779B9)) * 0x01000193 land max_int
+
+(* The hash of the merge key [st.(2 ..)], terminal counts as flags when
+   the state merges on flags. *)
+let key_hash (st : state) =
+  let nv = nverts st in
+  let tcb = tc_base nv in
+  let h = ref 0x811C9DC5 in
+  for i = 2 to tcb - 1 do
+    h := fnv !h st.(i)
+  done;
+  if merges_flags st then
+    for i = tcb to Array.length st - 1 do
+      h := fnv !h (if st.(i) > 0 then 1 else 0)
+    done
+  else
+    for i = tcb to Array.length st - 1 do
+      h := fnv !h st.(i)
+    done;
+  !h
 
 type ctx = {
   k : int;
@@ -32,9 +74,17 @@ type ctx = {
      (Kernel.Csr.positions): nothing reads an adjacency, so none is
      built. *)
   csr : Kernel.Csr.t;
+  (* The low bit of every state's [meta]: 1 when states merge on
+     terminal flags. *)
+  flags : int;
 }
 
-let initial = { verts = [||]; comp_of = [||]; tc = [||] }
+(* No vertex, no component: the same key, and so the same hash, under
+   either merge. *)
+let initial =
+  let st = [| 0; 0; -1 |] in
+  st.(0) <- key_hash st;
+  st
 
 type outcome =
   | Sink1
@@ -46,7 +96,7 @@ let edge_at ctx pos =
   let c = ctx.csr in
   { Ugraph.u = c.Kernel.Csr.eu.(pos); v = c.Kernel.Csr.ev.(pos); p = c.Kernel.Csr.ep.(pos) }
 
-let make g ~order ~terminals =
+let make ?(merge_flags = false) g ~order ~terminals =
   Ugraph.validate_terminals g terminals;
   let k = List.length terminals in
   if k < 2 then invalid_arg "Fstate.make: need at least two terminals";
@@ -66,6 +116,7 @@ let make g ~order ~terminals =
     terminal_arr = Array.of_list terminals;
     is_terminal;
     csr = Kernel.Csr.positions g ~order;
+    flags = Bool.to_int merge_flags;
   }
 
 (* Index of [x] in the sorted prefix [a.(lo .. hi - 1)], or [-1]. A
@@ -160,26 +211,19 @@ let leave ctx w ~pos ~len x =
       end
     end
 
-let step ctx ~eager ~pos st ~exists =
-  let u = ctx.csr.Kernel.Csr.eu.(pos) and v = ctx.csr.Kernel.Csr.ev.(pos) in
-  let nv = Array.length st.verts and nc = Array.length st.tc in
+(* The child of [st] when the edge [(u, v)] at [pos] changes it:
+   [ins_u]/[ins_v] say which endpoints become explicit, and [joins]
+   whether the edge exists between two distinct vertices. *)
+let rebuild ctx ~eager ~pos (st : state) ~u ~v ~joins ~ins_u ~ins_v =
+  let nv = nverts st in
+  let cb = comp_base nv and tcb = tc_base nv in
+  let nc = ncomps st nv in
   let w = work ~verts:(nv + 2) ~comps:(nc + 2) in
   let w_verts = w.w_verts and w_comp = w.w_comp and w_tc = w.w_tc in
-  Array.blit st.tc 0 w_tc 0 nc;
-  (* Materialisation set: a vertex joins the explicit representation if
-     it is an entering terminal, or an endpoint of an existent non-loop
-     edge (its component will have size >= 2). Up to two insertions,
-     [p1 < p2], [-1] for none. *)
-  let joins = exists && u <> v in
-  let ins_u =
-    (joins || (ctx.first_pos.(u) = pos && ctx.is_terminal.(u)))
-    && bsearch st.verts u 0 nv < 0
-  in
-  let ins_v =
-    v <> u
-    && (joins || (ctx.first_pos.(v) = pos && ctx.is_terminal.(v)))
-    && bsearch st.verts v 0 nv < 0
-  in
+  for c = 0 to nc - 1 do
+    w_tc.(c) <- st.(tcb + c)
+  done;
+  (* Up to two insertions, [p1 < p2], [-1] for none. *)
   let lo = if u < v then u else v and hi = if u < v then v else u in
   let p1 = if ins_u && ins_v then lo else if ins_u then u else if ins_v then v else -1 in
   let p2 = if ins_u && ins_v then hi else -1 in
@@ -189,7 +233,7 @@ let step ctx ~eager ~pos st ~exists =
   let len = ref 0 and n_comp = ref nc and i = ref 0 in
   let pend = ref p1 and pend2 = ref p2 in
   while !i < nv || !pend >= 0 do
-    if !pend >= 0 && (!i >= nv || !pend < st.verts.(!i)) then begin
+    if !pend >= 0 && (!i >= nv || !pend < st.(2 + !i)) then begin
       let p = !pend in
       w_verts.(!len) <- p;
       w_comp.(!len) <- !n_comp;
@@ -199,8 +243,8 @@ let step ctx ~eager ~pos st ~exists =
       pend2 := -1
     end
     else begin
-      w_verts.(!len) <- st.verts.(!i);
-      w_comp.(!len) <- st.comp_of.(!i);
+      w_verts.(!len) <- st.(2 + !i);
+      w_comp.(!len) <- st.(cb + !i);
       incr i
     end;
     incr len
@@ -222,7 +266,9 @@ let step ctx ~eager ~pos st ~exists =
   end;
   if !early_sink1 then Sink1
   else begin
-    Bytes.fill w.w_removed 0 len '\000';
+    for j = 0 to len - 1 do
+      Bytes.set w.w_removed j '\000'
+    done;
     let left_u = leave ctx w ~pos ~len u in
     let left_v = if v <> u then leave ctx w ~pos ~len v else 0 in
     if left_u = 2 || left_v = 2 then Sink1
@@ -231,7 +277,9 @@ let step ctx ~eager ~pos st ~exists =
       (* Compact and canonically renumber: components by first
          appearance, so equal partitions are equal arrays. *)
       let rename = w.w_rename and tc_out = w.w_tc_out in
-      Array.fill rename 0 !n_comp (-1);
+      for c = 0 to !n_comp - 1 do
+        rename.(c) <- -1
+      done;
       let out_len = ref 0 and n_comps = ref 0 in
       for j = 0 to len - 1 do
         if not (removed w j) then begin
@@ -244,58 +292,91 @@ let step ctx ~eager ~pos st ~exists =
           end
         end
       done;
-      let verts = Array.make !out_len 0 and comp_of = Array.make !out_len 0 in
+      (* The one allocation: the state in its packed layout. *)
+      let nv' = !out_len in
+      let cb' = comp_base nv' and tcb' = tc_base nv' in
+      let st' = Array.make (tcb' + !n_comps) 0 in
+      st'.(1) <- (2 * nv') lor ctx.flags;
       let cursor = ref 0 in
       for j = 0 to len - 1 do
         if not (removed w j) then begin
-          verts.(!cursor) <- w_verts.(j);
-          comp_of.(!cursor) <- rename.(w_comp.(j));
+          st'.(2 + !cursor) <- w_verts.(j);
+          st'.(cb' + !cursor) <- rename.(w_comp.(j));
           incr cursor
         end
       done;
-      Live { verts; comp_of; tc = Array.sub tc_out 0 !n_comps }
+      st'.(tcb' - 1) <- -1;
+      for c = 0 to !n_comps - 1 do
+        st'.(tcb' + c) <- tc_out.(c)
+      done;
+      st'.(0) <- key_hash st';
+      Live st'
     end
   end
 
-let key_exact st =
-  let nv = Array.length st.verts and nt = Array.length st.tc in
-  let key = Array.make ((2 * nv) + 1 + nt) (-1) in
-  Array.blit st.verts 0 key 0 nv;
-  Array.blit st.comp_of 0 key nv nv;
-  Array.blit st.tc 0 key ((2 * nv) + 1) nt;
-  key
+let step ctx ~eager ~pos (st : state) ~exists =
+  let u = ctx.csr.Kernel.Csr.eu.(pos) and v = ctx.csr.Kernel.Csr.ev.(pos) in
+  let nv = nverts st in
+  let cb = comp_base nv in
+  let iu = bsearch st u 2 cb in
+  let iv = if v = u then iu else bsearch st v 2 cb in
+  (* Materialisation set: a vertex joins the explicit representation if
+     it is an entering terminal, or an endpoint of an existent non-loop
+     edge (its component will have size >= 2). *)
+  let joins = exists && u <> v in
+  let ins_u = iu < 0 && (joins || (ctx.first_pos.(u) = pos && ctx.is_terminal.(u))) in
+  let ins_v =
+    v <> u && iv < 0 && (joins || (ctx.first_pos.(v) = pos && ctx.is_terminal.(v)))
+  in
+  (* An edge that makes no vertex explicit, joins no two components and
+     takes no explicit vertex off the frontier leaves the state as it
+     is, canonical numbering included: the child is the state itself. *)
+  if
+    (not ins_u) && (not ins_v)
+    && ((not joins) || st.(nv + iu) = st.(nv + iv))
+    && (iu < 0 || ctx.last_pos.(u) <> pos)
+    && (iv < 0 || ctx.last_pos.(v) <> pos)
+  then Live st
+  else rebuild ctx ~eager ~pos st ~u ~v ~joins ~ins_u ~ins_v
 
-let key_flags st =
-  let nv = Array.length st.verts and nt = Array.length st.tc in
-  let key = Array.make ((2 * nv) + 1 + nt) (-1) in
-  Array.blit st.verts 0 key 0 nv;
-  Array.blit st.comp_of 0 key nv nv;
-  let base = (2 * nv) + 1 in
-  for i = 0 to nt - 1 do
-    key.(base + i) <- (if st.tc.(i) > 0 then 1 else 0)
+let hash (st : state) = st.(0)
+let key_length (st : state) = Array.length st - 2
+let key_exact (st : state) = Array.sub st 2 (key_length st)
+
+let key_flags (st : state) =
+  let key = key_exact st in
+  for i = tc_base (nverts st) - 2 to Array.length key - 1 do
+    key.(i) <- (if key.(i) > 0 then 1 else 0)
   done;
   key
 
-let component_count st = Array.length st.tc
-let component_terminals st = Array.copy st.tc
+let component_count st = ncomps st (nverts st)
+
+let component_terminals st =
+  let nv = nverts st in
+  Array.sub st (tc_base nv) (ncomps st nv)
 
 let heuristic_log2 ctx ~rem st ~log2_pn =
   let k = float_of_int ctx.k in
-  let nc = Array.length st.tc in
+  let nv = nverts st in
+  let cb = comp_base nv and tcb = tc_base nv in
+  let nc = ncomps st nv in
   (* [rem] is the caller-maintained remaining-degree table;
      per-component d sums come from it in O(state size). *)
   let d = (work ~verts:0 ~comps:nc).w_deg in
-  Array.fill d 0 nc 0;
-  for i = 0 to Array.length st.verts - 1 do
-    let c = st.comp_of.(i) in
-    d.(c) <- d.(c) + rem.(st.verts.(i))
+  for c = 0 to nc - 1 do
+    d.(c) <- 0
+  done;
+  for i = 0 to nv - 1 do
+    let c = st.(cb + i) in
+    d.(c) <- d.(c) + rem.(st.(2 + i))
   done;
   (* A comparison rather than [Float.max], a call into another module
      that would box its arguments; both candidates are positive and
      finite, so the two agree. *)
   let best = ref neg_infinity in
   for c = 0 to nc - 1 do
-    let t = st.tc.(c) in
+    let t = st.(tcb + c) in
     if t > 0 then begin
       let dc = if d.(c) > 1 then d.(c) else 1 in
       let by_t = float_of_int t /. k and by_d = 1. /. float_of_int dc in
@@ -305,7 +386,7 @@ let heuristic_log2 ctx ~rem st ~log2_pn =
   done;
   let factor =
     if !best > neg_infinity then !best
-    else 1. /. (2. *. k *. float_of_int (1 + Array.length st.verts))
+    else 1. /. (2. *. k *. float_of_int (1 + nv))
   in
   log2_pn +. Float.log2 factor
 
@@ -322,14 +403,16 @@ let heuristic_log2 ctx ~rem st ~log2_pn =
    early-exits on the live count. *)
 let descend_kernel ctx ~scratch ~detail ~pos st rng =
   let n = ctx.csr.Kernel.Csr.n in
-  let nc = Array.length st.tc in
+  let nv = nverts st in
+  let cb = comp_base nv and tcb = tc_base nv in
+  let nc = ncomps st nv in
   Kernel.draw_sub scratch ctx.csr ~pos ~detail rng;
   Kernel.round_begin scratch ~elems:(n + nc);
-  for i = 0 to Array.length st.verts - 1 do
-    Kernel.union scratch st.verts.(i) (n + st.comp_of.(i))
+  for i = 0 to nv - 1 do
+    Kernel.union scratch st.(2 + i) (n + st.(cb + i))
   done;
   for c = 0 to nc - 1 do
-    if st.tc.(c) > 0 then Kernel.mark scratch (n + c)
+    if st.(tcb + c) > 0 then Kernel.mark scratch (n + c)
   done;
   let terminals = ctx.terminal_arr in
   for i = 0 to Array.length terminals - 1 do
@@ -339,29 +422,40 @@ let descend_kernel ctx ~scratch ~detail ~pos st rng =
 
 let descent_log_q ctx ~scratch = Kernel.drawn_log_q scratch ctx.csr
 
-(* Hash and equality are plain loops, with no closure or ref per call.
-   The construction's iteration order depends on the hash values, so
-   they must stay those of this FNV-1a fold. *)
-let rec equal_from (a : int array) (b : int array) i n =
+(* Equality of merge keys, with no closure or ref per call: the hashes
+   first (unequal hashes, unequal keys), then the length and vertex
+   count, the vertices, components and separator, and the terminal
+   counts, as flags when the states merge on flags. Every state with a
+   component was written by [step] under its layer's context, so the
+   states of one layer that have terminal counts to compare carry the
+   same merge bit; [initial], which a layer can inherit unchanged, has
+   none. *)
+let rec equal_from (a : state) (b : state) i n =
   i >= n || (a.(i) = b.(i) && equal_from a b (i + 1) n)
 
+let rec flags_equal_from (a : state) (b : state) i n =
+  i >= n || ((a.(i) > 0) = (b.(i) > 0) && flags_equal_from a b (i + 1) n)
+
+let equal (a : state) (b : state) =
+  let n = Array.length a in
+  a.(0) = b.(0)
+  && n = Array.length b
+  && nverts a = nverts b
+  &&
+  let tcb = tc_base (nverts a) in
+  equal_from a b 2 tcb
+  && if merges_flags a then flags_equal_from a b tcb n else equal_from a b tcb n
+
 module Key_table = Hashtbl.Make (struct
-  type t = int array
+  type t = state
 
-  let equal (a : int array) b =
-    let n = Array.length a in
-    n = Array.length b && equal_from a b 0 n
+  let equal = equal
 
-  let hash a =
-    (* FNV-1a over every element; Hashtbl.hash would only inspect a
-       bounded prefix, which collides badly on wide frontiers. Unlike
-       the completion hashes of the descents (Hash64) this one only
-       buckets — keys are compared by structural equality on
-       collision — so FNV's weak diffusion costs at most table
-       balance, never correctness. *)
-    let h = ref 0x811C9DC5 in
-    for i = 0 to Array.length a - 1 do
-      h := (!h lxor (a.(i) + 0x9E3779B9)) * 0x01000193 land max_int
-    done;
-    !h
+  (* FNV-1a over every element of the merge key, read from the slot
+     [step] filled; Hashtbl.hash would only inspect a bounded prefix,
+     which collides badly on wide frontiers. Unlike the completion
+     hashes of the descents (Hash64) this one only buckets — keys are
+     compared by [equal] on collision — so FNV's weak diffusion costs
+     at most table balance, never correctness. *)
+  let hash = hash
 end)

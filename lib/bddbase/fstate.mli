@@ -24,7 +24,12 @@ type state
     {e non-trivial} frontier vertices (in a component spanning two or
     more frontier vertices, or carrying a terminal) are stored; the
     rest are implicit singletons, so state size tracks the active
-    cluster boundary rather than the frontier width. *)
+    cluster boundary rather than the frontier width.
+
+    A state is one packed int array, in {!key_exact}'s layout behind two
+    header words: the hash of its merge key, computed once when {!step}
+    writes the state, and its vertex count with the merge its context
+    chose. So a state is its own {!Key_table} key. *)
 
 type ctx
 (** Immutable per-instance context: edge order, each vertex's first
@@ -32,8 +37,11 @@ type ctx
     and probabilities in processing order. *)
 
 val make :
-  Ugraph.t -> order:int array -> terminals:int list -> ctx
-(** The context of a graph under an edge order. One pass over [order]
+  ?merge_flags:bool -> Ugraph.t -> order:int array -> terminals:int list -> ctx
+(** The context of a graph under an edge order. With [merge_flags]
+    (default [false]) every state {!step} writes under it merges, in a
+    {!Key_table}, on {!key_flags} (Lemma 4.3); otherwise on
+    {!key_exact}. One pass over [order]
     checks it is a permutation and finds each vertex's first and last
     position ({!Graphalgo.Ordering.Frontier.first_last}); a second lays
     the edges out by position ({!Kernel.Csr.positions}, no adjacency:
@@ -58,8 +66,9 @@ type outcome =
 val step : ctx -> eager:bool -> pos:int -> state -> exists:bool -> outcome
 (** Process the edge at [pos] with the given existence decision on a
     state valid at layer [pos]. It works in the calling domain's
-    buffers and allocates only the resulting state, so concurrent
-    constructions on different domains share nothing.
+    buffers with plain loops, so concurrent constructions on different
+    domains share nothing, and allocates only its outcome: a [Live]
+    state is one array, written and hashed once, in its box.
 
     With [eager = true], the extended conditions of Lemmas 4.1–4.2 fire:
     a component holding every terminal sinks to 1 immediately; otherwise
@@ -70,11 +79,20 @@ val step : ctx -> eager:bool -> pos:int -> state -> exists:bool -> outcome
 
 val key_exact : state -> int array
 (** Canonical merge key preserving exact per-component terminal counts
-    (baseline BDD node merging). *)
+    (baseline BDD node merging), as a fresh array:
+    [verts | comp_of | -1 | tc]. *)
 
 val key_flags : state -> int array
 (** Coarser canonical key using only per-component terminal flags —
     the Lemma 4.3 merge criterion (still exact; merges more nodes). *)
+
+val hash : state -> int
+(** The state's {!Key_table} hash: FNV-1a over its merge key, read from
+    the state. *)
+
+val key_length : state -> int
+(** The length of {!key_exact} (and {!key_flags}) of a state, without
+    building either. *)
 
 val component_count : state -> int
 
@@ -121,5 +139,9 @@ val descent_log_q : ctx -> scratch:Kernel.t -> float
     @raise Invalid_argument if the last draw on [scratch] was not a
     [detail] descent of this context. *)
 
-module Key_table : Hashtbl.S with type key = int array
-(** Hash tables over merge keys (array-content hashing). *)
+module Key_table : Hashtbl.S with type key = state
+(** Hash tables keyed by states. A state's hash is the FNV-1a hash of
+    its merge key (the one its context chose), read from the state, not
+    recomputed; two states are equal when their merge keys are. So a
+    table's buckets, and with them its iteration order, are those of a
+    [Hashtbl.Make] table over the merge keys themselves. *)

@@ -58,18 +58,16 @@ let compute ?order ?(node_budget = Exact.default_node_budget) g ~terminals =
         vec
     in
     let current = ref (Fstate.Key_table.create 16) in
-    Fstate.Key_table.replace !current
-      (Fstate.key_exact Fstate.initial)
-      (Fstate.initial, Array.make (m + 1) 0.);
-    (match Fstate.Key_table.find_opt !current (Fstate.key_exact Fstate.initial) with
-    | Some (_, vec) -> vec.(0) <- 1.
+    Fstate.Key_table.replace !current Fstate.initial (Array.make (m + 1) 0.);
+    (match Fstate.Key_table.find_opt !current Fstate.initial with
+    | Some vec -> vec.(0) <- 1.
     | None -> assert false);
     let total_nodes = ref 1 in
     let budget_hit = ref false in
     let pos = ref 0 in
     while (not !budget_hit) && !pos < m && Fstate.Key_table.length !current > 0 do
       let next = Fstate.Key_table.create (2 * Fstate.Key_table.length !current) in
-      let expand _ (st, vec) =
+      let expand st vec =
         let branch exists =
           let shifted =
             if exists then begin
@@ -83,11 +81,10 @@ let compute ?order ?(node_budget = Exact.default_node_budget) g ~terminals =
           | Fstate.Sink1 -> absorb ~processed:(!pos + 1) shifted
           | Fstate.Sink0 -> ()
           | Fstate.Live st' -> (
-            let key = Fstate.key_exact st' in
-            match Fstate.Key_table.find_opt next key with
-            | Some (_, acc) ->
+            match Fstate.Key_table.find_opt next st' with
+            | Some acc ->
               Array.iteri (fun j c -> acc.(j) <- acc.(j) +. c) shifted
-            | None -> Fstate.Key_table.replace next key (st', shifted))
+            | None -> Fstate.Key_table.replace next st' shifted)
         in
         branch true;
         branch false

@@ -221,7 +221,6 @@ type construction = {
    consumer sees the same layers, bounds and stop. *)
 let construct ~obs ~co ~trace ~cfg ~ctx ~rng g ~consume =
   let m = F.n_positions ctx in
-  let key_fn = if cfg.merge_flags then F.key_flags else F.key_exact in
   let pc = ref Xprob.zero and pd = ref Xprob.zero in
   let s_cur = ref cfg.samples in
   let deleted_nodes = ref 0 in
@@ -238,9 +237,9 @@ let construct ~obs ~co ~trace ~cfg ~ctx ~rng g ~consume =
         ~pd:(Xprob.to_float_approx !pd)
   in
   let current = ref (F.Key_table.create 16) in
-  F.Key_table.add !current (key_fn F.initial) (F.initial, ref Xprob.one);
-  (* Placeholder of the deletion's node buffer. *)
-  let no_node = (F.initial, ref Xprob.zero) in
+  F.Key_table.add !current F.initial (ref Xprob.one);
+  (* Placeholder of the deletion's mass buffer. *)
+  let no_mass = ref Xprob.zero in
   (* Remaining-degree table, decremented as each edge is processed so
      the deletion heuristic reads d values in O(state size). *)
   let rem = Array.init (Ugraph.n_vertices g) (Ugraph.degree g) in
@@ -257,11 +256,12 @@ let construct ~obs ~co ~trace ~cfg ~ctx ~rng g ~consume =
     let next = F.Key_table.create (2 * F.Key_table.length !current) in
     (* Generating and merging. [generate] and [expand] are built once
        per layer, and the two edge weights computed once, so a node
-       allocates only its two children's masses and states, their
-       keys, and the table entry of a child no earlier node produced.
-       The table's iteration order decides the order of expansion, of
-       deletion ties and of consumption, hence every estimate, so the
-       hash, the table sizes and the order of insertion are fixed. *)
+       allocates only its two children's masses and states (each state
+       its own key, hashed once by [F.step]), and the table entry of a
+       child no earlier node produced. The table's iteration order
+       decides the order of expansion, of deletion ties and of
+       consumption, hence every estimate, so the hash, the table sizes
+       and the order of insertion are fixed. *)
     let layer = !pos in
     let p_exists = e.Ugraph.p in
     let p_absent = 1. -. p_exists in
@@ -271,15 +271,14 @@ let construct ~obs ~co ~trace ~cfg ~ctx ~rng g ~consume =
       | F.Sink1 -> pc := Xprob.add !pc p'
       | F.Sink0 -> pd := Xprob.add !pd p'
       | F.Live st' -> (
-        let key = key_fn st' in
-        match F.Key_table.find_opt next key with
-        | Some (_, acc) ->
+        match F.Key_table.find_opt next st' with
+        | Some acc ->
           incr merges;
           acc := Xprob.add !acc p'
-        | None -> F.Key_table.add next key (st', ref p'))
+        | None -> F.Key_table.add next st' (ref p'))
     in
-    let expand key (st, pn) =
-      work := !work + (2 * (4 + Array.length key));
+    let expand st pn =
+      work := !work + (2 * (4 + F.key_length st));
       if p_exists > 0. then generate st pn ~exists:true p_exists;
       if p_absent > 0. then generate st pn ~exists:false p_absent
     in
@@ -293,42 +292,39 @@ let construct ~obs ~co ~trace ~cfg ~ctx ~rng g ~consume =
        the rest right away (their states are discarded after). *)
     let saturated = width > cfg.width in
     if saturated then begin
-      let keys = Array.make width [||] and nodes = Array.make width no_node in
+      let states = Array.make width F.initial and masses = Array.make width no_mass in
       let prio = Array.make width 0. in
       let i = ref 0 in
       F.Key_table.iter
-        (fun key ((st, pn) as node) ->
+        (fun st pn ->
           prio.(!i) <-
             (match cfg.heuristic with
             | Paper_heuristic ->
               F.heuristic_log2 ctx ~rem st ~log2_pn:(Xprob.log2 !pn)
             | Random_deletion -> Prng.float rng);
-          keys.(!i) <- key;
-          nodes.(!i) <- node;
+          states.(!i) <- st;
+          masses.(!i) <- pn;
           incr i)
         next;
       (* Highest priority first. [Array.sort]'s moves follow its
          comparisons alone, so sorting the node indices by [prio] gives
          the permutation that sorting the nodes by the same comparator
-         would, ties included. The kept nodes go back in that order,
-         under the keys they already have. *)
+         would, ties included. The kept nodes go back in that order. *)
       let by_prio = Array.init width Fun.id in
       Array.sort (fun a b -> Float.compare prio.(b) prio.(a)) by_prio;
       F.Key_table.reset next;
       for j = 0 to cfg.width - 1 do
         let x = by_prio.(j) in
-        F.Key_table.add next keys.(x) nodes.(x)
+        F.Key_table.add next states.(x) masses.(x)
       done;
       for j = cfg.width to width - 1 do
-        let st, pn = nodes.(by_prio.(j)) in
+        let x = by_prio.(j) in
         incr deleted_nodes;
-        consume ~s_cur:!s_cur ~pos:(!pos + 1) st !pn
+        consume ~s_cur:!s_cur ~pos:(!pos + 1) states.(x) !(masses.(x))
       done
     end;
     let layer_words =
-      F.Key_table.fold
-        (fun key _ acc -> acc + Array.length key + 8)
-        next 0
+      F.Key_table.fold (fun st _ acc -> acc + F.key_length st + 8) next 0
     in
     if layer_words > !peak_state_words then peak_state_words := layer_words;
     current := next;
@@ -378,8 +374,7 @@ let construct ~obs ~co ~trace ~cfg ~ctx ~rng g ~consume =
     if !stop = Completed && !deleted_nodes > 0 && F.Key_table.length !current > 0
     then begin
       let live =
-        F.Key_table.fold (fun _ (_, pn) acc -> Xprob.add acc !pn) !current
-          Xprob.zero
+        F.Key_table.fold (fun _ pn acc -> Xprob.add acc !pn) !current Xprob.zero
       in
       if
         float_of_int (max 1 !s_cur) *. Xprob.to_float_approx live < 1.0
@@ -404,9 +399,7 @@ let construct ~obs ~co ~trace ~cfg ~ctx ~rng g ~consume =
   if F.Key_table.length !current > 0 then begin
     if !pos >= m then
       invalid_arg "S2bdd.estimate: live states after the final layer";
-    F.Key_table.iter
-      (fun _ (st, pn) -> consume ~s_cur:!s_cur ~pos:!pos st !pn)
-      !current
+    F.Key_table.iter (fun st pn -> consume ~s_cur:!s_cur ~pos:!pos st !pn) !current
   end;
   Obs.record_span co "build" (Obs.now obs -. t_build);
   Obs.add co "layers" !pos;
@@ -489,7 +482,7 @@ let build ~name ~obs ~trace cfg g ~terminals ~unit_of =
   | Some r -> Trivial r
   | None ->
     let order = resolve_order cfg g ~terminals in
-    let ctx = F.make g ~order ~terminals in
+    let ctx = F.make ~merge_flags:cfg.merge_flags g ~order ~terminals in
     let rng = Prng.create cfg.seed in
     let units = ref [] in
     let consume ~s_cur ~pos st pn =

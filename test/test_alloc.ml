@@ -40,6 +40,22 @@ let t_prng_draws () =
   check_below "Prng.advance per call" ~limit:1.
     (words_per_call ~reps:10_000 (fun () -> Prng.advance g 100))
 
+(* Extended-range arithmetic allocates its result and nothing more: the
+   record (3 words) and its boxed mantissa (2). Normalising through
+   [Float.frexp] cost a tuple and a boxed float per call on top (15
+   words for [scale], 10 for [mul] and [add]). *)
+let t_xprob_words () =
+  let a = Xprob.of_float 0.3 and b = Xprob.pow_int (Xprob.of_float 0.7) 3_000 in
+  let result = 5. in
+  check_below "Xprob.scale per call" ~limit:(result +. 1.)
+    (words_per_call ~reps:10_000 (fun () -> ignore (Xprob.scale 0.37 b)));
+  check_below "Xprob.mul per call" ~limit:(result +. 1.)
+    (words_per_call ~reps:10_000 (fun () -> ignore (Xprob.mul a b)));
+  check_below "Xprob.add per call" ~limit:(result +. 1.)
+    (words_per_call ~reps:10_000 (fun () -> ignore (Xprob.add a b)));
+  check_below "Xprob.add, equal exponents, per call" ~limit:(result +. 1.)
+    (words_per_call ~reps:10_000 (fun () -> ignore (Xprob.add a a)))
+
 (* A fixed 10^4-edge snapshot: random endpoints over 2,000 vertices,
    probabilities spread over [0, 1] including both degenerate ends. *)
 let m = 10_000
@@ -149,10 +165,60 @@ let t_fstate_make_words_per_edge () =
          ignore (Bddbase.Fstate.make g ~order ~terminals:dblp1_terminals))
     /. float_of_int (Ugraph.n_edges g))
 
+(* [Fstate.step] allocates its outcome and nothing else: nothing for a
+   sink, the [Live] box (2 words) around the state it was given when
+   the edge changes nothing, and otherwise that box around one array,
+   a header word, the hash and vertex-count words and the merge key.
+   Measured on every state of the first 14 layers of the DBLP1
+   construction (at most 300 per layer), both branches: the steps that
+   built three arrays and a record per state allocated 3 words more per
+   live child, and each merge key another array. *)
+let t_step_words () =
+  let module F = Bddbase.Fstate in
+  let g = Lazy.force dblp1 in
+  let order =
+    Graphalgo.Ordering.order_edges (Graphalgo.Ordering.Bfs_from dblp1_terminals) g
+  in
+  let ctx = F.make g ~order ~terminals:dblp1_terminals in
+  let layer = ref [ F.initial ] and shared = ref 0 and built = ref 0 in
+  for pos = 0 to 13 do
+    let next = ref [] in
+    List.iter
+      (fun st ->
+        List.iter
+          (fun exists ->
+            let expected =
+              match F.step ctx ~eager:true ~pos st ~exists with
+              | F.Live st' when st' == st ->
+                incr shared;
+                next := st' :: !next;
+                2.
+              | F.Live st' ->
+                incr built;
+                next := st' :: !next;
+                float_of_int (Array.length (F.key_exact st') + 3 + 2)
+              | F.Sink1 | F.Sink0 -> 0.
+            in
+            check_below
+              (Printf.sprintf "Fstate.step at layer %d (%.0f expected)" pos expected)
+              ~limit:(expected +. 1.)
+              (words_per_call ~reps:20 (fun () ->
+                   ignore (F.step ctx ~eager:true ~pos st ~exists))))
+          [ true; false ])
+      !layer;
+    layer := List.filteri (fun i _ -> i < 300) !next
+  done;
+  if !shared = 0 || !built = 0 then
+    Alcotest.failf "expected both kinds of live child, got %d shared and %d built"
+      !shared !built
+
+(* Half of the 4.685 M minor words the construction allocated while each
+   child's state was three arrays and a record, each merge key a fourth
+   array and each [Xprob] step a [Float.frexp] tuple and boxed float. *)
 let t_bounds_words () =
   let g = Lazy.force dblp1 in
   let config = { Netrel.S2bdd.default_config with Netrel.S2bdd.width = 1_000 } in
-  check_below "S2bdd.bounds (DBLP1, k = 5, w = 1,000) minor words" ~limit:7.985e6
+  check_below "S2bdd.bounds (DBLP1, k = 5, w = 1,000) minor words" ~limit:2.343e6
     (words_per_call ~reps:1 (fun () ->
          ignore (Netrel.S2bdd.bounds ~config g ~terminals:dblp1_terminals)))
 
@@ -242,7 +308,7 @@ let suite =
         t_digest_words_per_edge;
       Alcotest.test_case "frontier context: < 1 minor word per edge" `Quick
         t_fstate_make_words_per_edge;
-      Alcotest.test_case "S2bdd.bounds on DBLP1: < 7.985 M minor words" `Quick
+      Alcotest.test_case "S2bdd.bounds on DBLP1: < 2.343 M minor words" `Quick
         t_bounds_words;
       Alcotest.test_case "Reach.search: memory flat in samples" `Slow
         t_search_memory;
@@ -252,4 +318,7 @@ let suite =
         t_csr_view_words;
       Alcotest.test_case "text loader: < 32 words per edge" `Quick
         t_text_load_words;
+      Alcotest.test_case "Xprob scale, mul, add: only the result" `Quick
+        t_xprob_words;
+      Alcotest.test_case "Fstate.step: only its outcome" `Quick t_step_words;
     ] )

@@ -283,6 +283,93 @@ let prop_step_matches_reference =
       in
       layer 0 [ F.initial ])
 
+(* ---- states as their own keys ---- *)
+
+(* The layer table keyed by merge-key arrays, as the layer loops built
+   it before states became their own keys: FNV-1a over every key
+   element and element-wise equality. *)
+let fnv_key a =
+  let h = ref 0x811C9DC5 in
+  for i = 0 to Array.length a - 1 do
+    h := (!h lxor (a.(i) + 0x9E3779B9)) * 0x01000193 land max_int
+  done;
+  !h
+
+module Key_array_table = Hashtbl.Make (struct
+  type t = int array
+
+  let equal (a : int array) b = a = b
+  let hash = fnv_key
+end)
+
+(* Layer by layer, every child goes into an [F.Key_table] keyed by the
+   state and a [Key_array_table] keyed by its merge key, each adding
+   what it does not find. The two keep the same first-found state per
+   key, hash every state as its merge key, and iterate in the same
+   order, under either merge and either sinking mode; the next layer
+   is the first [cap] states in that order. *)
+let prop_state_table_matches_key_table =
+  let cap = 200 in
+  QCheck.Test.make ~name:"state-keyed table = merge-key table, same order" ~count:300
+    QCheck.(
+      pair (Test_bddbase.arb_graph_ts ~max_n:10 ~max_m:18 ~max_k:4) (triple int bool bool))
+    (fun ((n, es, ts), (seed, eager, merge_flags)) ->
+      let g = graph ~n es in
+      QCheck.assume (List.for_all (fun t -> Ugraph.degree g t > 0) ts);
+      let order = Array.init (Ugraph.n_edges g) Fun.id in
+      Prng.shuffle (Prng.create seed) order;
+      let ctx = F.make ~merge_flags g ~order ~terminals:ts in
+      let key = if merge_flags then F.key_flags else F.key_exact in
+      let m = F.n_positions ctx in
+      let rec layer pos states =
+        pos >= m || states = []
+        ||
+        let by_state = F.Key_table.create (2 * List.length states) in
+        let by_key = Key_array_table.create (2 * List.length states) in
+        List.iter
+          (fun st ->
+            List.iter
+              (fun exists ->
+                match F.step ctx ~eager ~pos st ~exists with
+                | F.Live c ->
+                  if not (F.Key_table.mem by_state c) then F.Key_table.add by_state c ();
+                  let k = key c in
+                  if not (Key_array_table.mem by_key k) then Key_array_table.add by_key k c
+                | F.Sink1 | F.Sink0 -> ())
+              [ true; false ])
+          states;
+        let kept = F.Key_table.fold (fun c () acc -> c :: acc) by_state [] in
+        let kept' = Key_array_table.fold (fun _ c acc -> c :: acc) by_key [] in
+        List.length kept = List.length kept'
+        && List.for_all2 (fun a b -> F.key_exact a = F.key_exact b) kept kept'
+        && List.for_all
+             (fun c -> F.hash c = fnv_key (key c))
+             kept
+        && layer (pos + 1) (List.filteri (fun i _ -> i < cap) (List.rev kept))
+      in
+      layer 0 [ F.initial ])
+
+(* An edge that changes nothing passes its state on as it is, so a layer
+   can hold the root state beside an empty state that [step] rebuilt:
+   they are one node. Here the first edge is a component of its own:
+   present, both endpoints enter and leave at once, absent, the root
+   passes through. *)
+let t_unchanged_root_merges_with_rebuilt_empty () =
+  let g = graph ~n:4 [ (2, 3, 0.5); (0, 1, 0.5) ] in
+  List.iter
+    (fun merge_flags ->
+      let config =
+        { Netrel.S2bdd.default_config with
+          Netrel.S2bdd.order = `Explicit [| 0; 1 |]; merge_flags }
+      in
+      let r = Netrel.S2bdd.bounds ~config g ~terminals:[ 0; 1 ] in
+      Alcotest.(check int) "one node after the first edge" 1 r.Netrel.S2bdd.max_width;
+      check_close "bounds" 0.5 r.Netrel.S2bdd.lower)
+    [ true; false ];
+  match Bddbase.Exact.reliability ~order:[| 0; 1 |] g ~terminals:[ 0; 1 ] with
+  | Ok (_, st) -> Alcotest.(check int) "exact BDD nodes" 2 st.Bddbase.Exact.total_nodes
+  | Error _ -> Alcotest.fail "node budget"
+
 (* The shared first/last-position pass against [Frontier.plan]'s fields
    and a per-vertex scan; a repeated edge id is rejected. *)
 let prop_first_last_matches_plan =
@@ -339,4 +426,13 @@ let suite =
       Alcotest.test_case "descend_union validates dsu size" `Quick
         t_descend_union_dsu_too_small;
     ]
-    @ qtests [ prop_step_matches_reference; prop_first_last_matches_plan ] )
+    @ qtests
+        [
+          prop_step_matches_reference;
+          prop_first_last_matches_plan;
+          prop_state_table_matches_key_table;
+        ]
+    @ [
+        Alcotest.test_case "an unchanged root merges with a rebuilt empty state" `Quick
+          t_unchanged_root_merges_with_rebuilt_empty;
+      ] )
