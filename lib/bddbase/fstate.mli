@@ -68,7 +68,10 @@ val step : ctx -> eager:bool -> pos:int -> state -> exists:bool -> outcome
     state valid at layer [pos]. It works in the calling domain's
     buffers with plain loops, so concurrent constructions on different
     domains share nothing, and allocates only its outcome: a [Live]
-    state is one array, written and hashed once, in its box.
+    state is one array, written and hashed once, in its box. An edge
+    that makes no vertex explicit, joins no two components and takes
+    no explicit vertex off the frontier yields [Live] of the state it
+    was given.
 
     With [eager = true], the extended conditions of Lemmas 4.1–4.2 fire:
     a component holding every terminal sinks to 1 immediately; otherwise

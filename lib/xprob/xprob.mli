@@ -13,7 +13,13 @@
     Values are immutable.  All operations expect (and produce) finite
     non-negative values; [sub] clamps small negative results of
     catastrophic cancellation to [zero] and raises [Invalid_argument] on
-    clearly negative results. *)
+    clearly negative results.
+
+    Results are normalised as [Float.frexp] would, bit for bit, but the
+    fraction and exponent of a normal double are read from its bits;
+    only zero, subnormals, infinities and NaN go through [Float.frexp].
+    So {!scale}, {!mul} and {!add} allocate only their result, a record
+    and its boxed mantissa (5 words). *)
 
 type t
 (** A non-negative extended-range real. *)

@@ -6,8 +6,8 @@
    renumbering.
 
    [Fstate.state] is abstract, so the reference steps a decoded copy:
-   [Fstate.key_exact] lays out exactly the three arrays of a state,
-   [verts], then [comp_of], a [-1] separator, then [tc]. The context
+   [Fstate.key_exact] lays out a state's [verts], then [comp_of], a
+   [-1] separator, then [tc]. The context
    is rebuilt from [Ordering.Frontier.plan], as [Fstate.make] once
    did. *)
 
