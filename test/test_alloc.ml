@@ -41,9 +41,7 @@ let t_prng_draws () =
     (words_per_call ~reps:10_000 (fun () -> Prng.advance g 100))
 
 (* Extended-range arithmetic allocates its result and nothing more: the
-   record (3 words) and its boxed mantissa (2). Normalising through
-   [Float.frexp] cost a tuple and a boxed float per call on top (15
-   words for [scale], 10 for [mul] and [add]). *)
+   record (3 words) and its boxed mantissa (2). *)
 let t_xprob_words () =
   let a = Xprob.of_float 0.3 and b = Xprob.pow_int (Xprob.of_float 0.7) 3_000 in
   let result = 5. in
@@ -170,9 +168,7 @@ let t_fstate_make_words_per_edge () =
    the edge changes nothing, and otherwise that box around one array,
    a header word, the hash and vertex-count words and the merge key.
    Measured on every state of the first 14 layers of the DBLP1
-   construction (at most 300 per layer), both branches: the steps that
-   built three arrays and a record per state allocated 3 words more per
-   live child, and each merge key another array. *)
+   construction (at most 300 per layer), both branches. *)
 let t_step_words () =
   let module F = Bddbase.Fstate in
   let g = Lazy.force dblp1 in
@@ -212,9 +208,8 @@ let t_step_words () =
     Alcotest.failf "expected both kinds of live child, got %d shared and %d built"
       !shared !built
 
-(* Half of the 4.685 M minor words the construction allocated while each
-   child's state was three arrays and a record, each merge key a fourth
-   array and each [Xprob] step a [Float.frexp] tuple and boxed float. *)
+(* Half of the 4.685 M minor words the construction allocated before
+   each state became one array and its own merge key. *)
 let t_bounds_words () =
   let g = Lazy.force dblp1 in
   let config = { Netrel.S2bdd.default_config with Netrel.S2bdd.width = 1_000 } in
