@@ -234,61 +234,31 @@ let is_binary_file path =
 (* --- streaming SNAP / KONECT parser ---------------------------------- *)
 
 module Snap = struct
-  (* Growable packed edge store: plain arrays doubled on demand, so the
-     parse allocates O(log m) arrays total instead of per-line lists. *)
-  type store = {
-    mutable eu : int array;
-    mutable ev : int array;
-    mutable ep : float array;
-    mutable len : int;
-  }
-
-  let store () = { eu = Array.make 1024 0; ev = Array.make 1024 0;
-                   ep = Array.make 1024 0.; len = 0 }
-
-  let push s u v p =
-    if s.len = Array.length s.eu then begin
-      let grow a zero =
-        let b = Array.make (2 * Array.length a) zero in
-        Array.blit a 0 b 0 s.len; b
-      in
-      s.eu <- grow s.eu 0; s.ev <- grow s.ev 0; s.ep <- grow s.ep 0.
-    end;
-    s.eu.(s.len) <- u; s.ev.(s.len) <- v; s.ep.(s.len) <- p;
-    s.len <- s.len + 1
+  module Scan = Ugraph.Scan
 
   let bad ~line fmt =
     Printf.ksprintf
       (fun msg -> invalid_arg (Printf.sprintf "Bingraph.Snap: line %d: %s" line msg))
       fmt
 
-  let is_ws c = c = ' ' || c = '\t' || c = '\r'
+  (* A file id: plain decimal digits only. Up to 18 are read in place;
+     a longer run goes through [int_of_string_opt], so an id past
+     [max_int] is refused rather than wrapped onto another. *)
+  let id b i j ~line =
+    let x = Scan.decimal b i j in
+    if x >= 0 then x
+    else
+      let s = Bytes.sub_string b i (j - i) in
+      match
+        if String.for_all (function '0' .. '9' -> true | _ -> false) s then
+          int_of_string_opt s
+        else None
+      with
+      | Some x -> x
+      | None -> bad ~line "unreadable vertex id %S" s
 
-  (* The next whitespace-separated token of line [l] from [!pos]: its
-     [(start, stop)] span, or None at the end of the line. *)
-  let next_token l pos =
-    let len = String.length l in
-    while !pos < len && is_ws l.[!pos] do incr pos done;
-    if !pos >= len then None
-    else begin
-      let start = !pos in
-      while !pos < len && not (is_ws l.[!pos]) do incr pos done;
-      Some (start, !pos)
-    end
-
-  let token_int l (start, stop) ~line ~what =
-    let v = ref 0 and ok = ref (stop > start) in
-    for i = start to stop - 1 do
-      match l.[i] with
-      | '0' .. '9' as c -> v := (!v * 10) + (Char.code c - Char.code '0')
-      | _ -> ok := false
-    done;
-    if not !ok then
-      bad ~line "unreadable %s %S" what (String.sub l start (stop - start));
-    !v
-
-  let token_prob l (start, stop) ~line =
-    let s = String.sub l start (stop - start) in
+  let prob b i j ~line =
+    let s = Bytes.sub_string b i (j - i) in
     match float_of_string_opt s with
     | None -> bad ~line "unreadable probability %S" s
     | Some p ->
@@ -303,91 +273,64 @@ module Snap = struct
     let hash x = (x * 0x9E3779B97F4A7C1) lsr 17
   end)
 
-  let parse ?(default_prob = 0.5) ~next_line () =
+  let parse ?(default_prob = 0.5) input =
     if not (default_prob >= 0. && default_prob <= 1.) then
       invalid_arg
         (Printf.sprintf "Bingraph.Snap: default probability %g outside [0,1]"
            default_prob);
     let ids = Ids.create 4096 in
-    let n = ref 0 in
     let compact id =
-      match Ids.find_opt ids id with
-      | Some c -> c
-      | None ->
-        let c = !n in
+      match Ids.find ids id with
+      | c -> c
+      | exception Not_found ->
+        let c = Ids.length ids in
         Ids.add ids id c;
-        incr n;
         c
     in
-    let s = store () in
+    let es = Scan.edges 0 in
     let line = ref 0 in
-    let rec go () =
-      match next_line () with
-      | None -> ()
-      | Some l ->
+    Scan.lines input (fun b start stop ->
         incr line;
-        let pos = ref 0 in
-        (match next_token l pos with
-         | None -> ()                        (* blank line *)
-         | Some (start, _) when (match l.[start] with '#' | '%' -> true | _ -> false) ->
-           ()                                (* comment / KONECT header *)
-         | Some t1 ->
-           let u = token_int l t1 ~line:!line ~what:"vertex id" in
-           (match next_token l pos with
-            | None -> bad ~line:!line "expected `u v [p]`, got one field"
-            | Some t2 ->
-              let v = token_int l t2 ~line:!line ~what:"vertex id" in
-              let p =
-                match next_token l pos with
-                | None -> default_prob
-                | Some t3 -> token_prob l t3 ~line:!line
-                (* further columns (KONECT timestamps) are ignored *)
-              in
-              (* bind [compact u] first: argument positions evaluate
-                 right-to-left, which would flip first-appearance order *)
-              let cu = compact u in
-              let cv = compact v in
-              push s cu cv p));
-        go ()
-    in
-    go ();
-    if s.len = 0 then invalid_arg "Bingraph.Snap: no edges in input";
-    let m = s.len in
+        let line = !line in
+        let s1 = Scan.skip_blanks b start stop in
+        let e1 = Scan.token_end b s1 stop in
+        (* blank, comment or KONECT header *)
+        if s1 < e1 && (match Bytes.get b s1 with '#' | '%' -> false | _ -> true)
+        then begin
+          let u = id b s1 e1 ~line in
+          let s2 = Scan.skip_blanks b e1 stop in
+          if s2 = stop then bad ~line "expected `u v [p]`, got one field";
+          let e2 = Scan.token_end b s2 stop in
+          let v = id b s2 e2 ~line in
+          let s3 = Scan.skip_blanks b e2 stop in
+          let p =
+            if s3 = stop then default_prob
+            else prob b s3 (Scan.token_end b s3 stop) ~line
+            (* further columns (KONECT timestamps) are ignored *)
+          in
+          (* bind [compact u] first: argument positions evaluate
+             right-to-left, which would flip first-appearance order *)
+          let cu = compact u in
+          let cv = compact v in
+          Scan.push es cu cv p
+        end);
+    if es.len = 0 then invalid_arg "Bingraph.Snap: no edges in input";
+    let m = es.len in
     let eu = alloc_int32 m and ev = alloc_int32 m and ep = alloc_float64 m in
     for i = 0 to m - 1 do
-      eu.{i} <- Int32.of_int s.eu.(i);
-      ev.{i} <- Int32.of_int s.ev.(i);
-      ep.{i} <- s.ep.(i)
+      eu.{i} <- Int32.of_int es.eu.(i);
+      ev.{i} <- Int32.of_int es.ev.(i);
+      ep.{i} <- es.ep.(i)
     done;
-    let n = !n in
+    let n = Ids.length ids in
     { n; m; eu; ev; ep; digest = Digest.of_packed ~n ~m eu ev ep }
 
-  (* One line per [input_line]: the newline is dropped, a final line
-     without one is still a line, and a CR stays in the line for
-     [is_ws] to skip. *)
-  let of_channel ?default_prob ic =
-    let next_line () = In_channel.input_line ic in
-    parse ?default_prob ~next_line ()
+  let of_channel ?default_prob ic = parse ?default_prob (input ic)
 
   let of_file ?default_prob path =
     let ic = open_in_bin path in
     Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
     of_channel ?default_prob ic
 
-  let of_string ?default_prob str =
-    let pos = ref 0 in
-    let next_line () =
-      if !pos >= String.length str then None
-      else begin
-        let stop =
-          match String.index_from_opt str !pos '\n' with
-          | Some i -> i
-          | None -> String.length str
-        in
-        let l = String.sub str !pos (stop - !pos) in
-        pos := stop + 1;
-        Some l
-      end
-    in
-    parse ?default_prob ~next_line ()
+  let of_string ?default_prob str = parse ?default_prob (Scan.string_input str)
 end

@@ -92,14 +92,16 @@ module Digest : sig
 end
 
 module Snap : sig
-  (** Streaming one-pass parser for SNAP / KONECT-style edge lists:
-      [#]/[%] comment lines, space/tab separated, optional trailing CR,
-      arbitrary non-negative vertex ids compacted in first-appearance
-      order, an optional third probability column falling back to
-      [default_prob] (extra trailing columns — KONECT timestamps — are
-      ignored). No per-line string splitting: one reusable line buffer,
-      tokens parsed in place. Bad lines raise [Invalid_argument] with
-      the 1-based line number. *)
+  (** Streaming one-pass parser for SNAP / KONECT-style edge lists, on
+      [Ugraph.Scan] (one 64 KB buffer, fields read in place): lines
+      whose first field starts with [#] or [%] are comments; fields are
+      separated by spaces, tabs and CRs; vertex ids are plain decimal
+      digits up to [max_int], compacted in first-appearance order; an
+      optional third probability column ([float_of_string] syntax, in
+      [[0, 1]]) falls back to [default_prob], and further columns
+      (KONECT timestamps) are ignored. Bad lines raise
+      [Invalid_argument] with the 1-based line number:
+      ["Bingraph.Snap: line 3: unreadable vertex id \"9223372036854775809\""]. *)
 
   val of_channel : ?default_prob:float -> in_channel -> t
   val of_file : ?default_prob:float -> string -> t

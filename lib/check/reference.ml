@@ -236,3 +236,280 @@ let descend_union ctx g ~terminals ~dsu ~detail ~pos st ~bernoulli =
   done;
   List.iter (fun t -> if not (entered ctx ~pos t) then require t) terminals;
   (!connected, Hash64.Stream.finish hs, !logq)
+
+(* ---- edge-list readers ---- *)
+
+(* The line-at-a-time readers that [Ugraph.Scan] replaced, kept as the
+   differential oracle of the text and SNAP formats. Only their ends
+   changed: the arrays go to [Ugraph.of_arrays] (and on to
+   [Bingraph.of_graph]) rather than to the modules' internal
+   constructors, which build the same graph. *)
+
+module Text = struct
+  let is_blank = function ' ' | '\t' | '\r' -> true | _ -> false
+
+  let rec skip_blanks line i =
+    if i < String.length line && is_blank line.[i] then skip_blanks line (i + 1) else i
+
+  let rec token_end line i =
+    if i < String.length line && not (is_blank line.[i]) then token_end line (i + 1)
+    else i
+
+  let rec digits line i stop acc =
+    if i = stop then acc
+    else
+      match line.[i] with
+      | '0' .. '9' as c -> digits line (i + 1) stop ((acc * 10) + Char.code c - Char.code '0')
+      | _ -> -1
+
+  let bad line why =
+    invalid_arg
+      (Printf.sprintf "Ugraph.of_channel: %s in edge line %S" why (String.trim line))
+
+  let vertex line ~n start stop =
+    let x = if stop - start <= 18 then digits line start stop 0 else -1 in
+    if x >= 0 && x < n then x
+    else
+      let s = String.sub line start (stop - start) in
+      match int_of_string_opt s with
+      | Some x when x >= 0 && x < n -> x
+      | Some x -> bad line (Printf.sprintf "vertex id %d outside [0,%d)" x n)
+      | None -> bad line (Printf.sprintf "unreadable vertex id %S" s)
+
+  let max_reserve = 1 lsl 20
+
+  let parse_stream ~next_line =
+    let declared_edges = ref (-1) in
+    let first_line = ref true in
+    let n = ref (-1) in
+    let eu = ref [||] and ev = ref [||] and ep = ref [||] in
+    let m = ref 0 in
+    let reserve cap =
+      let grow a zero =
+        let b = Array.make cap zero in
+        Array.blit a 0 b 0 !m;
+        b
+      in
+      eu := grow !eu 0;
+      ev := grow !ev 0;
+      ep := grow !ep 0.
+    in
+    let rec go () =
+      match next_line () with
+      | exception End_of_file -> ()
+      | line ->
+        let s1 = skip_blanks line 0 in
+        let e1 = token_end line s1 in
+        (if s1 = e1 then ()
+         else if line.[s1] = '#' then begin
+           if !first_line then
+             match
+               Scanf.sscanf line " # uncertain graph: %d vertices, %d edges" (fun _ m' -> m')
+             with
+             | m' ->
+               declared_edges := m';
+               reserve (min (max m' 0) max_reserve)
+             | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) -> ()
+         end
+         else if !n < 0 then begin
+           match (skip_blanks line e1 = String.length line,
+                  int_of_string_opt (String.sub line s1 (e1 - s1))) with
+           | true, Some count ->
+             if count < 0 || count > Ugraph.max_vertices then
+               invalid_arg
+                 (Printf.sprintf "Ugraph.of_channel: vertex count %d outside [0,%d]"
+                    count Ugraph.max_vertices);
+             n := count
+           | _ -> invalid_arg "Ugraph.of_channel: bad vertex count line"
+         end
+         else begin
+           let s2 = skip_blanks line e1 in
+           let e2 = token_end line s2 in
+           let s3 = skip_blanks line e2 in
+           let e3 = token_end line s3 in
+           if s2 = e2 || s3 = e3 || skip_blanks line e3 < String.length line then
+             bad line "expected three fields `u v p`";
+           let u = vertex line ~n:!n s1 e1 in
+           let v = vertex line ~n:!n s2 e2 in
+           let s = String.sub line s3 (e3 - s3) in
+           match float_of_string s with
+           | exception Failure _ -> bad line (Printf.sprintf "unreadable probability %S" s)
+           | p when not (p >= 0. && p <= 1.) ->
+             bad line (Printf.sprintf "probability %g outside [0,1]" p)
+           | p ->
+             if !m = Array.length !eu then reserve (max 1024 (2 * !m));
+             !eu.(!m) <- u;
+             !ev.(!m) <- v;
+             !ep.(!m) <- p;
+             incr m
+         end);
+        first_line := false;
+        go ()
+    in
+    go ();
+    if !n < 0 then invalid_arg "Ugraph.of_channel: empty input";
+    if !declared_edges >= 0 && !declared_edges <> !m then
+      invalid_arg
+        (Printf.sprintf
+           "Ugraph.of_channel: truncated input: header declares %d edges, got %d"
+           !declared_edges !m);
+    let fit a = if Array.length a = !m then a else Array.sub a 0 !m in
+    Ugraph.of_arrays ~n:!n ~eu:(fit !eu) ~ev:(fit !ev) ~ep:(fit !ep)
+
+  let of_channel ic = parse_stream ~next_line:(fun () -> input_line ic)
+
+  let of_string s =
+    let pos = ref 0 in
+    parse_stream ~next_line:(fun () ->
+        if !pos > String.length s then raise End_of_file;
+        let stop =
+          match String.index_from_opt s !pos '\n' with
+          | Some i -> i
+          | None -> String.length s
+        in
+        let line = String.sub s !pos (stop - !pos) in
+        pos := stop + 1;
+        line)
+
+  let of_file path =
+    let ic = open_in path in
+    Fun.protect ~finally:(fun () -> close_in ic) (fun () -> of_channel ic)
+end
+
+module Snap = struct
+  type store = {
+    mutable eu : int array;
+    mutable ev : int array;
+    mutable ep : float array;
+    mutable len : int;
+  }
+
+  let store () = { eu = Array.make 1024 0; ev = Array.make 1024 0;
+                   ep = Array.make 1024 0.; len = 0 }
+
+  let push s u v p =
+    if s.len = Array.length s.eu then begin
+      let grow a zero =
+        let b = Array.make (2 * Array.length a) zero in
+        Array.blit a 0 b 0 s.len; b
+      in
+      s.eu <- grow s.eu 0; s.ev <- grow s.ev 0; s.ep <- grow s.ep 0.
+    end;
+    s.eu.(s.len) <- u; s.ev.(s.len) <- v; s.ep.(s.len) <- p;
+    s.len <- s.len + 1
+
+  let bad ~line fmt =
+    Printf.ksprintf
+      (fun msg -> invalid_arg (Printf.sprintf "Bingraph.Snap: line %d: %s" line msg))
+      fmt
+
+  let is_ws c = c = ' ' || c = '\t' || c = '\r'
+
+  let next_token l pos =
+    let len = String.length l in
+    while !pos < len && is_ws l.[!pos] do incr pos done;
+    if !pos >= len then None
+    else begin
+      let start = !pos in
+      while !pos < len && not (is_ws l.[!pos]) do incr pos done;
+      Some (start, !pos)
+    end
+
+  (* Folds any digit run into a native int: past [max_int] it wraps,
+     the overflow the production reader refuses. *)
+  let token_int l (start, stop) ~line ~what =
+    let v = ref 0 and ok = ref (stop > start) in
+    for i = start to stop - 1 do
+      match l.[i] with
+      | '0' .. '9' as c -> v := (!v * 10) + (Char.code c - Char.code '0')
+      | _ -> ok := false
+    done;
+    if not !ok then
+      bad ~line "unreadable %s %S" what (String.sub l start (stop - start));
+    !v
+
+  let token_prob l (start, stop) ~line =
+    let s = String.sub l start (stop - start) in
+    match float_of_string_opt s with
+    | None -> bad ~line "unreadable probability %S" s
+    | Some p ->
+      if not (p >= 0. && p <= 1.) then bad ~line "probability %g outside [0,1]" p;
+      p
+
+  let parse ?(default_prob = 0.5) ~next_line () =
+    if not (default_prob >= 0. && default_prob <= 1.) then
+      invalid_arg
+        (Printf.sprintf "Bingraph.Snap: default probability %g outside [0,1]"
+           default_prob);
+    let ids = Hashtbl.create 4096 in
+    let n = ref 0 in
+    let compact id =
+      match Hashtbl.find_opt ids id with
+      | Some c -> c
+      | None ->
+        let c = !n in
+        Hashtbl.add ids id c;
+        incr n;
+        c
+    in
+    let s = store () in
+    let line = ref 0 in
+    let rec go () =
+      match next_line () with
+      | None -> ()
+      | Some l ->
+        incr line;
+        let pos = ref 0 in
+        (match next_token l pos with
+         | None -> ()
+         | Some (start, _) when (match l.[start] with '#' | '%' -> true | _ -> false) ->
+           ()
+         | Some t1 ->
+           let u = token_int l t1 ~line:!line ~what:"vertex id" in
+           (match next_token l pos with
+            | None -> bad ~line:!line "expected `u v [p]`, got one field"
+            | Some t2 ->
+              let v = token_int l t2 ~line:!line ~what:"vertex id" in
+              let p =
+                match next_token l pos with
+                | None -> default_prob
+                | Some t3 -> token_prob l t3 ~line:!line
+              in
+              let cu = compact u in
+              let cv = compact v in
+              push s cu cv p));
+        go ()
+    in
+    go ();
+    if s.len = 0 then invalid_arg "Bingraph.Snap: no edges in input";
+    let m = s.len in
+    Bingraph.of_graph
+      (Ugraph.of_arrays ~n:!n ~eu:(Array.sub s.eu 0 m) ~ev:(Array.sub s.ev 0 m)
+         ~ep:(Array.sub s.ep 0 m))
+
+  let of_channel ?default_prob ic =
+    let next_line () = In_channel.input_line ic in
+    parse ?default_prob ~next_line ()
+
+  let of_file ?default_prob path =
+    let ic = open_in_bin path in
+    Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
+    of_channel ?default_prob ic
+
+  let of_string ?default_prob str =
+    let pos = ref 0 in
+    let next_line () =
+      if !pos >= String.length str then None
+      else begin
+        let stop =
+          match String.index_from_opt str !pos '\n' with
+          | Some i -> i
+          | None -> String.length str
+        in
+        let l = String.sub str !pos (stop - !pos) in
+        pos := stop + 1;
+        Some l
+      end
+    in
+    parse ?default_prob ~next_line ()
+end

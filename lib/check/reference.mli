@@ -43,3 +43,25 @@ val descend_union :
     draws. [dsu] is reset on entry; size [2 * n_vertices] suffices.
     @raise Invalid_argument if [dsu] is smaller than
     [n_vertices + component_count state]. *)
+
+(** {1 Edge-list readers}
+
+    The line-at-a-time readers that [Ugraph.Scan] replaced, the
+    differential oracle of the production readers: one string per line
+    from [input_line], fields found by recursion over it. They accept
+    the same inputs and raise the same messages, with one declared
+    exception: {!Snap} folds a vertex id past [max_int] into a native
+    int, so it wraps onto another id, where [Bingraph.Snap] refuses it
+    as unreadable. *)
+
+module Text : sig
+  val of_channel : in_channel -> Ugraph.t
+  val of_string : string -> Ugraph.t
+  val of_file : string -> Ugraph.t
+end
+
+module Snap : sig
+  val of_channel : ?default_prob:float -> in_channel -> Bingraph.t
+  val of_string : ?default_prob:float -> string -> Bingraph.t
+  val of_file : ?default_prob:float -> string -> Bingraph.t
+end

@@ -216,152 +216,205 @@ let to_file path g =
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> to_channel oc g)
 
-(* Streaming parser: one line at a time, fields found in the line in
-   place and the edges appended to three growable arrays, so a
-   million-edge file costs a line string, a probability token and its
-   float per edge, plus the graph's own arrays. SNAP/KONECT exports are
-   tab-separated and DOS files carry a trailing CR; both count as blanks
-   between fields. The canonical writer comment `# uncertain graph: n
-   vertices, m edges` doubles as a truncation guard: when the first
-   line carries it, the edge count at end of input must match the
-   declared one, and the arrays start at that size. The helpers are
-   top-level functions over indices, so a line allocates no closure,
-   tuple or option. *)
+(* The one edge-list scanner, under this text format and under
+   [Bingraph.Snap]: lines cut out of one buffer, fields found and plain
+   decimal ids read in place, so a line allocates nothing until a
+   format hands its probability token to [float_of_string]. *)
+module Scan = struct
+  (* A line longer than this doubles the buffer. *)
+  let buffer_bytes = 65536
 
-let is_blank = function ' ' | '\t' | '\r' -> true | _ -> false
+  (* [input buf pos len] into the buffer at its held tail; every
+     newline ends a line, and the bytes after the last one (the start
+     of the next line) move to the front before the next read. *)
+  let lines input f =
+    let buf = ref (Bytes.create buffer_bytes) in
+    let held = ref 0 in
+    let reading = ref true in
+    while !reading do
+      if !held = Bytes.length !buf then begin
+        let wider = Bytes.create (2 * !held) in
+        Bytes.blit !buf 0 wider 0 !held;
+        buf := wider
+      end;
+      let b = !buf in
+      let got = input b !held (Bytes.length b - !held) in
+      if got = 0 then begin
+        if !held > 0 then f b 0 !held;
+        reading := false
+      end
+      else begin
+        let stop = !held + got in
+        let start = ref 0 in
+        for i = !held to stop - 1 do
+          if Bytes.unsafe_get b i = '\n' then begin
+            f b !start i;
+            start := i + 1
+          end
+        done;
+        held := stop - !start;
+        Bytes.blit b !start b 0 !held
+      end
+    done
 
-(* The first index at or after [i] that is not a blank, and the first
-   that is one. *)
-let rec skip_blanks line i =
-  if i < String.length line && is_blank line.[i] then skip_blanks line (i + 1) else i
+  let string_input s =
+    let pos = ref 0 in
+    fun buf at len ->
+      let k = min len (String.length s - !pos) in
+      Bytes.blit_string s !pos buf at k;
+      pos := !pos + k;
+      k
 
-let rec token_end line i =
-  if i < String.length line && not (is_blank line.[i]) then token_end line (i + 1)
-  else i
+  let[@inline] check_span b i stop =
+    if i < 0 || stop > Bytes.length b then
+      invalid_arg "Ugraph.Scan: span outside the buffer"
 
-(* [line.[i .. stop - 1]] read as decimal digits, or -1 if another
-   character occurs. *)
-let rec digits line i stop acc =
-  if i = stop then acc
-  else
-    match line.[i] with
-    | '0' .. '9' as c -> digits line (i + 1) stop ((acc * 10) + Char.code c - Char.code '0')
-    | _ -> -1
+  let[@inline] is_blank c = c <= ' ' && (c = ' ' || c = '\t' || c = '\r')
 
-let bad line why =
+  let skip_blanks b i stop =
+    check_span b i stop;
+    let i = ref i in
+    while !i < stop && is_blank (Bytes.unsafe_get b !i) do incr i done;
+    !i
+
+  let token_end b i stop =
+    check_span b i stop;
+    let i = ref i in
+    while !i < stop && not (is_blank (Bytes.unsafe_get b !i)) do incr i done;
+    !i
+
+  (* At most 18 digits, so the value fits an OCaml int. *)
+  let decimal b i stop =
+    check_span b i stop;
+    if stop - i > 18 then -1
+    else begin
+      let acc = ref 0 and i = ref i in
+      while !i < stop && !acc >= 0 do
+        (match Bytes.unsafe_get b !i with
+         | '0' .. '9' as c -> acc := (!acc * 10) + Char.code c - Char.code '0'
+         | _ -> acc := -1);
+        incr i
+      done;
+      !acc
+    end
+
+  type edges = {
+    mutable eu : int array;
+    mutable ev : int array;
+    mutable ep : float array;
+    mutable len : int;
+  }
+
+  let edges capacity =
+    { eu = Array.make capacity 0; ev = Array.make capacity 0;
+      ep = Array.make capacity 0.; len = 0 }
+
+  let push es u v p =
+    if es.len = Array.length es.eu then begin
+      let cap = max 1024 (2 * es.len) in
+      let grow a zero =
+        let b = Array.make cap zero in
+        Array.blit a 0 b 0 es.len;
+        b
+      in
+      es.eu <- grow es.eu 0;
+      es.ev <- grow es.ev 0;
+      es.ep <- grow es.ep 0.
+    end;
+    es.eu.(es.len) <- u;
+    es.ev.(es.len) <- v;
+    es.ep.(es.len) <- p;
+    es.len <- es.len + 1
+end
+
+(* This format on the scanner. The canonical writer comment `#
+   uncertain graph: n vertices, m edges` doubles as a truncation guard:
+   when the first line carries it, the edge count at end of input must
+   match the declared one, and the arrays start at that size. Messages
+   quote the offending line, trimmed. *)
+
+let bad b start stop why =
   invalid_arg
-    (Printf.sprintf "Ugraph.of_channel: %s in edge line %S" why (String.trim line))
+    (Printf.sprintf "Ugraph.of_channel: %s in edge line %S" why
+       (String.trim (Bytes.sub_string b start (stop - start))))
 
-(* A vertex id in [[0, n)]: plain decimal digits are read in place,
-   without allocating; any other token (a sign, a radix prefix,
-   underscores, more than 18 digits) goes through [int_of_string_opt],
-   whose syntax the format accepts. *)
-let vertex line ~n start stop =
-  let x = if stop - start <= 18 then digits line start stop 0 else -1 in
+(* A vertex id in [[0, n)] of the line [b.[start .. stop - 1]]: plain
+   decimal digits are read in place; any other token (a sign, a radix
+   prefix, underscores, more than 18 digits) goes through
+   [int_of_string_opt], whose syntax the format accepts. *)
+let vertex b ~n start stop i j =
+  let x = Scan.decimal b i j in
   if x >= 0 && x < n then x
   else
-    let s = String.sub line start (stop - start) in
+    let s = Bytes.sub_string b i (j - i) in
     match int_of_string_opt s with
     | Some x when x >= 0 && x < n -> x
-    | Some x -> bad line (Printf.sprintf "vertex id %d outside [0,%d)" x n)
-    | None -> bad line (Printf.sprintf "unreadable vertex id %S" s)
+    | Some x -> bad b start stop (Printf.sprintf "vertex id %d outside [0,%d)" x n)
+    | None -> bad b start stop (Printf.sprintf "unreadable vertex id %S" s)
 
 (* Edges are reserved at most this many ahead of the ones read, whatever
    count a header declares. *)
 let max_reserve = 1 lsl 20
 
-(* [next_line ()] is the next raw line (newline stripped) and raises
-   [End_of_file] at the end of input. *)
-let parse_stream ~next_line =
+let parse input =
   let declared_edges = ref (-1) in
   let first_line = ref true in
   let n = ref (-1) in (* vertex count; -1 = count line not seen yet *)
-  let eu = ref [||] and ev = ref [||] and ep = ref [||] in
-  let m = ref 0 in
-  let reserve cap =
-    let grow a zero =
-      let b = Array.make cap zero in
-      Array.blit a 0 b 0 !m;
-      b
-    in
-    eu := grow !eu 0;
-    ev := grow !ev 0;
-    ep := grow !ep 0.
-  in
-  let rec go () =
-    match next_line () with
-    | exception End_of_file -> ()
-    | line ->
-      let s1 = skip_blanks line 0 in
-      let e1 = token_end line s1 in
+  let es = ref (Scan.edges 0) in
+  Scan.lines input (fun b start stop ->
+      let s1 = Scan.skip_blanks b start stop in
+      let e1 = Scan.token_end b s1 stop in
       (if s1 = e1 then () (* blank line *)
-       else if line.[s1] = '#' then begin
+       else if Bytes.get b s1 = '#' then begin
          if !first_line then
            (* the writer's own header arms the truncation guard *)
            match
-             Scanf.sscanf line " # uncertain graph: %d vertices, %d edges" (fun _ m' -> m')
+             Scanf.sscanf (Bytes.sub_string b start (stop - start))
+               " # uncertain graph: %d vertices, %d edges" (fun _ m' -> m')
            with
            | m' ->
              declared_edges := m';
-             reserve (min (max m' 0) max_reserve)
+             es := Scan.edges (min (max m' 0) max_reserve)
            | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) -> ()
        end
        else if !n < 0 then begin
-         match (skip_blanks line e1 = String.length line,
-                int_of_string_opt (String.sub line s1 (e1 - s1))) with
+         match (Scan.skip_blanks b e1 stop = stop,
+                int_of_string_opt (Bytes.sub_string b s1 (e1 - s1))) with
          | true, Some count ->
            check_vertex_count "Ugraph.of_channel" count;
            n := count
          | _ -> invalid_arg "Ugraph.of_channel: bad vertex count line"
        end
        else begin
-         let s2 = skip_blanks line e1 in
-         let e2 = token_end line s2 in
-         let s3 = skip_blanks line e2 in
-         let e3 = token_end line s3 in
-         if s2 = e2 || s3 = e3 || skip_blanks line e3 < String.length line then
-           bad line "expected three fields `u v p`";
-         let u = vertex line ~n:!n s1 e1 in
-         let v = vertex line ~n:!n s2 e2 in
-         let s = String.sub line s3 (e3 - s3) in
+         let s2 = Scan.skip_blanks b e1 stop in
+         let e2 = Scan.token_end b s2 stop in
+         let s3 = Scan.skip_blanks b e2 stop in
+         let e3 = Scan.token_end b s3 stop in
+         if s2 = e2 || s3 = e3 || Scan.skip_blanks b e3 stop < stop then
+           bad b start stop "expected three fields `u v p`";
+         let u = vertex b ~n:!n start stop s1 e1 in
+         let v = vertex b ~n:!n start stop s2 e2 in
+         let s = Bytes.sub_string b s3 (e3 - s3) in
          match float_of_string s with
-         | exception Failure _ -> bad line (Printf.sprintf "unreadable probability %S" s)
+         | exception Failure _ ->
+           bad b start stop (Printf.sprintf "unreadable probability %S" s)
          | p when not (p >= 0. && p <= 1.) ->
-           bad line (Printf.sprintf "probability %g outside [0,1]" p)
-         | p ->
-           if !m = Array.length !eu then reserve (max 1024 (2 * !m));
-           !eu.(!m) <- u;
-           !ev.(!m) <- v;
-           !ep.(!m) <- p;
-           incr m
+           bad b start stop (Printf.sprintf "probability %g outside [0,1]" p)
+         | p -> Scan.push !es u v p
        end);
-      first_line := false;
-      go ()
-  in
-  go ();
+      first_line := false);
+  let es = !es in
   if !n < 0 then invalid_arg "Ugraph.of_channel: empty input";
-  if !declared_edges >= 0 && !declared_edges <> !m then
+  if !declared_edges >= 0 && !declared_edges <> es.len then
     invalid_arg
       (Printf.sprintf
          "Ugraph.of_channel: truncated input: header declares %d edges, got %d"
-         !declared_edges !m);
-  let fit a = if Array.length a = !m then a else Array.sub a 0 !m in
-  build ~n:!n ~eu:(fit !eu) ~ev:(fit !ev) ~ep:(fit !ep)
+         !declared_edges es.len);
+  let fit a = if Array.length a = es.len then a else Array.sub a 0 es.len in
+  build ~n:!n ~eu:(fit es.eu) ~ev:(fit es.ev) ~ep:(fit es.ep)
 
-let of_channel ic = parse_stream ~next_line:(fun () -> input_line ic)
-
-let of_string s =
-  let pos = ref 0 in
-  parse_stream ~next_line:(fun () ->
-      if !pos > String.length s then raise End_of_file;
-      let stop =
-        match String.index_from_opt s !pos '\n' with
-        | Some i -> i
-        | None -> String.length s
-      in
-      let line = String.sub s !pos (stop - !pos) in
-      pos := stop + 1;
-      line)
+let of_channel ic = parse (input ic)
+let of_string s = parse (Scan.string_input s)
 
 let of_file path =
   let ic = open_in path in

@@ -128,12 +128,22 @@ val validate_terminals : t -> int list -> unit
 
 (** {1 Text I/O}
 
-    Format: blank lines and [#]-prefixed comments are ignored; the first
-    data line holds the vertex count, in [[0, max_vertices]]; every
-    following data line holds [u v p] (whitespace separated). The reader
-    takes a line at a time into growable arrays, so loading costs a few
-    words per edge besides the graph; every field is checked once, as
-    it is read. *)
+    Format: lines end at ['\n']; blanks are space, tab and CR; blank
+    lines and lines whose first field starts with [#] are ignored. The
+    first data line holds the vertex count alone, in
+    [[0, max_vertices]] ([int_of_string] syntax); every following data
+    line holds exactly [u v p]: vertex ids in [[0, n)] ([int_of_string]
+    syntax) and a probability in [[0, 1]] ([float_of_string] syntax).
+    When the first line is the writer's own comment
+    [# uncertain graph: N vertices, M edges], the input must hold
+    exactly [M] edges ("truncated input" otherwise).
+
+    The readers run on {!Scan}: about six words per edge besides the
+    graph, a probability token and its float, and one 64 KB buffer
+    however large the file. Every field is checked once, as it is read,
+    and a bad input raises [Invalid_argument] naming the problem and
+    quoting the (trimmed) line: ["Ugraph.of_channel: vertex id 7
+    outside [0,2) in edge line \"0 7 0.5\""]. *)
 
 val to_channel : out_channel -> t -> unit
 val of_channel : in_channel -> t
@@ -141,6 +151,54 @@ val to_file : string -> t -> unit
 val of_file : string -> t
 val of_string : string -> t
 val to_buffer : Buffer.t -> t -> unit
+
+(** {1 Edge-list scanning}
+
+    The one scanner under the text format above and [Bingraph.Snap]. *)
+
+module Scan : sig
+  val lines : (bytes -> int -> int -> int) -> (bytes -> int -> int -> unit) -> unit
+  (** [lines input f] reads the whole input through [input], which has
+      the contract of [Stdlib.input] ([input buf pos len] stores at most
+      [len > 0] bytes at [pos] and returns how many, [0] at the end), and
+      calls [f buf start stop] on each line in order: the line is
+      [buf.[start .. stop - 1]] without its newline, valid only during
+      the call. A last line without a newline is a line; the empty rest
+      after a final newline is not. Reads go into one 64 KB buffer, cut
+      after its last newline; a longer line doubles it. *)
+
+  val string_input : string -> bytes -> int -> int -> int
+  (** An [input] for {!lines} that reads a string from its start. *)
+
+  val skip_blanks : bytes -> int -> int -> int
+  (** [skip_blanks b i stop] is the first index in [[i, stop)] that
+      does not hold a blank (space, tab, CR), or [stop].
+      @raise Invalid_argument if the span is outside [b]. *)
+
+  val token_end : bytes -> int -> int -> int
+  (** [token_end b i stop] is the first index in [[i, stop)] that holds
+      a blank, or [stop]. @raise Invalid_argument as {!skip_blanks}. *)
+
+  val decimal : bytes -> int -> int -> int
+  (** [decimal b i stop] is [b.[i .. stop - 1]] read as plain decimal
+      digits when it holds only digits and at most 18 of them, so that
+      the value fits; otherwise [-1]. Allocates nothing.
+      @raise Invalid_argument as {!skip_blanks}. *)
+
+  (** Growable edge arrays: the first [len] slots hold the edges read;
+      {!push} doubles the capacity when full (1024 at least). *)
+  type edges = private {
+    mutable eu : int array;
+    mutable ev : int array;
+    mutable ep : float array;
+    mutable len : int;
+  }
+
+  val edges : int -> edges
+  (** Empty arrays of the given capacity. *)
+
+  val push : edges -> int -> int -> float -> unit
+end
 
 val pp_stats : Format.formatter -> t -> unit
 (** One-line summary: vertex/edge counts, average degree, average
