@@ -253,6 +253,13 @@ let t_snap_errors () =
   check_contains "prob range" ~sub:"probability 1.5 outside [0,1]"
     (msg "1 2 1.5\n");
   check_contains "no edges" ~sub:"no edges in input" (msg "# only comments\n");
+  (* 2^63 + 1 used to wrap onto file id 1 *)
+  Alcotest.(check string) "id past max_int"
+    "Bingraph.Snap: line 3: unreadable vertex id \"9223372036854775809\""
+    (msg "1 2 0.5\n2 3 0.5\n9223372036854775809 3 0.5\n");
+  Alcotest.(check int) "max_int and leading zeros are ids" 3
+    (B.n_vertices
+       (B.Snap.of_string "1 2\n4611686018427387903 0000000000000000000001\n"));
   check_contains "bad default" ~sub:"default probability 2 outside [0,1]"
     (invalid_msg (fun () -> B.Snap.of_string ~default_prob:2.0 "1 2\n"))
 
