@@ -15,8 +15,10 @@ selfcheck:
 # The answer battery (tools/answers.sh): pro, pro-ht, adaptive pro,
 # pro without the extension, both samplers, bounds and a serve session
 # on karate, DBLP1 and NYC, at --jobs 1 and 2 under NETREL_FAKE_CLOCK=1,
-# as text, --stats json and jsonl traces in DIR. A change that keeps
-# every answer leaves `diff -r` of two builds' directories empty.
+# as text, --stats json and jsonl traces in DIR; then the same graphs
+# as text files (`gen -o`): pro and MC estimates, a serve session and
+# a .nrb round trip. A change that keeps every answer leaves `diff -r`
+# of two builds' directories empty.
 answers:
 	@test -n "$(OUT)" || { echo "usage: make answers OUT=DIR" >&2; exit 2; }
 	tools/answers.sh $(OUT)

@@ -157,7 +157,7 @@ let section_trace cfg = if cfg.trace then Trace.create () else Trace.disabled
 let stats_run cfg ?(jobs = 1) ~method_name ~graph ~ts ~s ~w ~trace f =
   let obs = Obs.create () in
   let t0 = Obs.now obs in
-  let result = f ~obs ~trace in
+  let result = SD.par_account obs (fun () -> f ~obs ~trace) in
   let seconds = Obs.now obs -. t0 in
   let run_meta =
     { SD.command = "bench"; method_ = method_name; graph; terminals = ts;

@@ -417,7 +417,10 @@ let estimate_cmd =
         if Trace.enabled trace then Some (fun k v -> Trace.counter trace k v)
         else None
       in
-      let out = Obs.gc_phase obs ?emit "gc" (fun () -> compute obs) in
+      let out =
+        Obs.gc_phase obs ?emit "gc" (fun () ->
+            Netrel.Statsdoc.par_account obs (fun () -> compute obs))
+      in
       let seconds = Obs.now obs -. t0 in
       print_endline
         (Obs.Json.to_string ~pretty:true

@@ -69,6 +69,16 @@ let result_of_adaptive ~value ~lower ~upper ~exact ~ci_width ~target_width
       ("stop", J.Str stop);
     ]
 
+let par_account obs f =
+  let before = Par.counters () in
+  let r = f () in
+  if not (Obs.mem obs "par.batches") then begin
+    let after = Par.counters () in
+    Obs.add obs "par.batches" (after.Par.batches - before.Par.batches);
+    Obs.add obs "par.tasks" (after.Par.tasks - before.Par.tasks)
+  end;
+  r
+
 let build ~obs ~run ~seconds ~result =
   (* Throughput is derived here, at report time, from the summed
      monotonic kernel timer — the old mid-run gauge raced between
@@ -82,15 +92,6 @@ let build ~obs ~run ~seconds ~result =
       (if elapsed > 0. then samples /. elapsed else 0.)
   end;
   let rendered = Obs.to_json obs in
-  let pc = Par.counters () in
-  let par_section =
-    match phase rendered "par" with
-    | J.Obj fields ->
-        J.Obj
-          (fields
-          @ [ ("batches", J.Int pc.Par.batches); ("tasks", J.Int pc.Par.tasks) ])
-    | other -> other
-  in
   J.Obj
     [
       ( "netrel",
@@ -113,7 +114,7 @@ let build ~obs ~run ~seconds ~result =
       ("construction", phase rendered "construction");
       ("sampling", phase rendered "sampling");
       ("adaptive", phase rendered "adaptive");
-      ("par", par_section);
+      ("par", phase rendered "par");
       ("gc", phase rendered "gc");
       ("result", result);
     ]

@@ -55,10 +55,17 @@ val result_of_adaptive :
 val result_value : value:float -> exact:bool -> Obs.Json.t
 (** Minimal [result] object (exact BDD / brute force). *)
 
+val par_account : Obs.t -> (unit -> 'a) -> 'a
+(** [par_account obs f] runs [f] and records into [obs], as the
+    counters [par.batches] and [par.tasks], the {!Par.counters} it
+    added: the run's own account, so a document rendered again later
+    (a [serve] memo hit) reads as the first. An account an estimate
+    inside [f] has already recorded into [obs] stands. *)
+
 val build :
   obs:Obs.t -> run:run -> seconds:float -> result:Obs.Json.t -> Obs.Json.t
 (** One stats document: phase sections are pulled out of [obs]'s
-    rendered tree (absent sections become [{}]), [seconds] is the
+    rendered tree (absent sections become [{}]), including the [par]
+    section that {!par_account} records, and [seconds] is the
     end-to-end wall-clock of the run as measured by the caller on
-    [obs]'s clock, and the current {!Par.counters} snapshot is folded
-    into the [par] section. *)
+    [obs]'s clock. *)

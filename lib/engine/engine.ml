@@ -179,6 +179,7 @@ let validate q =
 let estimate ?(obs = Obs.disabled) ?(trace = Trace.disabled)
     ?(extension = true) ?csr ?prep g q =
   let ts = q.terminals and jobs = q.jobs in
+  SD.par_account obs @@ fun () ->
   match q.method_ with
   | Pro | Pro_ht -> (
     let config =

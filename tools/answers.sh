@@ -5,6 +5,7 @@
 # writes the text report (NAME.jJ.txt), the --stats json document
 # (NAME.jJ.json) and a jsonl trace (NAME.jJ.trace.jsonl); `bounds`
 # prints text only, and `serve` writes its replies to a short stream.
+# The same datasets also go through text files (`textfile`).
 # Two builds give the same answers when `diff -r A B` of their
 # directories is empty.
 #
@@ -23,6 +24,7 @@ if [ -z "$netrel" ]; then
   (cd "$root" && dune build bin/netrel_cli.exe) || exit 2
   netrel=$root/_build/default/bin/netrel_cli.exe
 fi
+case $netrel in /*) ;; */*) netrel=$PWD/$netrel ;; esac
 export NETREL_FAKE_CLOCK=1
 mkdir -p "$out" || exit 2
 
@@ -67,6 +69,40 @@ battery karate 64 3000 -d karate -t 0,33
 estimate karate.bdd -d karate -t 0,33 -m bdd
 battery dblp1 1000 2000 -d dblp1 -t 2358,193,2271,2247,133
 battery nyc 1000 2000 -d nyc -t 4500,4501,4596,4597
+
+# NAME TERMINALS WIDTH SAMPLES: the dataset written as a text file by
+# `gen -o` and read back through the text reader: pro and sampling-mc
+# estimates, a short serve session (a cold query, a warm one, a repeat,
+# a sampling query, the counters), and a round trip through .nrb that
+# must give back the file's bytes (cmp). Commands run in OUT, so the
+# outputs name files, not paths.
+textfile() {
+  local name=$1 ts=$2 w=$3 s=$4 j
+  local file=$name.graph.txt
+  (cd "$out" && "$netrel" gen -d "$name" -o "$file") > "$out/$name.gen.txt" 2>&1
+  echo "exit $?" >> "$out/$name.gen.txt"
+  estimate "$name.file.pro" -g "$out/$file" -t "$ts" -w "$w" -s "$s"
+  estimate "$name.file.mc" -g "$out/$file" -t "$ts" -s "$s" -m sampling-mc
+  for j in 1 2; do
+    printf '%s\n' \
+      "t=$ts w=$w s=$s" \
+      "t=$ts w=$w s=$s seed=2" \
+      "t=$ts w=$w s=$s" \
+      "t=$ts m=sampling-mc s=$s" \
+      "stats" |
+      "$netrel" serve -g "$out/$file" --jobs "$j" > "$out/$name.file.serve.j$j.txt" 2>&1
+    echo "exit $?" >> "$out/$name.file.serve.j$j.txt"
+  done
+  (cd "$out" &&
+    "$netrel" convert "$file" "$name.nrb" &&
+    "$netrel" convert "$name.nrb" "$name.roundtrip.txt" &&
+    cmp "$file" "$name.roundtrip.txt") > "$out/$name.convert.txt" 2>&1
+  echo "exit $?" >> "$out/$name.convert.txt"
+}
+
+textfile karate 0,33 64 3000
+textfile dblp1 2358,193,2271,2247,133 1000 2000
+textfile nyc 4500,4501,4596,4597 1000 2000
 
 # A short serve session on NYC: a cold pro query, a warm one (new
 # seed), a repeat (memo hit), pro-ht, both samplers, an adaptive
