@@ -1243,8 +1243,10 @@ let large cfg =
      MC and HT on both kernels. `= text` asserts the binary-path estimate\n\
      bit-identical to the Ugraph text path per estimator and kernel;\n\
      mmap open + CSR build time lands in run.seconds of the load-mmap\n\
-     rows, kernel throughput in sampling.kernel.samples_per_sec of the\n\
-     mc and ht rows.\n\
+     rows, the text parse of the same graph (Ugraph.of_file, the file\n\
+     written beforehand) in those of the load-text rows, kernel\n\
+     throughput in sampling.kernel.samples_per_sec of the mc and ht\n\
+     rows.\n\
      The jobs = 2 rows run the serve benchmark's one-chunk budgets,\n\
      which a round cuts into one piece per domain; `= j1` asserts each\n\
      bit-identical to the jobs = 1 estimate.\n\
@@ -1287,10 +1289,15 @@ let large cfg =
       let g = Workload.Probability.uniform ~seed:(cfg.seed + 2) (gen ()) in
       let ts = terminals cfg ~search:1 g ~k in
       let tmp = Filename.temp_file "netrel_large_" ".nrb" in
+      let tmp_text = Filename.temp_file "netrel_large_" ".txt" in
       Fun.protect
-        ~finally:(fun () -> if Sys.file_exists tmp then Sys.remove tmp)
+        ~finally:(fun () ->
+          List.iter
+            (fun f -> if Sys.file_exists f then Sys.remove f)
+            [ tmp; tmp_text ])
         (fun () ->
           Bingraph.to_file tmp (Bingraph.of_graph g);
+          Ugraph.to_file tmp_text g;
           let load_csr () =
             let bg = Bingraph.load tmp in
             Bingraph.validate bg;
@@ -1303,6 +1310,12 @@ let large cfg =
             name (Bingraph.n_vertices bg) (Bingraph.n_edges bg) s s_ht k;
           Printf.printf "mmap open + CSR build: %s\n"
             (Relstats.format_seconds load_t);
+          let text_g, text_t = Relstats.time (fun () -> Ugraph.of_file tmp_text) in
+          if Bingraph.Digest.of_graph text_g <> Bingraph.digest bg then
+            failwith
+              (Printf.sprintf "large: %s read back from text differs" name);
+          Printf.printf "text parse + CSR build: %s\n"
+            (Relstats.format_seconds text_t);
           Printf.printf "%-15s %14s %10s %11s %7s\n" "Method" "R" "time"
             "samples/s" "= text";
           (* [sample None] runs on the text path's own snapshot,
@@ -1353,8 +1366,9 @@ let large cfg =
           in
           if cfg.json || cfg.trace then begin
             (* run.seconds of these rows is the mmap open + CSR build
-               cost; the result value records the edge count so the
-               document states what was loaded. *)
+               cost, or the text parse + CSR build cost; the result
+               value records the edge count so the document states what
+               was loaded. *)
             add
               (stats_runs cfg ~method_name:"load-mmap" ~graph:name ~ts ~s:0
                  ~w:0 ~trace:tr
@@ -1362,6 +1376,13 @@ let large cfg =
                    let bg, _csr = load_csr () in
                    SD.result_value
                      ~value:(float_of_int (Bingraph.n_edges bg))
+                     ~exact:true));
+            add
+              (stats_runs cfg ~method_name:"load-text" ~graph:name ~ts ~s:0
+                 ~w:0 ~trace:tr
+                 (fun ~obs:_ ~trace:_ ->
+                   SD.result_value
+                     ~value:(float_of_int (Ugraph.n_edges (Ugraph.of_file tmp_text)))
                      ~exact:true));
             mode_doc "mc-flat" ~samples:s ~expect:"flat" (mc Mcsampling.Flat);
             mode_doc "mc-bitsliced" ~samples:s ~expect:"bitsliced"
