@@ -294,9 +294,9 @@ module Snap = struct
         let line = !line in
         let s1 = Scan.skip_blanks b start stop in
         let e1 = Scan.token_end b s1 stop in
-        (* blank, comment or KONECT header *)
-        if s1 < e1 && (match Bytes.get b s1 with '#' | '%' -> false | _ -> true)
-        then begin
+        if s1 = e1 || (match Bytes.get b s1 with '#' | '%' -> true | _ -> false)
+        then () (* blank, comment or KONECT header *)
+        else begin
           let u = id b s1 e1 ~line in
           let s2 = Scan.skip_blanks b e1 stop in
           if s2 = stop then bad ~line "expected `u v [p]`, got one field";

@@ -240,10 +240,11 @@ let descend_union ctx g ~terminals ~dsu ~detail ~pos st ~bernoulli =
 (* ---- edge-list readers ---- *)
 
 (* The line-at-a-time readers that [Ugraph.Scan] replaced, kept as the
-   differential oracle of the text and SNAP formats. Only their ends
-   changed: the arrays go to [Ugraph.of_arrays] (and on to
-   [Bingraph.of_graph]) rather than to the modules' internal
-   constructors, which build the same graph. *)
+   differential oracle of the text and SNAP formats. Only what they
+   reached inside their modules changed: the arrays go to
+   [Ugraph.of_arrays] (and on to [Bingraph.of_graph]), which build the
+   same graph as the internal constructors, and the SNAP id table is a
+   plain [Hashtbl]. *)
 
 module Text = struct
   let is_blank = function ' ' | '\t' | '\r' -> true | _ -> false

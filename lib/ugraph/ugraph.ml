@@ -269,6 +269,8 @@ module Scan = struct
     if i < 0 || stop > Bytes.length b then
       invalid_arg "Ugraph.Scan: span outside the buffer"
 
+  (* Every blank sorts at or below ' ', so a field byte costs one
+     comparison. *)
   let[@inline] is_blank c = c <= ' ' && (c = ' ' || c = '\t' || c = '\r')
 
   let skip_blanks b i stop =
@@ -327,7 +329,7 @@ module Scan = struct
     es.len <- es.len + 1
 end
 
-(* This format on the scanner. The canonical writer comment `#
+(* The text reader, on the scanner. The canonical writer comment `#
    uncertain graph: n vertices, m edges` doubles as a truncation guard:
    when the first line carries it, the edge count at end of input must
    match the declared one, and the arrays start at that size. Messages
@@ -338,10 +340,11 @@ let bad b start stop why =
     (Printf.sprintf "Ugraph.of_channel: %s in edge line %S" why
        (String.trim (Bytes.sub_string b start (stop - start))))
 
-(* A vertex id in [[0, n)] of the line [b.[start .. stop - 1]]: plain
-   decimal digits are read in place; any other token (a sign, a radix
-   prefix, underscores, more than 18 digits) goes through
-   [int_of_string_opt], whose syntax the format accepts. *)
+(* A vertex id in [[0, n)] from the token [b.[i .. j - 1]] of the line
+   [b.[start .. stop - 1]]: plain decimal digits are read in place; any
+   other token (a sign, a radix prefix, underscores, more than 18
+   digits) goes through [int_of_string_opt], whose syntax the format
+   accepts. *)
 let vertex b ~n start stop i j =
   let x = Scan.decimal b i j in
   if x >= 0 && x < n then x
