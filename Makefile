@@ -1,4 +1,4 @@
-.PHONY: build test selfcheck answers bench bench-quick bench-smoke bench-kernels bench-bitsliced bench-adaptive bench-batch bench-large bench-all clean
+.PHONY: build test selfcheck answers perf-trace bench bench-quick bench-smoke bench-kernels bench-bitsliced bench-adaptive bench-batch bench-large bench-all clean
 
 build:
 	dune build
@@ -22,6 +22,23 @@ selfcheck:
 answers:
 	@test -n "$(OUT)" || { echo "usage: make answers OUT=DIR" >&2; exit 2; }
 	tools/answers.sh $(OUT)
+
+# Traced serve benchmark runs (perfbench/run.py --trace 1) on both gated
+# workloads at seed 1, then, per query class, the replay's engine.query
+# p50 against Engine.query's and their ratio against the [0.5, 2] band
+# that run.py checks (tools/classratio.py, from the traces run.py leaves
+# in .perfbench/; an earlier run's trace is removed first, so a run that
+# fails before its replay is not read from a stale one). Fails if a run
+# or a class ratio fails.
+perf-trace:
+	@status=0; \
+	for w in road-serve sample-large; do \
+	  rm -f .perfbench/$$w-1/trace.json; \
+	  python3 perfbench/run.py --workload $$w --seed 1 --trace 1 || status=1; \
+	done; \
+	python3 tools/classratio.py .perfbench/road-serve-1/trace.json \
+	  .perfbench/sample-large-1/trace.json || status=1; \
+	exit $$status
 
 bench:
 	dune exec bench/main.exe

@@ -29,7 +29,7 @@ let dataset_names = "karate, am-rv, dblp1, dblp2, tokyo, nyc, hit-d"
 (* [--graph FILE] sniffs the 8-byte Bingraph magic, so binary
    containers work everywhere a text edge list does. For binary files
    the header digest rides along (third component) — the engine
-   commands pass it to [Engine.query] and skip the O(m) re-hash.
+   commands pass it to [Engine.query] and skip the O(m) fold.
    [Bingraph.to_graph] checks the mapped edges as it builds the graph,
    so each load reads them once. *)
 let load_graph_full ~file ~dataset ~seed ~scale =

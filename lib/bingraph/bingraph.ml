@@ -46,7 +46,7 @@ module Digest = struct
 
   let[@inline] fold acc w = mix (Int64.add (Int64.mul acc 0x9E3779B97F4A7C15L) w)
 
-  let of_graph (g : Ugraph.t) =
+  let fold_graph (g : Ugraph.t) =
     let acc = ref (mix (Int64.of_int g.n)) in
     for i = 0 to g.m - 1 do
       acc := fold !acc (Int64.of_int g.eu.(i));
@@ -54,6 +54,9 @@ module Digest = struct
       acc := fold !acc (Int64.bits_of_float g.ep.(i))
     done;
     Int64.to_int (Int64.logand !acc mask62)
+
+  (* Folded once per graph: the graph keeps the result. *)
+  let of_graph g = Ugraph.memo_digest g fold_graph
 
   let of_packed ~n ~m (eu : int32_arr) (ev : int32_arr) (ep : float64_arr) =
     let acc = ref (mix (Int64.of_int n)) in
@@ -259,34 +262,70 @@ module Snap = struct
 
   let prob b i j ~line =
     let s = Bytes.sub_string b i (j - i) in
-    match float_of_string_opt s with
-    | None -> bad ~line "unreadable probability %S" s
-    | Some p ->
+    match float_of_string s with
+    | exception Failure _ -> bad ~line "unreadable probability %S" s
+    | p ->
       if not (p >= 0. && p <= 1.) then bad ~line "probability %g outside [0,1]" p;
       p
 
-  (* File ids to compact ids, hashed and compared without a C call. *)
-  module Ids = Hashtbl.Make (struct
-    type t = int
+  (* File ids (never negative) to compact ids in first-appearance
+     order, by linear probing over one int array: slot [2i] holds a
+     file id, or -1 when free, and slot [2i + 1] its compact id. A
+     file id's probe starts at the top [bits] bits of its Fibonacci
+     hash, and the table doubles before it is three quarters full, so
+     a lookup reads a few adjacent slots and allocates nothing. *)
+  type ids = { mutable slots : int array; mutable bits : int; mutable count : int }
 
-    let equal (a : int) b = a = b
-    let hash x = (x * 0x9E3779B97F4A7C1) lsr 17
-  end)
+  let[@inline] home x bits = (x * 0x9E3779B97F4A7C1) lsr (63 - bits)
+
+  (* The slot pair of [x], or the free pair where [x] belongs. *)
+  let probe slots bits x =
+    let mask = (1 lsl bits) - 1 in
+    let i = ref (home x bits) in
+    while
+      let k = Array.unsafe_get slots (2 * !i) in
+      k <> x && k >= 0
+    do
+      i := (!i + 1) land mask
+    done;
+    2 * !i
+
+  let grow t =
+    let old = t.slots in
+    let bits = t.bits + 1 in
+    let slots = Array.make (2 lsl bits) (-1) in
+    for i = 0 to (Array.length old / 2) - 1 do
+      let x = old.(2 * i) in
+      if x >= 0 then begin
+        let j = probe slots bits x in
+        slots.(j) <- x;
+        slots.(j + 1) <- old.((2 * i) + 1)
+      end
+    done;
+    t.slots <- slots;
+    t.bits <- bits
+
+  let rec compact t x =
+    let j = probe t.slots t.bits x in
+    if t.slots.(j) = x then t.slots.(j + 1)
+    else if 4 * (t.count + 1) > 3 lsl t.bits then begin
+      grow t;
+      compact t x
+    end
+    else begin
+      let c = t.count in
+      t.slots.(j) <- x;
+      t.slots.(j + 1) <- c;
+      t.count <- c + 1;
+      c
+    end
 
   let parse ?(default_prob = 0.5) input =
     if not (default_prob >= 0. && default_prob <= 1.) then
       invalid_arg
         (Printf.sprintf "Bingraph.Snap: default probability %g outside [0,1]"
            default_prob);
-    let ids = Ids.create 4096 in
-    let compact id =
-      match Ids.find ids id with
-      | c -> c
-      | exception Not_found ->
-        let c = Ids.length ids in
-        Ids.add ids id c;
-        c
-    in
+    let ids = { slots = Array.make (2 lsl 11) (-1); bits = 11; count = 0 } in
     let es = Scan.edges 0 in
     let line = ref 0 in
     Scan.lines input (fun b start stop ->
@@ -310,8 +349,8 @@ module Snap = struct
           in
           (* bind [compact u] first: argument positions evaluate
              right-to-left, which would flip first-appearance order *)
-          let cu = compact u in
-          let cv = compact v in
+          let cu = compact ids u in
+          let cv = compact ids v in
           Scan.push es cu cv p
         end);
     if es.len = 0 then invalid_arg "Bingraph.Snap: no edges in input";
@@ -322,7 +361,7 @@ module Snap = struct
       ev.{i} <- Int32.of_int es.ev.(i);
       ep.{i} <- es.ep.(i)
     done;
-    let n = Ids.length ids in
+    let n = ids.count in
     { n; m; eu; ev; ep; digest = Digest.of_packed ~n ~m eu ev ep }
 
   let of_channel ?default_prob ic = parse ?default_prob (input ic)

@@ -19,7 +19,7 @@
     text → binary → text round trip is bit-identical (the text writer
     already prints [%.17g]). The header digest is the same chained
     splitmix64 fold [lib/engine] uses as its cache key, so a
-    binary-loaded graph can skip the O(m) re-hash.
+    binary-loaded graph can skip the O(m) fold.
 
     [load] maps the three arrays with [Unix.map_file]: opening a
     million-edge graph is O(1) page-table work, not O(m) parsing, and
@@ -88,7 +88,9 @@ module Digest : sig
   val of_graph : Ugraph.t -> int
   (** Chained [Hash64.mix64] over vertex count then exact (u, v, p)
       bit patterns in edge order, masked to 62 bits — the canonical
-      graph content digest ([Engine.digest] delegates here). *)
+      graph content digest ([Engine.digest] delegates here). The first
+      call on a graph folds its edges and stores the digest in it
+      ({!Ugraph.memo_digest}); later calls read it back. *)
 end
 
 module Snap : sig

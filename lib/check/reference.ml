@@ -514,3 +514,11 @@ module Snap = struct
     in
     parse ?default_prob ~next_line ()
 end
+
+(* ---- float rendering ---- *)
+
+let float_repr x =
+  let s = Printf.sprintf "%.12g" x in
+  let s = if float_of_string s = x then s else Printf.sprintf "%.17g" x in
+  if String.exists (fun c -> c = '.' || c = 'e' || c = 'E' || c = 'n') s then s
+  else s ^ ".0"

@@ -65,3 +65,12 @@ module Snap : sig
   val of_string : ?default_prob:float -> string -> Bingraph.t
   val of_file : ?default_prob:float -> string -> Bingraph.t
 end
+
+(** {1 Float rendering} *)
+
+val float_repr : float -> string
+(** The text [Obs.Json.to_string] gives a finite float, through
+    [Printf]: the first of ["%.12g"] and ["%.17g"] that reads back as
+    the same float, with [".0"] appended when it has no ['.'], ['e'],
+    ['E'] or ['n']. The oracle of the JSON renderer, which hands the
+    same formats to the C primitive [Printf] delegates to. *)

@@ -66,11 +66,23 @@ type prep_entry = {
   pobs : Obs.t;
 }
 
+(* The result memo is keyed by the query record itself, under
+   structural equality and a structural hash that reads every field and
+   the first 24 terminals (the default [Hashtbl.hash] stops after two).
+   A [ci_width] of NaN or -0, the floats on which structural equality
+   parts from the bits, is refused before anything is memoised. *)
+module Memo = Hashtbl.Make (struct
+  type t = query
+
+  let equal (a : t) b = a = b
+  let hash (q : t) = Hashtbl.hash_param 32 64 q
+end)
+
 type ctx = {
   graph : Ugraph.t;
   mutable csr : Kernel.Csr.t option;
   preps : (string, prep_entry) Hashtbl.t;
-  memo : (string, answer) Hashtbl.t;
+  memo : answer Memo.t;
 }
 
 type t = {
@@ -91,12 +103,14 @@ let obs t = t.obs
    the identity on purpose — every downstream artifact (Csr layout,
    orderings, seed consumption) depends on it. The fold itself lives in
    Bingraph.Digest (one implementation for the engine key and the
-   binary-container header, which must stay bit-compatible). *)
+   binary-container header, which must stay bit-compatible), and the
+   graph keeps its result, so a text-loaded graph is hashed on its
+   first query only. *)
 let digest = Bingraph.Digest.of_graph
 
 (* [?digest] lets a caller that already knows the graph's content
-   digest (read from a binary-container header) skip the O(m) re-hash
-   on every query. Trusted like any other cache key: a wrong digest
+   digest (read from a binary-container header) skip the graph's one
+   O(m) fold. Trusted like any other cache key: a wrong digest
    aliases two graphs, so only header digests that were computed by
    Bingraph over the same edge array belong here. *)
 let context ?digest:(d0 = None) t g =
@@ -115,7 +129,7 @@ let context ?digest:(d0 = None) t g =
     Obs.incr t.eo "graph.miss";
     let ctx =
       { graph = g; csr = None; preps = Hashtbl.create 8;
-        memo = Hashtbl.create 16 }
+        memo = Memo.create 16 }
     in
     Hashtbl.replace t.ctxs d ctx;
     ctx
@@ -232,19 +246,10 @@ let result_json = function
 
 (* ---- queries ---- *)
 
-let memo_key q =
-  Printf.sprintf "t=%s;m=%s;s=%d;w=%d;cw=%s;ms=%s;seed=%d;jobs=%d;k=%s"
-    (terminals_key q.terminals) (method_name q.method_) q.samples q.width
-    (match q.ci_width with None -> "-" | Some w -> Printf.sprintf "%.17g" w)
-    (match q.max_samples with None -> "-" | Some n -> string_of_int n)
-    q.seed q.jobs
-    (Mcsampling.kernel_mode_name q.kernel)
-
 let query ?digest t g q =
   let ctx = context ~digest t g in
   Obs.incr t.eo "queries";
-  let key = memo_key q in
-  match Hashtbl.find_opt ctx.memo key with
+  match Memo.find_opt ctx.memo q with
   | Some a ->
     Obs.incr t.eo "result.hit";
     { a with cached = true }
@@ -273,7 +278,7 @@ let query ?digest t g q =
       { method_name = method_name q.method_; result = result_json outcome;
         value; exact; cached = false; obs = qobs }
     in
-    Hashtbl.replace ctx.memo key a;
+    Memo.replace ctx.memo q a;
     a
 
 (* ---- counters / summary ---- *)

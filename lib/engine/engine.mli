@@ -11,7 +11,8 @@
 
     {ul
     {- {b graph context} — keyed by a 62-bit content digest of the
-       graph ({!digest}, built on {!Hash64.mix64});}
+       graph ({!digest}, built on {!Hash64.mix64}), which the graph
+       keeps after its first query;}
     {- {b Csr snapshot} — {!Kernel.Csr.t} built once per graph and
        passed to the samplers via their [?csr] parameter;}
     {- {b preprocessing outcome} — the extension pipeline
@@ -19,9 +20,10 @@
        the per-subproblem BFS edge orderings computed alongside and
        replayed via [?prep] / [?orders] of {!Reliability.estimate} and
        {!Adaptive.reliability};}
-    {- {b results} — one full answer per distinct query signature
-       (terminals, method, budgets, seed, jobs, kernel); a repeated
-       query replays the stored answer and its stats verbatim.}}
+    {- {b results} — one full answer per distinct {!query} record,
+       compared field by field (terminals, method, budgets, seed, jobs,
+       kernel); a repeated query replays the stored answer and its
+       stats verbatim.}}
 
     {b Cache key contract.} Cached artifacts are sound because every
     producer is deterministic: the pipeline emits subproblems in
@@ -125,7 +127,8 @@ val obs : t -> Obs.t
 val digest : Ugraph.t -> int
 (** Non-negative 62-bit content digest of a graph
     ([Bingraph.Digest.of_graph] — the same fold the binary container
-    stores in its header). *)
+    stores in its header), folded on the first call and kept in the
+    graph. *)
 
 val query : ?digest:int -> t -> Ugraph.t -> query -> answer
 (** Serve one query, reusing every cached artifact for the graph. The
@@ -133,7 +136,7 @@ val query : ?digest:int -> t -> Ugraph.t -> query -> answer
     the same seed/jobs/kernel (the regression suite pins this at jobs
     1/2/8). [?digest] supplies the graph's content digest when the
     caller already holds it (read from a [Bingraph] header), skipping
-    the O(m) re-hash per query — counted under
+    the graph's one O(m) fold — counted under
     [engine.digest_from_header]. It is trusted as the cache key, so it
     must be {!digest} of [g]. @raise Invalid_argument on invalid
     terminals, [jobs < 1], or budgets the underlying estimator

@@ -24,12 +24,17 @@ module Json = struct
         | c -> Buffer.add_char b c)
       s
 
+  (* The C primitive that Printf's %.12g and %.17g hand a float to,
+     called without Printf's format interpretation: the same bytes at
+     about half the cost. *)
+  external format_float : string -> float -> string = "caml_format_float"
+
   (* Deterministic float text: the shortest of %.12g / %.17g that
      round-trips, with a trailing ".0" forced onto integral values so
      the token stays a JSON float. *)
   let float_repr x =
-    let s = Printf.sprintf "%.12g" x in
-    let s = if float_of_string s = x then s else Printf.sprintf "%.17g" x in
+    let s = format_float "%.12g" x in
+    let s = if float_of_string s = x then s else format_float "%.17g" x in
     if String.exists (fun c -> c = '.' || c = 'e' || c = 'E' || c = 'n') s then s
     else s ^ ".0"
 

@@ -3,7 +3,9 @@ type edge = { u : int; v : int; p : float }
 (* Struct of arrays: edge [i] is [(eu.(i), ev.(i), ep.(i))]; the
    incident edge ids of vertex [x] are [adj_eid.(off.(x)) ..
    adj_eid.(off.(x + 1) - 1)] in increasing id, with [adj_other]
-   holding the matching opposite endpoints. Self-loops appear once. *)
+   holding the matching opposite endpoints. Self-loops appear once.
+   [digest_memo] is the one mutable word: the content digest, -1 until
+   [memo_digest] first computes it. *)
 type t = {
   n : int;
   m : int;
@@ -13,6 +15,7 @@ type t = {
   off : int array;
   adj_eid : int array;
   adj_other : int array;
+  mutable digest_memo : int;
 }
 
 let max_vertices = 0x7FFF_FFFF
@@ -70,7 +73,7 @@ let build ~n ~eu ~ev ~ep =
       adj_other.(k) <- u
     end
   done;
-  { n; m; eu; ev; ep; off; adj_eid; adj_other }
+  { n; m; eu; ev; ep; off; adj_eid; adj_other; digest_memo = -1 }
 
 let of_arrays ~n ~eu ~ev ~ep =
   if Array.length ev <> Array.length eu || Array.length ep <> Array.length eu then
@@ -88,6 +91,17 @@ let create ~n edges =
 
 let n_vertices g = g.n
 let n_edges g = g.m
+
+(* An int is one word stored without a write barrier, so a domain
+   reads either -1 or the digest, never a torn value. *)
+let memo_digest g fold =
+  if g.digest_memo >= 0 then g.digest_memo
+  else begin
+    let d = fold g in
+    g.digest_memo <- d;
+    d
+  end
+
 let edge g i = { u = g.eu.(i); v = g.ev.(i); p = g.ep.(i) }
 let edges g = Array.init g.m (edge g)
 
@@ -152,7 +166,8 @@ let avg_prob g =
   if g.m = 0 then 0. else Array.fold_left ( +. ) 0. g.ep /. float_of_int g.m
 
 (* Only the probabilities change, so the endpoints and the adjacency
-   are shared with [g]. *)
+   are shared with [g]; the digest covers the probabilities, so the new
+   graph computes its own. *)
 let map_probs f g =
   let ep = Array.init g.m (fun i -> f i (edge g i)) in
   Array.iter
@@ -160,7 +175,7 @@ let map_probs f g =
       if not (p >= 0. && p <= 1.) then
         invalid_arg (Printf.sprintf "Ugraph: probability %g outside [0,1]" p))
     ep;
-  { g with ep }
+  { g with ep; digest_memo = -1 }
 
 let induced g vs =
   let new_of_old = Hashtbl.create (Array.length vs) in

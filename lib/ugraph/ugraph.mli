@@ -18,7 +18,14 @@
     structure is immutable after construction. Hot loops read the
     fields ([g.eu.(i)], [g.ep.(i)], ...); the boxed {!edge} record is
     for cold callers (constructors, checks, generators, tests), and
-    {!edge} allocates one per call. *)
+    {!edge} allocates one per call.
+
+    A graph also holds one mutable word, its content digest once
+    {!memo_digest} has computed it, so a graph that answers many
+    queries is hashed once. Two graphs with the same content can
+    therefore differ in that word: compare graphs field by field (as
+    the tests do), never with polymorphic [=], [compare] or
+    [Hashtbl.hash], which no caller does. *)
 
 type edge = { u : int; v : int; p : float }
 (** An undirected uncertain edge between [u] and [v] existing with
@@ -37,6 +44,9 @@ type t = private {
       (** incident edge ids per slot, in increasing id per vertex
           (a self-loop once) *)
   adj_other : int array;  (** the opposite endpoint per slot *)
+  mutable digest_memo : int;
+      (** the content digest once {!memo_digest} has computed it, [-1]
+          before; read it through [Bingraph.Digest.of_graph] *)
 }
 
 val max_vertices : int
@@ -58,6 +68,14 @@ val of_arrays : n:int -> eu:int array -> ev:int array -> ep:float array -> t
 
 val n_vertices : t -> int
 val n_edges : t -> int
+
+val memo_digest : t -> (t -> int) -> int
+(** [memo_digest g fold] is [g]'s content digest: [fold g] on the first
+    call, which stores it in [g], and the stored value on every later
+    call. [fold] must be a pure, non-negative function of the graph's
+    content; its one caller is [Bingraph.Digest.of_graph]. Safe from
+    several domains at once: two first calls that race both fold and
+    store the same value. *)
 
 val edge : t -> int -> edge
 (** [edge g i] is the edge with identifier [i] in [[0, n_edges)], as a
@@ -110,7 +128,7 @@ val avg_prob : t -> float
 
 val map_probs : (int -> edge -> float) -> t -> t
 (** The graph with new edge probabilities; it shares [g]'s endpoint and
-    adjacency arrays. *)
+    adjacency arrays, not its digest. *)
 
 val induced : t -> int array -> t * int array
 (** [induced g vs] is the subgraph induced by the distinct vertices [vs],

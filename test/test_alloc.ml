@@ -147,10 +147,19 @@ let t_pipeline_words_per_edge () =
 let dblp1 = lazy (Workload.Datasets.dblp1 ~seed:1 ()).Workload.Datasets.graph
 let dblp1_terminals = [ 2358; 193; 2271; 2247; 133 ]
 
+(* A graph keeps its digest after the first call, so each call here
+   gets a fresh copy of the graph (built outside the count) to fold. *)
 let t_digest_words_per_edge () =
   let g = (Workload.Datasets.nyc ()).Workload.Datasets.graph in
+  let reps = 10 in
+  let copies =
+    Array.init (reps + 1) (fun _ -> Ugraph.map_probs (fun _ e -> e.Ugraph.p) g)
+  in
+  let next = ref 0 in
   check_below "Bingraph.Digest.of_graph minor words per edge" ~limit:1.
-    (words_per_call ~reps:10 (fun () -> ignore (Bingraph.Digest.of_graph g))
+    (words_per_call ~reps (fun () ->
+         ignore (Bingraph.Digest.of_graph copies.(!next));
+         incr next)
     /. float_of_int (Ugraph.n_edges g))
 
 let t_fstate_make_words_per_edge () =
@@ -286,11 +295,13 @@ let t_csr_view_words () =
 
 (* Both edge-list readers scan one buffer and allocate, per edge, the
    probability token and its boxed float (6 words) beside the edge
-   arrays: 14 words per edge for the text file and 18 for SNAP, where
+   arrays: 14 words per edge for the text file and 17 for SNAP, where
    the line-at-a-time readers they replaced took 24 and 51. The text
    file carries the writer's header, so its arrays are sized once; the
    SNAP file is the same edges without it, so its arrays double as they
-   fill and its id table grows with the vertices. *)
+   fill and its id table, one open-addressing int array, grows with the
+   vertices. SNAP read 18.4 words per edge while its id table was a
+   Hashtbl with a bucket per vertex and its probability an option. *)
 let t_text_load_words () =
   let g = Lazy.force pa_graph in
   let path = Filename.temp_file "test_alloc_" ".txt" in
@@ -309,9 +320,22 @@ let t_snap_load_words () =
     Printf.fprintf oc "%d %d %.17g\n" g.eu.(i) g.ev.(i) g.ep.(i)
   done;
   close_out oc;
-  check_below "Bingraph.Snap.of_file words per edge" ~limit:24.
+  check_below "Bingraph.Snap.of_file words per edge" ~limit:18.
     (total_words_per_call (fun () -> ignore (Bingraph.Snap.of_file path))
     /. float_of_int (Ugraph.n_edges g))
+
+(* A memo hit is a table lookup: the three counter bumps on a live
+   observer (each builds its prefixed key, 26 words in all), the lookups'
+   options and the answer copy marked [cached]. It allocated 217 words
+   while the memo key was a formatted string and the digest of the
+   graph was folded on every query. *)
+let t_memo_hit_words () =
+  let g = (Workload.Datasets.karate ()).Workload.Datasets.graph in
+  let e = Engine.create ~obs:(Obs.create ()) () in
+  let q = { Engine.default with Engine.terminals = [ 0; 33 ] } in
+  ignore (Engine.query e g q);
+  check_below "Engine.query memo hit minor words" ~limit:64.
+    (words_per_call ~reps:1_000 (fun () -> ignore (Engine.query e g q)))
 
 let suite =
   ( "alloc",
@@ -337,9 +361,11 @@ let suite =
         t_csr_view_words;
       Alcotest.test_case "text loader: < 16 words per edge" `Quick
         t_text_load_words;
-      Alcotest.test_case "SNAP loader: < 24 words per edge" `Quick
+      Alcotest.test_case "SNAP loader: < 18 words per edge" `Quick
         t_snap_load_words;
       Alcotest.test_case "Xprob scale, mul, add: only the result" `Quick
         t_xprob_words;
       Alcotest.test_case "Fstate.step: only its outcome" `Quick t_step_words;
+      Alcotest.test_case "Engine.query memo hit: < 64 minor words" `Quick
+        t_memo_hit_words;
     ] )

@@ -263,6 +263,88 @@ let t_snap_errors () =
   check_contains "bad default" ~sub:"default probability 2 outside [0,1]"
     (invalid_msg (fun () -> B.Snap.of_string ~default_prob:2.0 "1 2\n"))
 
+(* The digest a graph keeps. Each builder runs twice, for two fresh
+   graphs with the same content: on the first, [Digest.of_graph] called
+   twice, then [Ugraph.memo_digest] with a fold that must not run; on
+   the second, two first calls racing on two domains, then a third.
+   Every answer must equal the packed fold of [Bingraph.of_graph], an
+   independent implementation that never reads the kept word. *)
+let digest_kept what build =
+  let want = B.digest (B.of_graph (build ())) in
+  let g = build () and raced = build () in
+  let first = B.Digest.of_graph g in
+  let second = B.Digest.of_graph g in
+  let kept = Ugraph.memo_digest g (fun _ -> -1) in
+  let pair = Par.run ~jobs:2 2 (fun _ -> B.Digest.of_graph raced) in
+  let ok =
+    first = want && second = want && kept = want && pair = [| want; want |]
+    && B.Digest.of_graph raced = want
+  in
+  if not ok then
+    QCheck.Test.fail_reportf
+      "%s: packed %x, first %x, second %x, kept %x, raced %x %x" what want first
+      second kept pair.(0) pair.(1);
+  true
+
+let prop_digest_kept =
+  QCheck.Test.make ~name:"digest: kept per graph, from every builder and two domains"
+    ~count:100
+    (QCheck.pair (arb_graph_ts ~max_n:8 ~max_m:14 ~max_k:3) QCheck.small_nat)
+    (fun ((n, es, ts), seed) ->
+      let g () = graph ~n es in
+      let arrays () =
+        let g = g () in
+        Ugraph.of_arrays ~n ~eu:(Array.copy g.eu) ~ev:(Array.copy g.ev)
+          ~ep:(Array.copy g.ep)
+      in
+      (* map_probs from a graph whose digest is already kept *)
+      let mapped () =
+        let base = g () in
+        ignore (B.Digest.of_graph base);
+        Ugraph.map_probs (fun i e -> if i = 0 then 1. -. e.Ugraph.p else e.Ugraph.p) base
+      in
+      let path = Filename.temp_file "test_digest_" ".txt" in
+      Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+      Ugraph.to_file path (g ());
+      let subproblems () =
+        match Preprocess.Pipeline.run (g ()) ~terminals:ts with
+        | Preprocess.Pipeline.Trivial _ -> []
+        | Preprocess.Pipeline.Reduced r -> r.subproblems
+      in
+      let induced () = fst (Ugraph.induced (g ()) (Array.init ((n + 1) / 2) Fun.id)) in
+      let module Gen = Workload.Generators in
+      let generated =
+        [ ("preferential_attachment_large",
+           fun () ->
+             Gen.preferential_attachment_large ~seed ~n:200 ~edges_per_vertex:3
+             |> Workload.Probability.uniform ~seed);
+          ("preferential_attachment",
+           fun () -> fst (Gen.preferential_attachment ~seed ~n:40 ~edges_per_vertex:2));
+          ("grid_road", fun () -> fst (Gen.grid_road ~seed ~rows:6 ~cols:7 ~keep:0.7));
+          ("power_law",
+           fun () -> Gen.power_law ~seed ~n:40 ~target_edges:80 ~exponent:2.5);
+          ("bipartite_affiliation",
+           fun () -> Gen.bipartite_affiliation ~seed ~people:30 ~groups:6 ~memberships:50);
+          ("random_geometric",
+           fun () ->
+             Gen.random_geometric ~seed ~n:60 ~radius:0.2
+             |> Workload.Probability.uniform ~seed) ]
+      in
+      digest_kept "create" g
+      && digest_kept "of_arrays" arrays
+      && digest_kept "of_string" (fun () -> Ugraph.of_string (text (g ())))
+      && digest_kept "of_file" (fun () -> Ugraph.of_file path)
+      && digest_kept "map_probs" mapped
+      && digest_kept "induced" induced
+      && digest_kept "to_graph" (fun () -> B.to_graph (B.of_graph (g ())))
+      && List.for_all
+           (fun i ->
+             digest_kept
+               (Printf.sprintf "subproblem %d" i)
+               (fun () -> (List.nth (subproblems ()) i).Preprocess.Pipeline.graph))
+           (List.init (List.length (subproblems ())) Fun.id)
+      && List.for_all (fun (what, build) -> digest_kept what build) generated)
+
 let suite =
   ( "bingraph",
     [
@@ -284,4 +366,4 @@ let suite =
     ]
     @ qtests
         [ prop_roundtrip_bit_identical; prop_csr_direct_estimates;
-          prop_one_representation ] )
+          prop_one_representation; prop_digest_kept ] )

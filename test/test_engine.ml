@@ -162,6 +162,69 @@ let t_bit_identity_adaptive () =
         (a.E.value = r.Adaptive.value && a.E.exact = r.Adaptive.exact))
     [ 1; 2; 8 ]
 
+(* The result memo is keyed by the query record: a record equal field
+   by field hits, however it was built, and a record that differs in
+   any one field misses. *)
+let t_memo_key_fields () =
+  let e = engine_with_obs () in
+  let g = fig1 () in
+  let q = { E.default with E.terminals = [ 0; 4 ]; samples = 500; width = 64 } in
+  ignore (E.query e g q);
+  let fresh = { q with E.terminals = List.map Fun.id [ 0; 4 ] } in
+  Alcotest.(check bool) "a separately built terminal list" false (fresh.E.terminals == q.E.terminals);
+  Alcotest.(check bool) "an equal record hits" true (E.query e g fresh).E.cached;
+  let variants =
+    [ ("terminals", { q with E.terminals = [ 4; 0 ] });
+      ("method", { q with E.method_ = E.Sampling_mc });
+      ("samples", { q with E.samples = 501 });
+      ("width", { q with E.width = 65 });
+      ("ci_width", { q with E.ci_width = Some 0.2 });
+      ("max_samples", { q with E.max_samples = Some 4096 });
+      ("seed", { q with E.seed = 2 });
+      ("jobs", { q with E.jobs = 2 });
+      ("kernel", { q with E.kernel = Mcsampling.Bitsliced }) ]
+  in
+  List.iter
+    (fun (field, v) ->
+      let misses = assoc "result.miss" e in
+      Alcotest.(check bool) (field ^ " changed alone misses") false (E.query e g v).E.cached;
+      Alcotest.(check int) (field ^ ": one result.miss") (misses + 1) (assoc "result.miss" e))
+    variants;
+  List.iter
+    (fun (field, v) ->
+      Alcotest.(check bool) (field ^ " variant then hits") true (E.query e g v).E.cached)
+    variants;
+  Alcotest.(check int) "hits" 10 (assoc "result.hit" e);
+  Alcotest.(check int) "misses" 10 (assoc "result.miss" e)
+
+(* A ci-width that the adaptive driver refuses raises before anything
+   is memoised, 0, -0 and NaN included, where structural equality parts
+   from the bits (0 = -0, NaN <> NaN): asked again, the query raises
+   again, and the valid query after it is computed. *)
+let t_memo_refused_ci_width () =
+  let e = engine_with_obs () in
+  let g = fig1 () in
+  let q = { E.default with E.terminals = [ 0; 4 ]; samples = 500; width = 64 } in
+  List.iteri
+    (fun i w ->
+      let bad = { q with E.ci_width = Some w } in
+      for _ = 1 to 2 do
+        let misses = assoc "result.miss" e in
+        Alcotest.check_raises (Printf.sprintf "ci-width %h raises" w)
+          (Invalid_argument "Adaptive: ci_width must be in (0, 1)")
+          (fun () -> ignore (E.query e g bad));
+        Alcotest.(check int) (Printf.sprintf "ci-width %h: a result.miss" w)
+          (misses + 1) (assoc "result.miss" e)
+      done;
+      let misses = assoc "result.miss" e in
+      let valid = { q with E.ci_width = Some (0.2 +. (0.1 *. float_of_int i)) } in
+      Alcotest.(check bool) (Printf.sprintf "after %h: the valid query is computed" w)
+        false (E.query e g valid).E.cached;
+      Alcotest.(check int) (Printf.sprintf "after %h: a result.miss" w) (misses + 1)
+        (assoc "result.miss" e))
+    [ 0.; -0.; Float.nan; 1. ];
+  Alcotest.(check int) "no hit" 0 (assoc "result.hit" e)
+
 let suite =
   ( "engine",
     [
@@ -173,4 +236,8 @@ let suite =
       Alcotest.test_case "bit identity: sampling" `Quick t_bit_identity_sampling;
       Alcotest.test_case "bit identity: bitsliced" `Quick t_bit_identity_bitsliced;
       Alcotest.test_case "bit identity: adaptive" `Quick t_bit_identity_adaptive;
+      Alcotest.test_case "memo key: the query record, field by field" `Quick
+        t_memo_key_fields;
+      Alcotest.test_case "memo key: a refused ci-width leaves no entry" `Quick
+        t_memo_refused_ci_width;
     ] )

@@ -181,6 +181,47 @@ let t_json_float_repr () =
     [ 0.; 1.5; 0.1; 1. /. 3.; 1e-300; 1e300; Float.min_float; -42.;
       4_503_599_627_370_497. ]
 
+(* The renderer hands %.12g / %.17g to the C primitive that Printf
+   calls; [Check.Reference.float_repr] is the Printf formula it
+   replaced. They must agree byte for byte on every finite double:
+   random bit patterns (any exponent short of inf/NaN), subnormals,
+   integers up to 1e22 (small ones take the ".0" suffix, large ones an
+   exponent), short decimals and both zeros. *)
+let arb_finite_float =
+  let open QCheck.Gen in
+  let bits64 =
+    map2
+      (fun hi lo -> Int64.logxor (Int64.shift_left (Int64.of_int hi) 32) (Int64.of_int lo))
+      int int
+  in
+  let finite b =
+    (* an all-ones exponent loses its lowest bit: 0x7FE, finite *)
+    let x = Int64.float_of_bits b in
+    if Float.is_finite x then x else Int64.float_of_bits (Int64.logand b 0xFFEF_FFFF_FFFF_FFFFL)
+  in
+  let subnormal =
+    map (fun b -> Int64.float_of_bits (Int64.logand b 0x800F_FFFF_FFFF_FFFFL)) bits64
+  in
+  let integer =
+    map3
+      (fun neg e u ->
+        let x = Float.round (u *. (10. ** float_of_int e)) in
+        if neg then -.x else x)
+      bool (int_range 0 22) (float_range 0. 1.)
+  in
+  let decimal =
+    map2 (fun d x -> float_of_string (Printf.sprintf "%.*g" d x)) (int_range 1 17)
+      (float_range (-1e6) 1e6)
+  in
+  QCheck.make ~print:(Printf.sprintf "%h")
+    (frequency
+       [ (4, map finite bits64); (2, subnormal); (2, integer); (2, decimal);
+         (1, oneofl [ 0.; -0. ]) ])
+
+let prop_float_repr_reference =
+  QCheck.Test.make ~count:20_000 ~name:"json: floats render as the Printf formula"
+    arb_finite_float (fun x -> J.to_string (J.Float x) = Check.Reference.float_repr x)
+
 (* ---- Statsdoc ---- *)
 
 let t_statsdoc () =
@@ -437,4 +478,4 @@ let suite =
       Alcotest.test_case "samplers: instrumented account" `Quick
         t_sampler_instrumentation;
     ]
-    @ qtests [ t_ht_weight_bounds; t_ht_weight_agreement ] )
+    @ qtests [ t_ht_weight_bounds; t_ht_weight_agreement; prop_float_repr_reference ] )
